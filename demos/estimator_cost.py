@@ -5,9 +5,10 @@ difference at every step - one auxiliary mass-matrix solve per step on top
 of the time stepping itself.  The 5-point estimator replaces that solve with
 a fourth difference in time: a few vector operations and two norms.
 
-This script times both estimator paths on prepared five-state windows over a
-unit-square mesh with ~2 * 10^4 triangles (solver work excluded), and prints
-the auxiliary-solve counters alongside.  Expect the 5-point path to be an
+This script times both estimator paths at prepared interior nodes over a
+unit-square mesh with ~2 * 10^4 triangles (solver work and the second
+differences both paths share excluded), and prints the auxiliary-solve
+counters alongside.  Expect the 5-point path to be an
 order of magnitude cheaper per step; the gap widens with mesh size since the
 mass solve scales with the vertex count while the stencil work is a handful
 of vector operations.

@@ -17,8 +17,7 @@ from .grids import TimeGrid, alternating_grid, build_grid, decaying_grid, unifor
 from .mesh import Mesh, MeshError, generate_structured, import_mesh, read_mesh
 from .newmark import NewmarkWaveSolver, StateWindow, WaveProblem, WaveState
 from .ode import (OdeProblem, OdeTrajectory, effectivity, eta3_ode_cumulative,
-                  eta5_ode_cumulative, ode_energy_error, recover_velocity,
-                  solve_newmark_ode)
+                  eta5_ode_cumulative, ode_energy_error, solve_newmark_ode)
 
 __all__ = [
     "Field", "FemSpace", "QuadratureRule", "SolveCounter", "SolverError",
@@ -27,7 +26,7 @@ __all__ = [
     "import_mesh", "read_mesh", "NewmarkWaveSolver", "StateWindow",
     "WaveProblem", "WaveState", "OdeProblem", "OdeTrajectory", "effectivity",
     "eta3_ode_cumulative", "eta5_ode_cumulative", "ode_energy_error",
-    "recover_velocity", "solve_newmark_ode",
+    "solve_newmark_ode",
 ]
 
 __version__ = "0.1.0"

@@ -91,17 +91,11 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(args)
         if cfg.kind == "ode":
-            if cfg.N is None and cfg.grid_rule != "decay":
-                raise ValueError("scalar-model runs need --N")
             row, trace = run_ode_experiment(cfg)
             _emit(ODE_COLUMNS, [row], cfg.out)
             if cfg.trace:
                 write_csv(cfg.trace, TRACE_COLUMNS, trace)
         elif cfg.kind == "wave":
-            if cfg.grid_rule in ("decay", "decay-literal") and cfg.tau0 is None:
-                raise ValueError("decaying grids need --tau0")
-            if cfg.grid_rule == "uniform" and cfg.N is None:
-                raise ValueError("uniform grids need --N")
             row, trace, _ = run_wave_experiment(cfg)
             _emit(WAVE_COLUMNS, [row], cfg.out)
             if cfg.trace:

@@ -20,20 +20,20 @@ sum) is selectable for comparison.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .fem import Field, FemSpace, SolveCounter
+from .fem import FemSpace, SolveCounter
 from .newmark import StateWindow, WaveState
-from .stencils import hat_second_diff, hat_times, quadratic_reconstruction, second_diff
+from .stencils import hat_second_diff, initial_weight, second_diff, step_weight
 
 __all__ = [
-    "EstimatorSample", "EstimatorReport", "WaveEstimatorAccumulator",
-    "SpaceEstimatorAccumulator", "eta3_step", "eta3_initial", "eta5_step",
-    "edge_normal_jumps", "edge_jump_norm_sq", "step_weight", "initial_weight",
-    "quadratic_reconstruction", "PAYLOAD_FORMS",
+    "EstimatorSample", "EstimatorReport", "NodeDiffs", "WaveEstimatorAccumulator",
+    "SpaceEstimatorAccumulator", "node_diffs", "eta3_step", "eta5_step",
+    "edge_normal_jumps", "PAYLOAD_FORMS",
 ]
 
 PAYLOAD_FORMS = ("rms", "literal")
@@ -57,14 +57,6 @@ def _combine5(h1_term, l2_term, form):
     raise ValueError(f"unknown payload form {form!r}")
 
 
-def step_weight(tau_k, tau_km1):
-    return tau_k ** 2 / 12.0 + tau_km1 * tau_k / 8.0
-
-
-def initial_weight(tau0, tau1):
-    return 5.0 * tau0 ** 2 / 12.0 + tau1 * tau0 / 2.0
-
-
 @dataclass(frozen=True)
 class EstimatorSample:
     """One per-step estimator evaluation: t_k, the weight, and the weighted value."""
@@ -78,65 +70,57 @@ class EstimatorSample:
             raise ValueError("estimator samples are non-negative")
 
 
-def _second_diff_fields(states, taus):
-    """Per-vertex second differences of u, v, f over a 3-state window."""
-    d2u = second_diff([s.u.values for s in states], taus)
-    d2v = second_diff([s.v.values for s in states], taus)
-    d2f = second_diff([s.f_h.full() for s in states], taus)
-    return d2u, d2v, d2f
+@dataclass(frozen=True)
+class NodeDiffs:
+    """Second differences in time at one interior node t_k, shared by all three estimators."""
+
+    t: float          # t_k
+    that: float       # staggered time (t_{k+1} + t_{k-1}) / 2
+    tau_prev: float   # tau_{k-1} = t_k - t_{k-1}
+    tau: float        # tau_k = t_{k+1} - t_k
+    d2u: np.ndarray   # free vertices
+    d2v: np.ndarray   # all vertices (zero on the boundary)
+    d2f: np.ndarray   # all vertices
+    d2v_h1: float     # |d2_k v|_H1
 
 
-def eta3_step(space: FemSpace, window: StateWindow,
+def node_diffs(space: FemSpace, states) -> NodeDiffs:
+    """Second differences of u, v and f_h over three consecutive states, and |d2 v|_H1."""
+    s0, s1, s2 = states
+    tau = (s1.t - s0.t, s2.t - s1.t)
+    d2u = second_diff([s.u.values for s in states], tau)
+    d2v = space.field(second_diff([s.v.values for s in states], tau)).full()
+    d2f = second_diff([s.f_h.full() for s in states], tau)
+    return NodeDiffs(t=s1.t, that=0.5 * (s2.t + s0.t), tau_prev=tau[0], tau=tau[1],
+                     d2u=d2u, d2v=d2v, d2f=d2f, d2v_h1=space.h1_seminorm(d2v))
+
+
+def eta3_step(space: FemSpace, node: NodeDiffs,
               counter: Optional[SolveCounter] = None,
               payload_form="rms") -> EstimatorSample:
-    """3-point estimator sample at the middle time of the last three states.
+    """3-point estimator sample at an interior node.
 
     Performs exactly one mass solve (for the discrete Laplacian of d2_k u).
     """
-    states = window.last(3)
-    taus = np.diff([s.t for s in states])
-    d2u, d2v, d2f = _second_diff_fields(states, taus)
-    z = space.apply_discrete_laplacian(space.field(d2u), counter=counter)
-    resid = d2f - z.full()
-    payload = _combine(space.h1_seminorm(space.field(d2v)), space.l2_norm(resid), payload_form)
-    w = step_weight(taus[1], taus[0])
-    return EstimatorSample(t=states[1].t, weight=w, value=w * payload)
+    z = space.apply_discrete_laplacian(space.field(node.d2u), counter=counter)
+    resid = node.d2f - z.full()
+    payload = _combine(node.d2v_h1, space.l2_norm(resid), payload_form)
+    w = step_weight(node.tau, node.tau_prev)
+    return EstimatorSample(t=node.t, weight=w, value=w * payload)
 
 
-def eta3_initial(space: FemSpace, window: StateWindow,
-                 counter: Optional[SolveCounter] = None,
-                 payload_form="rms") -> EstimatorSample:
-    """Initial-slab 3-point sample: the k=1 payload under the first-step weight."""
-    states = window.last(len(window))[:3]
-    if len(states) < 3:
-        raise ValueError("the initial sample needs the states at t0, t1, t2")
-    taus = np.diff([s.t for s in states])
-    d2u, d2v, d2f = _second_diff_fields(states, taus)
-    z = space.apply_discrete_laplacian(space.field(d2u), counter=counter)
-    resid = d2f - z.full()
-    payload = _combine(space.h1_seminorm(space.field(d2v)), space.l2_norm(resid), payload_form)
-    w = initial_weight(taus[0], taus[1])
-    return EstimatorSample(t=states[0].t, weight=w, value=w * payload)
+def eta5_step(space: FemSpace, nodes, payload_form="rms") -> EstimatorSample:
+    """5-point estimator sample at the last of three consecutive interior nodes.
 
-
-def eta5_step(space: FemSpace, window: StateWindow, payload_form="rms") -> EstimatorSample:
-    """5-point estimator sample; needs 5 states and performs no linear solve.
-
-    The fourth difference of u is the staggered second difference applied to
-    the three plain second differences of the window; the velocity term uses
-    the last three states.
+    Performs no linear solve: the fourth difference of u is the staggered
+    second difference of the three nodes' d2 u on their staggered times; the
+    velocity term is the last node's.
     """
-    states = window.last(5)
-    t = np.array([s.t for s in states])
-    taus = np.diff(t)
-    u = [s.u.values for s in states]
-    d2 = [second_diff(u[k:k + 3], taus[k:k + 2]) for k in range(3)]
-    d4u = hat_second_diff(d2, hat_times(t))
-    d2v = second_diff([s.v.values for s in states[2:]], taus[2:])
-    payload = _combine5(space.h1_seminorm(space.field(d2v)),
-                        space.l2_norm(space.field(d4u)), payload_form)
-    w = step_weight(taus[3], taus[2])
-    return EstimatorSample(t=states[3].t, weight=w, value=w * payload)
+    d4u = hat_second_diff([n.d2u for n in nodes], [n.that for n in nodes])
+    node = nodes[-1]
+    payload = _combine5(node.d2v_h1, space.l2_norm(space.field(d4u)), payload_form)
+    w = step_weight(node.tau, node.tau_prev)
+    return EstimatorSample(t=node.t, weight=w, value=w * payload)
 
 
 # -- edge jumps and the space estimator --------------------------------------
@@ -149,19 +133,6 @@ def edge_normal_jumps(space: FemSpace, full_values) -> np.ndarray:
     left = grads[mesh.edge_tris[:, 0]]
     right = grads[mesh.edge_tris[:, 1]]
     return np.einsum("ed,ed->e", left - right, mesh.edge_normals)
-
-
-def edge_jump_norm_sq(space: FemSpace, field: Field, edge_index: int) -> float:
-    """Squared L2(E) norm of the normal-gradient jump on one interior edge.
-
-    P1 gradients are constant per triangle, so the norm is jump^2 * h_E;
-    the result does not depend on the stored normal orientation.
-    """
-    mesh = space.mesh
-    if not 0 <= edge_index < len(mesh.edge_lengths):
-        raise IndexError("not an interior edge index")
-    jump = edge_normal_jumps(space, field.full())[edge_index]
-    return float(jump ** 2 * mesh.edge_lengths[edge_index])
 
 
 def _space_part(space: FemSpace, volume_full, jump_full) -> float:
@@ -177,7 +148,8 @@ def _space_part(space: FemSpace, volume_full, jump_full) -> float:
 class SpaceEstimatorAccumulator:
     """Online accumulation of the two space-estimator parts over interior nodes.
 
-    Fed with 3-state windows centered at n = 1..N-1:
+    Fed with the 3 states around each interior node n = 1..N-1 and that
+    node's second differences:
     part 1 is the max over n of [sum_K h_K^2 ||dbar_n v - f_n||_K^2
     + sum_E h_E ||[n . grad u_n]||_E^2]^(1/2) with the central difference
     dbar_n; part 2 integrates the same shape built from second differences
@@ -189,21 +161,17 @@ class SpaceEstimatorAccumulator:
     part2_sum: float = 0.0
     samples: int = 0
 
-    def update(self, window: StateWindow):
-        states = window.last(3)
-        taus = np.diff([s.t for s in states])
+    def update(self, states, node: NodeDiffs):
+        s0, s1, s2 = states
         sp = self.space
-        central = taus[0] + taus[1]
-        v_c = (states[2].v.full() - states[0].v.full()) / central
-        u_mid = states[1].u.full()
-        f_mid = states[1].f_h.values
-        p1 = _space_part(sp, v_c - f_mid, u_mid)
+        central = node.tau_prev + node.tau
+        v_c = (s2.v.full() - s0.v.full()) / central
+        p1 = _space_part(sp, v_c - s1.f_h.values, s1.u.full())
         self.part1_max = max(self.part1_max, np.sqrt(p1))
-        d2v = second_diff([s.v.full() for s in states], taus)
-        f_c = (states[2].f_h.values - states[0].f_h.values) / central
-        u_c = (states[2].u.full() - states[0].u.full()) / central
-        p2 = _space_part(sp, d2v - f_c, u_c)
-        self.part2_sum += taus[1] * np.sqrt(p2)
+        f_c = (s2.f_h.values - s0.f_h.values) / central
+        u_c = (s2.u.full() - s0.u.full()) / central
+        p2 = _space_part(sp, node.d2v - f_c, u_c)
+        self.part2_sum += node.tau * np.sqrt(p2)
         self.samples += 1
 
     @property
@@ -237,7 +205,9 @@ class WaveEstimatorAccumulator:
     """Consumes the state stream and accumulates all three estimators online.
 
     The 3-point cumulative total is tau_0 * eta_T(t_0) + sum_{k>=1} tau_k *
-    eta_T(t_k); the 5-point total starts at k = 3.  Retains at most 5 states.
+    eta_T(t_k); the 5-point total starts at k = 3.  Retains the last 3
+    states and the second differences of the last 3 interior nodes, each
+    computed once.
     """
 
     def __init__(self, space: FemSpace, payload_form="rms", with_space=True):
@@ -245,44 +215,38 @@ class WaveEstimatorAccumulator:
             raise ValueError(f"payload_form must be one of {PAYLOAD_FORMS}")
         self.space = space
         self.payload_form = payload_form
-        self.window = StateWindow(maxlen=5)
+        self.window = StateWindow(maxlen=3)
+        self.nodes = deque(maxlen=3)
         self.report = EstimatorReport()
         self.space_acc = SpaceEstimatorAccumulator(space) if with_space else None
-        self._index = -1  # index of the newest state
 
     def push(self, state: WaveState):
         self.window.push(state)
-        self._index += 1
-        n = self._index
+        if len(self.window) < 3:
+            return
+        states = self.window.last(3)
+        node = node_diffs(self.space, states)
+        self.nodes.append(node)
         rep = self.report
-        if n >= 2:
-            # sample at k = n-1, weighted by tau_{k}
-            states = self.window.last(3)
-            tau_k = states[2].t - states[1].t
-            sample = eta3_step(self.space, self.window, counter=rep.eta3_counter,
-                               payload_form=self.payload_form)
-            rep.eta3_samples.append(sample)
-            rep.eta3_total += tau_k * sample.value
-            if n == 2:
-                # initial-slab contribution, weighted by tau_0: same payload
-                # as the k = 1 sample under the first-step weight, so the
-                # already-computed sample is rescaled instead of re-solved
-                tau0 = states[1].t - states[0].t
-                tau1 = states[2].t - states[1].t
-                payload = sample.value / sample.weight
-                w0 = initial_weight(tau0, tau1)
-                init = EstimatorSample(t=states[0].t, weight=w0, value=w0 * payload)
-                rep.eta3_total += tau0 * init.value
-                rep.eta3_samples.insert(0, init)
-            if self.space_acc is not None:
-                self.space_acc.update(self.window)
-                rep.space_part1, rep.space_part2 = self.space_acc.parts
-        if n >= 4:
-            states = self.window.last(5)
-            tau_k = states[4].t - states[3].t
-            sample = eta5_step(self.space, self.window, payload_form=self.payload_form)
+        sample = eta3_step(self.space, node, counter=rep.eta3_counter,
+                           payload_form=self.payload_form)
+        rep.eta3_samples.append(sample)
+        rep.eta3_total += node.tau * sample.value
+        if len(rep.eta3_samples) == 1:
+            # initial-slab contribution, weighted by tau_0: the t_1 payload
+            # under the first-step weight
+            payload = sample.value / sample.weight
+            w0 = initial_weight(node.tau_prev, node.tau)
+            init = EstimatorSample(t=states[0].t, weight=w0, value=w0 * payload)
+            rep.eta3_total += node.tau_prev * init.value
+            rep.eta3_samples.insert(0, init)
+        if self.space_acc is not None:
+            self.space_acc.update(states, node)
+            rep.space_part1, rep.space_part2 = self.space_acc.parts
+        if len(self.nodes) == 3:
+            sample = eta5_step(self.space, self.nodes, payload_form=self.payload_form)
             rep.eta5_samples.append(sample)
-            rep.eta5_total += tau_k * sample.value
+            rep.eta5_total += node.tau * sample.value
 
     @property
     def eta3_total(self):

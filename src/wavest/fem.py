@@ -114,24 +114,6 @@ class Field:
         out[self.space.free] = self.values
         return out
 
-    def _binop(self, other, op):
-        if not isinstance(other, Field):
-            return NotImplemented
-        if other.space is not self.space or other.kind != self.kind:
-            raise ValueError("field arithmetic requires the same space and kind")
-        return Field(op(self.values, other.values), self.space, self.kind)
-
-    def __add__(self, other):
-        return self._binop(other, np.add)
-
-    def __sub__(self, other):
-        return self._binop(other, np.subtract)
-
-    def __mul__(self, scalar):
-        return Field(self.values * float(scalar), self.space, self.kind)
-
-    __rmul__ = __mul__
-
 
 def _triangle_geometry(mesh):
     """Per-triangle P1 gradient coefficients and areas.
@@ -244,11 +226,6 @@ class FemSpace:
 
     # -- integration ------------------------------------------------------
 
-    def integrate(self, g: Callable) -> float:
-        """Quadrature integral of g(x, y) over the domain."""
-        vals = g(self.quad_xy[:, :, 0], self.quad_xy[:, :, 1])
-        return float(np.einsum("tq,q,t->", vals, self.rule.weights, self.area))
-
     def assemble_load(self, g: Callable, rule: Optional[QuadratureRule] = None) -> np.ndarray:
         """Load vector b_i ~ integral(g phi_i) over all vertices."""
         if rule is None:
@@ -307,10 +284,6 @@ class FemSpace:
     def h1_seminorm(self, values) -> float:
         v = values.full() if isinstance(values, Field) else np.asarray(values, dtype=float)
         return float(np.sqrt(max(v @ (self.stiffness @ v), 0.0)))
-
-    def energy_norm(self, v_values, u_values) -> float:
-        """sqrt(||v||_L2^2 + |u|_H1^2), the kinetic-plus-potential pair norm."""
-        return float(np.hypot(self.l2_norm(v_values), self.h1_seminorm(u_values)))
 
     # -- elementwise quantities for the space estimator ---------------------
 

@@ -118,22 +118,28 @@ def decaying_grid(tau0, T=1.0, cap=10.0, literal=False):
     return TimeGrid(np.asarray(pts), rule=f"{name}, tau0={tau0:g}")
 
 
-def build_grid(rule, T, **params):
-    """Dispatch by rule name: uniform | alt10 | alt100 | decay | decay-literal."""
+def build_grid(rule, T, N=None, tau0=None, taustar=None):
+    """Dispatch by rule name: uniform | alt10 | alt100 | decay | decay-literal.
+
+    ``uniform`` needs N; the alternating rules need N or taustar; the
+    decaying rules need tau0.
+    """
     if rule == "uniform":
-        return uniform_grid(int(params["N"]), T)
+        if N is None:
+            raise ValueError("the uniform grid needs N")
+        return uniform_grid(int(N), T)
     if rule in ("alt10", "alt100"):
+        if N is None and taustar is None:
+            raise ValueError(f"the {rule} grid needs N or taustar")
         small = 0.1 if rule == "alt10" else 0.01
-        n = params.get("N")
-        taustar = params.get("taustar")
         return alternating_grid(
-            n_steps=int(n) if n is not None else None,
+            n_steps=int(N) if N is not None else None,
             T=T,
             small=small,
             taustar=taustar,
         )
-    if rule == "decay":
-        return decaying_grid(float(params["tau0"]), T)
-    if rule == "decay-literal":
-        return decaying_grid(float(params["tau0"]), T, literal=True)
+    if rule in ("decay", "decay-literal"):
+        if tau0 is None:
+            raise ValueError(f"the {rule} grid needs tau0")
+        return decaying_grid(float(tau0), T, literal=rule == "decay-literal")
     raise ValueError(f"unknown grid rule: {rule!r}")

@@ -4,8 +4,10 @@ The main case is a travelling Gaussian pulse u = exp(-100 r^2) whose center
 moves from (0.3, 0.3) at t = 0 to (0.7, 0.7) at t = 1 along c(t) = 0.3
 + 0.4 t^2.  All derivatives below are exact symbolic differentiations of
 that expression; the tests validate them against finite differences.  The
-pulse decays to ~1e-16 at the boundary, so homogeneous Dirichlet data are
-satisfied to round-off.
+pulse does not vanish on the boundary: its largest boundary value over
+[0, 1] is exp(-9) = 1.23e-4, at t = 0 and t = 1 (the center is 0.3 from two
+sides), falling to exp(-16) = 1.1e-7 at t = 0.5.  The homogeneous Dirichlet
+condition therefore holds to about 1e-4, not to round-off.
 """
 
 from __future__ import annotations

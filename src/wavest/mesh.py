@@ -2,8 +2,7 @@
 
 Meshes are immutable after construction.  Interior edges are stored as
 parallel arrays (endpoints, adjacent triangles, lengths, unit normals) so the
-jump terms of the space estimator vectorise; ``interior_edges`` exposes the
-same data as a list of InteriorEdge records.
+jump terms of the space estimator vectorise.
 
 Text format (one mesh per payload):
     line 1:        nv nt
@@ -15,21 +14,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 
 class MeshError(ValueError):
     """Raised for topologically or geometrically invalid meshes."""
-
-
-class InteriorEdge(NamedTuple):
-    endpoints: tuple
-    left_tri: int
-    right_tri: int
-    length: float
-    unit_normal: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -125,21 +115,6 @@ class Mesh:
     @property
     def free_vertices(self):
         return np.flatnonzero(~self.boundary_vertex)
-
-    @property
-    def interior_edges(self):
-        return [
-            InteriorEdge(
-                endpoints=(int(a), int(b)),
-                left_tri=int(l),
-                right_tri=int(r),
-                length=float(s),
-                unit_normal=n,
-            )
-            for (a, b), (l, r), s, n in zip(
-                self.edge_vertices, self.edge_tris, self.edge_lengths, self.edge_normals
-            )
-        ]
 
 
 def build_edges(vertices, triangles):

@@ -48,7 +48,7 @@ class WaveState:
 
 
 class StateWindow:
-    """Sliding window over the most recent states (at most 5) and their steps."""
+    """Sliding window over the most recent states, oldest first."""
 
     def __init__(self, maxlen=5):
         self.maxlen = maxlen
@@ -63,14 +63,6 @@ class StateWindow:
 
     def __len__(self):
         return len(self.states)
-
-    @property
-    def times(self):
-        return np.array([s.t for s in self.states])
-
-    @property
-    def steps(self):
-        return np.diff(self.times)
 
     def last(self, k):
         """The most recent k states, oldest first."""

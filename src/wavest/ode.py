@@ -28,6 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grids import TimeGrid
+from .stencils import hat_second_diff, hat_times, initial_weight, second_diff, step_weight
 
 
 @dataclass(frozen=True)
@@ -64,13 +65,6 @@ class OdeTrajectory:
         n = len(self.grid.points)
         if len(self.u) != n or len(self.v) != n:
             raise ValueError("u and v must have one value per grid point")
-
-
-def recover_velocity(u, v_prev, tau):
-    """Velocity at the end of a step: 2*(u1 - u0)/tau - v_prev."""
-    if tau <= 0:
-        raise ValueError("step must be positive")
-    return 2.0 * (u[1] - u[0]) / tau - v_prev
 
 
 def solve_newmark_ode(problem: OdeProblem, grid: TimeGrid) -> OdeTrajectory:
@@ -112,25 +106,9 @@ def effectivity(e, eta):
     return eta / e
 
 
-def _second_diffs(w, tau):
-    """Vectorised divided second differences; entry k-1 holds the value at node k."""
-    dw = np.diff(w) / tau
-    half = 0.5 * (tau[1:] + tau[:-1])
-    return (dw[1:] - dw[:-1]) / half
-
-
-def _fourth_diffs(u, t, tau):
-    """Vectorised staggered fourth differences; entry k-3 holds the value at node k."""
-    d2 = _second_diffs(u, tau)
-    that = 0.5 * (t[2:] + t[:-2])
-    num = (d2[2:] - d2[1:-1]) / (that[2:] - that[1:-1]) \
-        - (d2[1:-1] - d2[:-2]) / (that[1:-1] - that[:-2])
-    return 2.0 * num / (that[2:] - that[:-2])
-
-
-def _step_weights(tau):
-    """tau_k * (tau_k^2/12 + tau_{k-1} tau_k / 8) for k = 1..N-1."""
-    return tau[1:] * (tau[1:] ** 2 / 12.0 + tau[:-1] * tau[1:] / 8.0)
+def _shifted(w):
+    """The window (w[k-1], w[k], w[k+1]) over every interior index k, as views."""
+    return w[:-2], w[1:-1], w[2:]
 
 
 def eta3_ode_samples(traj: OdeTrajectory, f_samples, A) -> np.ndarray:
@@ -144,14 +122,14 @@ def eta3_ode_samples(traj: OdeTrajectory, f_samples, A) -> np.ndarray:
     tau = traj.grid.steps
     if traj.grid.n_steps < 2:
         raise ValueError("the 3-point estimator needs at least 2 steps")
-    fs = np.asarray(f_samples, dtype=float)
-    d2v = _second_diffs(traj.v, tau)
-    d2u = _second_diffs(traj.u, tau)
-    d2f = _second_diffs(fs, tau)
+    steps = (tau[:-1], tau[1:])
+    d2v = second_diff(_shifted(traj.v), steps)
+    d2u = second_diff(_shifted(traj.u), steps)
+    d2f = second_diff(_shifted(np.asarray(f_samples, dtype=float)), steps)
     payload = np.sqrt(A * d2v ** 2 + (d2f - A * d2u) ** 2)
     out = np.empty(traj.grid.n_steps)
-    out[0] = tau[0] * (5.0 * tau[0] ** 2 / 12.0 + tau[0] * tau[1] / 2.0) * payload[0]
-    out[1:] = _step_weights(tau) * payload
+    out[0] = tau[0] * initial_weight(tau[0], tau[1]) * payload[0]
+    out[1:] = tau[1:] * step_weight(tau[1:], tau[:-1]) * payload
     return out
 
 
@@ -159,17 +137,19 @@ def eta5_ode_samples(traj: OdeTrajectory, A) -> np.ndarray:
     """Per-step contributions to the cumulative 5-point time estimator.
 
     Entry k-3 is tau_k*(1/12 tau_k^2 + 1/8 tau_{k-1} tau_k)
-    * sqrt(A (d2_k v)^2 + (d4_k u)^2) for k = 3..N-1; the estimator has no
-    contribution before the fourth node.
+    * sqrt(A (d2_k v)^2 + (d4_k u)^2) for k = 3..N-1, where d4_k u is the
+    staggered second difference of d2 u at nodes k-2, k-1, k; the estimator
+    has no contribution before the fourth node.
     """
-    t = traj.grid.points
     tau = traj.grid.steps
     if traj.grid.n_steps < 4:
         raise ValueError("the 5-point estimator needs at least 4 steps")
-    d2v = _second_diffs(traj.v, tau)
-    d4u = _fourth_diffs(traj.u, t, tau)
-    payload = np.sqrt(A * d2v[2:] ** 2 + d4u ** 2)
-    return _step_weights(tau)[2:] * payload
+    steps = (tau[:-1], tau[1:])
+    d2v = second_diff(_shifted(traj.v), steps)[2:]
+    d2u = second_diff(_shifted(traj.u), steps)
+    d4u = hat_second_diff(_shifted(d2u), _shifted(hat_times(traj.grid.points)))
+    payload = np.sqrt(A * d2v ** 2 + d4u ** 2)
+    return tau[3:] * step_weight(tau[3:], tau[2:-1]) * payload
 
 
 def eta3_ode_cumulative(traj: OdeTrajectory, f_samples, A, n) -> float:

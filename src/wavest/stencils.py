@@ -2,7 +2,10 @@
 
 All operators act on short windows of consecutive values.  A "value" may be
 a float or a numpy array (nodal coefficients of a finite element function);
-every formula below is a linear combination, so both work unchanged.
+every formula below is a linear combination, so both work unchanged.  Steps
+and times may be arrays too: the window ``(w[:-2], w[1:-1], w[2:])`` with
+steps ``(tau[:-1], tau[1:])`` evaluates a stencil at every interior node of a
+whole trajectory at once.
 
 Conventions for a window ``w[0..m]`` with steps ``tau[k] = t[k+1] - t[k]``:
 
@@ -12,7 +15,9 @@ Conventions for a window ``w[0..m]`` with steps ``tau[k] = t[k+1] - t[k]``:
 * ``hat_second_diff`` acts on 3 values attached to the staggered times
   ``that[m] = (t[m+1] + t[m-1]) / 2``,
 * ``fourth_diff`` composes the two: it needs 5 values and 4 steps and on a
-  uniform grid reduces to the classical (1, -4, 6, -4, 1) / tau^4 stencil.
+  uniform grid reduces to the classical (1, -4, 6, -4, 1) / tau^4 stencil,
+* ``step_weight`` and ``initial_weight`` are the time weights both time
+  estimators put on their per-node payloads.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ def second_diff(w, tau):
     if len(w) != 3 or len(tau) != 2:
         raise ValueError("second_diff needs 3 values and 2 steps")
     tau0, tau1 = tau
-    if tau0 <= 0 or tau1 <= 0:
+    if np.any(tau0 <= 0) or np.any(tau1 <= 0):
         raise ValueError("steps must be positive")
     half = 0.5 * (tau0 + tau1)
     return ((w[2] - w[1]) / tau1 - (w[1] - w[0]) / tau0) / half
@@ -50,7 +55,7 @@ def bar_average(w, tau):
     if len(w) != 3 or len(tau) != 2:
         raise ValueError("bar_average needs 3 values and 2 steps")
     tau0, tau1 = tau
-    if tau0 <= 0 or tau1 <= 0:
+    if np.any(tau0 <= 0) or np.any(tau1 <= 0):
         raise ValueError("steps must be positive")
     return (tau1 * (w[2] + w[1]) + tau0 * (w[1] + w[0])) / (2.0 * (tau0 + tau1))
 
@@ -74,7 +79,7 @@ def hat_second_diff(w, that):
         raise ValueError("hat_second_diff needs 3 values and 3 staggered times")
     h1 = that[1] - that[0]
     h2 = that[2] - that[1]
-    if h1 <= 0 or h2 <= 0:
+    if np.any(h1 <= 0) or np.any(h2 <= 0):
         raise ValueError("staggered times must be increasing")
     return 2.0 / (that[2] - that[0]) * ((w[2] - w[1]) / h2 - (w[1] - w[0]) / h1)
 
@@ -95,6 +100,16 @@ def fourth_diff(w, t):
     tau = np.diff(t)
     d2 = [second_diff(w[k:k + 3], tau[k:k + 2]) for k in range(3)]
     return hat_second_diff(d2, hat_times(t))
+
+
+def step_weight(tau_k, tau_km1):
+    """Weight tau_k^2/12 + tau_{k-1} tau_k/8 of the payload at an interior node t_k."""
+    return tau_k ** 2 / 12.0 + tau_km1 * tau_k / 8.0
+
+
+def initial_weight(tau0, tau1):
+    """Weight 5/12 tau_0^2 + tau_1 tau_0/2 of the initial-slab term, which reuses the t_1 payload."""
+    return 5.0 * tau0 ** 2 / 12.0 + tau1 * tau0 / 2.0
 
 
 @dataclass(frozen=True)

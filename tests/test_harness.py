@@ -98,6 +98,21 @@ class TestManufactured:
             uyy = d2(lambda s: sol.u(t, x, s), y, h)
             assert sol.f(t, x, y) == pytest.approx(utt - uxx - uyy, abs=1e-6)
 
+    def test_boundary_trace_bound(self):
+        # the pulse is not zero on the boundary: its trace peaks at
+        # exp(-100 * 0.3^2) = 1.23e-4 at t = 0 and t = 1, where the center is
+        # 0.3 from two sides, and falls to exp(-16) = 1.1e-7 at t = 0.5
+        sol = gaussian_pulse()
+        s = np.linspace(0.0, 1.0, 1001)
+        zero, one = np.zeros_like(s), np.ones_like(s)
+        bx = np.concatenate([s, s, zero, one])
+        by = np.concatenate([zero, one, s, s])
+        peak = [np.abs(sol.u(t, bx, by)).max() for t in np.linspace(0.0, 1.0, 201)]
+        assert max(peak) == pytest.approx(np.exp(-9.0), rel=1e-12)
+        assert peak[0] == pytest.approx(np.exp(-9.0), rel=1e-12)
+        assert peak[-1] == pytest.approx(np.exp(-9.0), rel=1e-12)
+        assert peak[100] == pytest.approx(np.exp(-16.0), rel=1e-12)
+
     def test_gradients_against_finite_differences(self):
         sol = gaussian_pulse()
         x, y, t = 0.41, 0.52, 0.6
@@ -296,6 +311,22 @@ class TestCli:
         from wavest.cli import main
         assert main(["ode", "--grid", "uniform"]) == 1  # missing N
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, error", [
+        (["ode", "--grid", "decay-literal", "--tau0", "0.01"], None),
+        (["ode", "--grid", "alt10", "--taustar", "0.01"], None),
+        (["ode", "--grid", "decay"], "the decay grid needs tau0"),
+        (["ode", "--grid", "alt100"], "the alt100 grid needs N or taustar"),
+        (["wave", "--mesh", "structured:n=2", "--grid", "uniform"], "the uniform grid needs N"),
+    ])
+    def test_grid_arguments(self, argv, error, capsys):
+        from wavest.cli import main
+        assert main(argv) == (0 if error is None else 1)
+        err = capsys.readouterr().err
+        if error is None:
+            assert err == ""
+        else:
+            assert err == f"wavest: error: {error}\n"
 
     def test_wave_smoke(self, tmp_path):
         from wavest.cli import main

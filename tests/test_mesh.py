@@ -12,7 +12,7 @@ class TestStructured:
         m = generate_structured(1)
         assert m.n_triangles == 2
         assert m.n_vertices == 4
-        assert len(m.interior_edges) == 1
+        assert len(m.edge_tris) == 1
 
     def test_diagonal_counts_and_euler(self):
         m = generate_structured(2)
@@ -24,7 +24,7 @@ class TestStructured:
         n_edges = len(np.unique(np.sort(edges, axis=1), axis=0))
         assert m.n_vertices - n_edges + m.n_triangles == 1
         assert n_edges == 16
-        assert len(m.interior_edges) == 8
+        assert len(m.edge_tris) == 8
 
     def test_crisscross_counts(self):
         m = generate_structured(2, "crisscross")
@@ -56,10 +56,8 @@ class TestStructured:
 class TestEdges:
     def test_adjacent_triangles_share_exactly_the_endpoints(self):
         m = generate_structured(3)
-        for e in m.interior_edges:
-            left = set(m.triangles[e.left_tri])
-            right = set(m.triangles[e.right_tri])
-            assert left & right == set(e.endpoints)
+        for endpoints, (left, right) in zip(m.edge_vertices, m.edge_tris):
+            assert set(m.triangles[left]) & set(m.triangles[right]) == set(endpoints)
 
     def test_normals_unit(self):
         m = generate_structured(4, "crisscross")
@@ -88,7 +86,7 @@ class TestImport:
         m2 = import_mesh(format_mesh(m))
         np.testing.assert_allclose(m2.vertices, m.vertices)
         np.testing.assert_array_equal(m2.triangles, m.triangles)
-        assert len(m2.interior_edges) == 1
+        assert len(m2.edge_tris) == 1
 
     def test_two_triangle_square_literal(self):
         payload = """4 2
@@ -101,7 +99,7 @@ class TestImport:
 """
         m = import_mesh(payload)
         assert m.n_triangles == 2
-        assert len(m.interior_edges) == 1
+        assert len(m.edge_tris) == 1
         assert m.areas.sum() == pytest.approx(1.0)
 
     def test_clockwise_triangle_reoriented_with_warning(self):

@@ -6,7 +6,7 @@ import pytest
 from wavest.grids import TimeGrid, alternating_grid, uniform_grid
 from wavest.ode import (OdeProblem, effectivity, eta3_ode_cumulative,
                         eta3_ode_samples, eta5_ode_cumulative, eta5_ode_samples,
-                        ode_energy_error, recover_velocity, solve_newmark_ode)
+                        ode_energy_error, solve_newmark_ode)
 
 RNG = np.random.default_rng(7)
 
@@ -62,13 +62,14 @@ class TestSolver:
             assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, A * np.abs(u).max()))
 
     def test_velocity_matches_recovery_formula(self):
+        # v_{n+1} = 2 (u_{n+1} - u_n) / tau_n - v_n, recovered step by step
         A = 50.0
         grid = uniform_grid(64)
         problem = OdeProblem(A=A, f=np.sin, u0=1.0, v0=0.5, T=1.0)
         traj = solve_newmark_ode(problem, grid)
         v = traj.v[0]
         for n in range(grid.n_steps):
-            v = recover_velocity(traj.u[n:n + 2], v, grid.steps[n])
+            v = 2.0 * (traj.u[n + 1] - traj.u[n]) / grid.steps[n] - v
             assert v == pytest.approx(traj.v[n + 1], abs=1e-9)
 
     def test_rejects_bad_inputs(self):
@@ -78,21 +79,6 @@ class TestSolver:
             OdeProblem(A=1.0, f=None, u0=0.0, v0=0.0, T=0.0)
         with pytest.raises(ValueError):
             TimeGrid(np.array([0.0, 0.5, 0.5]))
-
-
-class TestRecoverVelocity:
-    def test_constant_velocity(self):
-        assert recover_velocity([0.0, 0.2], 1.0, 0.2) == pytest.approx(1.0)
-
-    def test_stationary(self):
-        assert recover_velocity([1.0, 1.0], 0.0, 0.5) == 0.0
-
-    def test_hand_value(self):
-        assert recover_velocity([0.0, 0.01], 0.0, 0.1) == pytest.approx(0.2)
-
-    def test_rejects_nonpositive_step(self):
-        with pytest.raises(ValueError):
-            recover_velocity([0.0, 1.0], 0.0, 0.0)
 
 
 class TestEnergyError:

@@ -37,6 +37,23 @@ class TestSecondDiff:
         with pytest.raises(ValueError):
             second_diff([1.0, 2.0], [1.0])
 
+    def test_trajectory_views_match_windows(self):
+        # array steps: shifted views evaluate every interior node at once,
+        # bit for bit as the per-window calls do
+        t = np.concatenate(([0.0], np.cumsum(random_steps(12, ratio=10.0))))
+        tau = np.diff(t)
+        w = RNG.normal(size=13)
+        d2 = second_diff((w[:-2], w[1:-1], w[2:]), (tau[:-1], tau[1:]))
+        loop = [second_diff(w[k - 1:k + 2], tau[k - 1:k + 1]) for k in range(1, 12)]
+        np.testing.assert_array_equal(d2, loop)
+        that = hat_times(t)
+        d4 = hat_second_diff((d2[:-2], d2[1:-1], d2[2:]), (that[:-2], that[1:-1], that[2:]))
+        np.testing.assert_array_equal(d4, [fourth_diff(w[k:k + 5], t[k:k + 5])
+                                           for k in range(9)])
+        tau[5] = 0.0
+        with pytest.raises(ValueError):
+            second_diff((w[:-2], w[1:-1], w[2:]), (tau[:-1], tau[1:]))
+
 
 class TestBarAverage:
     def test_constant(self):
