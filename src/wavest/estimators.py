@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .fem import FemSpace, SolveCounter
 from .newmark import StateWindow, WaveState
@@ -33,7 +34,7 @@ from .stencils import hat_second_diff, initial_weight, second_diff, step_weight
 __all__ = [
     "EstimatorSample", "EstimatorReport", "NodeDiffs", "WaveEstimatorAccumulator",
     "SpaceEstimatorAccumulator", "node_diffs", "eta3_step", "eta5_step",
-    "edge_normal_jumps", "PAYLOAD_FORMS",
+    "PAYLOAD_FORMS",
 ]
 
 PAYLOAD_FORMS = ("rms", "literal")
@@ -126,24 +127,6 @@ def eta5_step(space: FemSpace, nodes, payload_form="rms") -> EstimatorSample:
 # -- edge jumps and the space estimator --------------------------------------
 
 
-def edge_normal_jumps(space: FemSpace, full_values) -> np.ndarray:
-    """Jump of the normal gradient across every interior edge, vectorised."""
-    mesh = space.mesh
-    grads = space.element_gradients(full_values)
-    left = grads[mesh.edge_tris[:, 0]]
-    right = grads[mesh.edge_tris[:, 1]]
-    return np.einsum("ed,ed->e", left - right, mesh.edge_normals)
-
-
-def _space_part(space: FemSpace, volume_full, jump_full) -> float:
-    """sum_K h_K^2 ||volume||_{L2(K)}^2 + sum_E h_E ||[n . grad jump_field]||_{L2(E)}^2."""
-    mesh = space.mesh
-    vol = np.sum(mesh.h_K ** 2 * space.element_l2_sq(volume_full))
-    jumps = edge_normal_jumps(space, jump_full)
-    edge = np.sum(mesh.edge_lengths ** 2 * jumps ** 2)
-    return float(vol + edge)
-
-
 @dataclass
 class SpaceEstimatorAccumulator:
     """Online accumulation of the two space-estimator parts over interior nodes.
@@ -154,23 +137,48 @@ class SpaceEstimatorAccumulator:
     + sum_E h_E ||[n . grad u_n]||_E^2]^(1/2) with the central difference
     dbar_n; part 2 integrates the same shape built from second differences
     of v, central differences of f and of u.
+
+    ``jump`` is the operator J, assembled once, from all-vertex values to
+    h_E [n . grad u]_E on every interior edge, so the jump sum is ||J u||^2.
     """
 
     space: FemSpace
     part1_max: float = 0.0
     part2_sum: float = 0.0
     samples: int = 0
+    jump: sp.csr_matrix = field(init=False, repr=False)  # (interior edges, vertices)
+
+    def __post_init__(self):
+        # row E: h_E times the normal components of the hat gradients on the
+        # left triangle minus those on the right; the two shared vertices
+        # merge, leaving 4 non-zeros per row
+        mesh = self.space.mesh
+        grads = self.space.grads
+        left, right = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
+        normal = (mesh.edge_normals * mesh.edge_lengths[:, None])[:, :, None]
+        data = np.concatenate([grads[left] @ normal, -(grads[right] @ normal)], axis=1)
+        indices = np.concatenate([mesh.triangles[left], mesh.triangles[right]], axis=1)
+        ne = len(left)
+        self.jump = sp.csr_matrix((data.ravel(), indices.ravel().astype(np.int32),
+                                   6 * np.arange(ne + 1, dtype=np.int32)),
+                                  shape=(ne, mesh.n_vertices))
+        self.jump.sum_duplicates()
+
+    def _part(self, residual, u) -> float:
+        """sum_K h_K^2 ||residual||_{L2(K)}^2 + ||J u||^2."""
+        vol = np.sum(self.space.mesh.h_K ** 2 * self.space.element_l2_sq(residual))
+        ju = self.jump @ u
+        return float(vol + ju @ ju)
 
     def update(self, states, node: NodeDiffs):
         s0, s1, s2 = states
-        sp = self.space
         central = node.tau_prev + node.tau
         v_c = (s2.v.full() - s0.v.full()) / central
-        p1 = _space_part(sp, v_c - s1.f_h.values, s1.u.full())
+        p1 = self._part(v_c - s1.f_h.values, s1.u.full())
         self.part1_max = max(self.part1_max, np.sqrt(p1))
         f_c = (s2.f_h.values - s0.f_h.values) / central
         u_c = (s2.u.full() - s0.u.full()) / central
-        p2 = _space_part(sp, node.d2v - f_c, u_c)
+        p2 = self._part(node.d2v - f_c, u_c)
         self.part2_sum += node.tau * np.sqrt(p2)
         self.samples += 1
 

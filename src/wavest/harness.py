@@ -174,8 +174,10 @@ def run_ode_table(configs):
 
 
 def wave_problem_from(solution: ManufacturedSolution, T) -> WaveProblem:
+    """The wave problem of a manufactured solution; a zero forcing becomes f = None."""
     u0, grad_u0, v0, grad_v0 = solution.initial_data()
-    return WaveProblem(f=solution.f, u0=u0, grad_u0=grad_u0, v0=v0,
+    f = None if solution.zero_forcing else solution.f
+    return WaveProblem(f=f, u0=u0, grad_u0=grad_u0, v0=v0,
                        grad_v0=grad_v0, T=T, exact=solution)
 
 

@@ -28,6 +28,7 @@ class ManufacturedSolution:
     grad_u: Callable      # (du/dx, du/dy)(t, x, y)
     grad_dudt: Callable   # gradient of du/dt
     f: Callable           # u_tt - Lap(u)
+    zero_forcing: bool = False  # f vanishes identically, so solvers may skip it
 
     def initial_data(self):
         """(u0, grad_u0, v0, grad_v0) as space-only callables."""
@@ -113,7 +114,7 @@ def standing_mode(kx=1, ky=1) -> ManufacturedSolution:
         return np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
 
     return ManufacturedSolution(name=f"mode({kx},{ky})", u=u, dudt=dudt,
-                                grad_u=grad_u, grad_dudt=grad_dudt, f=f)
+                                grad_u=grad_u, grad_dudt=grad_dudt, f=f, zero_forcing=True)
 
 
 def get_solution(name: str) -> ManufacturedSolution:

@@ -86,8 +86,9 @@ class Mesh:
         object.__setattr__(self, "edge_lengths", elen)
         object.__setattr__(self, "edge_normals", normal)
 
-        # Euler relation for simply connected domains: V - E + F = 1
-        n_all_edges = len(np.unique(np.sort(edges, axis=1), axis=0))
+        # Euler relation for simply connected domains: V - E + F = 1; of the
+        # 3F triangle sides, each interior edge holds two, a boundary edge one
+        n_all_edges = 3 * len(tris) - len(ev)
         euler = len(verts) - n_all_edges + len(tris)
         if euler != 1:
             raise MeshError(f"Euler characteristic V-E+F = {euler}, expected 1")
@@ -120,34 +121,38 @@ class Mesh:
 def build_edges(vertices, triangles):
     """Interior-edge arrays (endpoints, adjacent triangle pair) of a triangulation.
 
-    Rejects non-manifold input (an edge shared by more than two triangles).
-    The result is independent of the per-triangle vertex ordering.
+    Edges are ordered by (lower, higher) endpoint and each triangle pair by
+    index.  Rejects non-manifold input (an edge shared by more than two
+    triangles).  The result is independent of the per-triangle vertex
+    ordering.
     """
     tris = np.asarray(triangles, dtype=np.int64)
-    edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    owner = np.tile(np.arange(len(tris)), 3)
-    key = np.sort(edges, axis=1)
-    uniq, inverse, counts = np.unique(key, axis=0, return_inverse=True, return_counts=True)
+    nv = len(vertices)
+    # sides (0,1), (1,2), (2,0) of every triangle, each keyed by lo * nv + hi
+    a = tris.T.ravel()
+    b = tris[:, [1, 2, 0]].T.ravel()
+    key = np.minimum(a, b) * nv + np.maximum(a, b)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    owner = order % len(tris)
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    counts = np.diff(np.r_[first, len(key)])
     if counts.max(initial=0) > 2:
-        bad = uniq[np.argmax(counts)]
-        raise MeshError(f"non-manifold edge {tuple(bad)} shared by {counts.max()} triangles")
-    interior = counts == 2
-    order = np.argsort(inverse, kind="stable")
-    sorted_inverse = inverse[order]
-    sorted_owner = owner[order]
-    first = np.searchsorted(sorted_inverse, np.arange(len(uniq)), side="left")
-    ev_list, et_list = [], []
-    for e in np.flatnonzero(interior):
-        tri_pair = sorted_owner[first[e]:first[e] + 2]
-        ev_list.append(uniq[e])
-        et_list.append(sorted(tri_pair))
-    if ev_list:
-        return np.asarray(ev_list), np.asarray(et_list)
-    return np.empty((0, 2), dtype=np.int64), np.empty((0, 2), dtype=np.int64)
+        bad = key[first[np.argmax(counts)]]
+        raise MeshError(f"non-manifold edge {(int(bad // nv), int(bad % nv))} "
+                        f"shared by {counts.max()} triangles")
+    first = first[counts == 2]
+    ev = np.column_stack([key[first] // nv, key[first] % nv])
+    et = np.sort(np.column_stack([owner[first], owner[first + 1]]), axis=1)
+    return ev, et
 
 
 def generate_structured(n, pattern="diagonal"):
-    """Structured unit-square mesh: 2n^2 (diagonal) or 4n^2 (crisscross) triangles."""
+    """Structured unit-square mesh: 2n^2 (diagonal) or 4n^2 (crisscross) triangles.
+
+    Cells are numbered row-major in (i, j) with vertex (i, j) at (x_i, x_j);
+    each cell contributes its triangles consecutively.
+    """
     if n < 1:
         raise ValueError("subdivision count must be at least 1")
     if pattern not in ("diagonal", "crisscross"):
@@ -156,37 +161,20 @@ def generate_structured(n, pattern="diagonal"):
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     verts = np.column_stack([gx.ravel(), gy.ravel()])
 
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    tris = []
+    cell = np.arange(n * n, dtype=np.int64)
+    v00 = cell // n * (n + 1) + cell % n
+    v10, v01, v11 = v00 + (n + 1), v00 + 1, v00 + (n + 2)
     if pattern == "diagonal":
-        for i in range(n):
-            for j in range(n):
-                v00, v10 = vid(i, j), vid(i + 1, j)
-                v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-                tris.append((v00, v10, v11))
-                tris.append((v00, v11, v01))
+        corners = [v00, v10, v11, v00, v11, v01]
     else:
-        centers = []
-        for i in range(n):
-            for j in range(n):
-                centers.append([(xs[i] + xs[i + 1]) / 2, (xs[j] + xs[j + 1]) / 2])
-        verts = np.vstack([verts, np.asarray(centers)])
-        for i in range(n):
-            for j in range(n):
-                c = (n + 1) ** 2 + i * n + j
-                v00, v10 = vid(i, j), vid(i + 1, j)
-                v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-                tris.append((v00, v10, c))
-                tris.append((v10, v11, c))
-                tris.append((v11, v01, c))
-                tris.append((v01, v00, c))
-    tris = np.asarray(tris, dtype=np.int64)
-    boundary = np.zeros(len(verts), dtype=bool)
-    on_edge = (np.isclose(verts[:, 0], 0.0) | np.isclose(verts[:, 0], 1.0)
-               | np.isclose(verts[:, 1], 0.0) | np.isclose(verts[:, 1], 1.0))
-    boundary[on_edge] = True
+        mid = (xs[:-1] + xs[1:]) / 2
+        cx, cy = np.meshgrid(mid, mid, indexing="ij")
+        verts = np.vstack([verts, np.column_stack([cx.ravel(), cy.ravel()])])
+        c = (n + 1) ** 2 + cell
+        corners = [v00, v10, c, v10, v11, c, v11, v01, c, v01, v00, c]
+    tris = np.column_stack(corners).reshape(-1, 3)
+    boundary = (np.isclose(verts[:, 0], 0.0) | np.isclose(verts[:, 0], 1.0)
+                | np.isclose(verts[:, 1], 0.0) | np.isclose(verts[:, 1], 1.0))
     return Mesh(vertices=verts, triangles=tris, boundary_vertex=boundary)
 
 

@@ -4,11 +4,14 @@ The canonical integrator is the one-step form on the displacement/velocity
 pair (the first-order-system midpoint rule), which the two-step displacement
 recurrence is equivalent to; the initial step needs no special casing.  Per
 step one SPD system with matrix (M + tau^2/4 K) is solved on the free
-vertices; the factor setup is cached per step size.
+vertices by Jacobi-CG.  One such matrix is kept per stepper: M and K share a
+sparsity pattern, so a change of tau recomputes its values in place and
+nothing is factored or rebuilt.
 
 Initial data enter through H1_0-orthogonal projections of u0 and v0; the
 forcing enters through its L2 projections at the grid times, which are kept
-on the state because both time estimators consume them.
+on the state because both time estimators consume them.  A problem without
+forcing (f = None) carries zero projections and evaluates no forcing.
 """
 
 from __future__ import annotations
@@ -102,9 +105,15 @@ class NewmarkWaveSolver:
     # -- stepping -------------------------------------------------------------
 
     def _system_matrix(self, tau):
+        space = self.space
+        mass, stiffness = space.mass_ff, space.stiffness_ff
+        if self._system is None:
+            if not (np.array_equal(mass.indptr, stiffness.indptr)
+                    and np.array_equal(mass.indices, stiffness.indices)):
+                raise ValueError("mass and stiffness matrices must share one sparsity pattern")
+            self._system = mass.copy()
         if self._system_tau != tau:
-            space = self.space
-            self._system = (space.mass_ff + (tau * tau / 4.0) * space.stiffness_ff).tocsr()
+            np.add(mass.data, (tau * tau / 4.0) * stiffness.data, out=self._system.data)
             self._system_tau = tau
         return self._system
 

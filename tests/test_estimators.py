@@ -5,11 +5,11 @@ import pytest
 
 from wavest import estimators, fem
 from wavest.estimators import (SpaceEstimatorAccumulator, WaveEstimatorAccumulator,
-                               edge_normal_jumps, eta3_step, eta5_step, node_diffs)
+                               eta3_step, eta5_step, node_diffs)
 from wavest.fem import FemSpace, SolveCounter
 from wavest.grids import alternating_grid, uniform_grid
 from wavest.manufactured import gaussian_pulse
-from wavest.mesh import generate_structured
+from wavest.mesh import Mesh, generate_structured
 from wavest.newmark import NewmarkWaveSolver, WaveProblem, WaveState
 from wavest.ode import (OdeProblem, eta3_ode_samples, eta5_ode_samples, solve_newmark_ode)
 from wavest.stencils import initial_weight, step_weight
@@ -167,11 +167,16 @@ def _problem(sol):
     return WaveProblem(f=sol.f, u0=u0, grad_u0=grad_u0, v0=v0, grad_v0=grad_v0, T=1.0)
 
 
+def scaled_jumps(space, full_values):
+    """h_E [n . grad u]_E on every interior edge, through the accumulator's operator J."""
+    return SpaceEstimatorAccumulator(space).jump @ full_values
+
+
 class TestEdgeJumps:
     def test_affine_field_has_no_jump(self):
         space = FemSpace(generate_structured(1))
         vals = 2.0 * space.mesh.vertices[:, 0] - 0.7 * space.mesh.vertices[:, 1] + 1.0
-        jumps = edge_normal_jumps(space, vals)
+        jumps = scaled_jumps(space, vals)
         np.testing.assert_allclose(jumps, 0.0, atol=1e-14)
 
     def test_hat_on_unit_square_hand_value(self):
@@ -182,16 +187,16 @@ class TestEdgeJumps:
         vals = np.zeros(4)
         origin = np.flatnonzero((space.mesh.vertices == 0.0).all(axis=1))[0]
         vals[origin] = 1.0
-        got = edge_normal_jumps(space, vals)[0] ** 2 * space.mesh.edge_lengths[0]
+        got = scaled_jumps(space, vals)[0] ** 2 / space.mesh.edge_lengths[0]
         assert got == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-13)
 
     def test_orientation_flip_invariance(self):
         space = FemSpace(generate_structured(2))
         vals = RNG.normal(size=space.mesh.n_vertices)
-        sq = edge_normal_jumps(space, vals) ** 2
+        sq = scaled_jumps(space, vals) ** 2
         # flipping the stored normals leaves the squared jumps unchanged
         space.mesh.edge_normals[:] *= -1.0
-        sq_flipped = edge_normal_jumps(space, vals) ** 2
+        sq_flipped = scaled_jumps(space, vals) ** 2
         space.mesh.edge_normals[:] *= -1.0
         np.testing.assert_allclose(sq, sq_flipped, rtol=1e-14)
 
@@ -216,8 +221,10 @@ class TestEdgeJumps:
                                                  mesh.edge_normals):
             jump = float((tri_gradient(left) - tri_gradient(right)) @ normal)
             total += length * (jump ** 2 * length)
-        jumps = edge_normal_jumps(space, vals)
-        got = float(np.sum(mesh.edge_lengths ** 2 * jumps ** 2))
+        jump = SpaceEstimatorAccumulator(space).jump
+        # two triangles share two vertices: four distinct vertices per edge
+        np.testing.assert_array_equal(np.diff(jump.indptr), 4)
+        got = float(np.sum((jump @ vals) ** 2))
         assert got == pytest.approx(total, rel=1e-12)
 
 
@@ -237,7 +244,7 @@ class TestSpaceEstimator:
         space = FemSpace(generate_structured(1))
         mesh = space.mesh
         affine = 1.0 + 2.0 * mesh.vertices[:, 0] - mesh.vertices[:, 1]
-        jumps = edge_normal_jumps(space, affine)
+        jumps = scaled_jumps(space, affine)
         np.testing.assert_allclose(jumps, 0.0, atol=1e-14)
 
     def test_parts_accumulate(self):
@@ -255,6 +262,67 @@ class TestSpaceEstimator:
                 assert p1 >= 0 and p2 >= part2_prev
                 part2_prev = p2
         assert acc.samples == 4 - 1
+
+
+    def test_parts_against_per_triangle_per_edge_oracle(self):
+        # jittered crisscross mesh, Gaussian forcing, non-uniform steps; the
+        # oracle integrates the residual on each triangle with the local mass
+        # matrix and recomputes each edge jump from the vertex coordinates
+        base = generate_structured(6, "crisscross")
+        rng = np.random.default_rng(7)
+        verts = base.vertices.copy()
+        free = ~base.boundary_vertex
+        radius = 0.1 * base.h * np.sqrt(rng.uniform(size=free.sum()))
+        angle = rng.uniform(0.0, 2.0 * np.pi, size=free.sum())
+        verts[free] += radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+        mesh = Mesh(vertices=verts, triangles=base.triangles,
+                    boundary_vertex=base.boundary_vertex)
+        space = FemSpace(mesh, tol=1e-12)
+        solver = NewmarkWaveSolver(_problem(gaussian_pulse()), space)
+        states = [solver.initial_state()]
+        for tau in (0.02, 0.03, 0.015, 0.025):
+            states.append(solver.step(states[-1], tau))
+        acc = SpaceEstimatorAccumulator(space)
+        local_mass = (np.ones((3, 3)) + np.eye(3)) / 12.0
+
+        def gradient(tri, vals):
+            ids = mesh.triangles[tri]
+            coef = np.linalg.solve(np.column_stack([np.ones(3), verts[ids]]), vals[ids])
+            return coef[1:]
+
+        def part(residual, u):
+            total = 0.0
+            for tri, ids in enumerate(mesh.triangles):
+                p = verts[ids]
+                h_k = max(np.linalg.norm(p[a] - p[b]) for a, b in ((0, 1), (1, 2), (2, 0)))
+                e1, e2 = p[1] - p[0], p[2] - p[0]
+                area = 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
+                r = residual[ids]
+                total += h_k ** 2 * area * (r @ local_mass @ r)
+            for (a, b), (left, right) in zip(mesh.edge_vertices, mesh.edge_tris):
+                edge = verts[b] - verts[a]
+                length = np.linalg.norm(edge)
+                normal = np.array([edge[1], -edge[0]]) / length
+                jump = (gradient(left, u) - gradient(right, u)) @ normal
+                total += length * (jump ** 2 * length)
+            return total
+
+        part1, part2 = 0.0, 0.0
+        for k in range(len(states) - 2):
+            window = states[k:k + 3]
+            acc.update(window, node_diffs(space, window))
+            s0, s1, s2 = window
+            tau_prev, tau = s1.t - s0.t, s2.t - s1.t
+            central = tau_prev + tau
+            v_c = (s2.v.full() - s0.v.full()) / central
+            part1 = max(part1, np.sqrt(part(v_c - s1.f_h.full(), s1.u.full())))
+            d2v = ((s2.v.full() - s1.v.full()) / tau
+                   - (s1.v.full() - s0.v.full()) / tau_prev) / (central / 2)
+            f_c = (s2.f_h.full() - s0.f_h.full()) / central
+            u_c = (s2.u.full() - s0.u.full()) / central
+            part2 += tau * np.sqrt(part(d2v - f_c, u_c))
+        assert acc.part1_max == pytest.approx(part1, rel=1e-13)
+        assert acc.part2_sum == pytest.approx(part2, rel=1e-13)
 
 
 class TestAccumulator:

@@ -173,6 +173,34 @@ class TestWaveExperiment:
         assert row["eta_T"] == 0.0 and row["eta_T_hat"] == 0.0 and row["eta_S"] == 0.0
         assert np.isnan(row["ei"]) and np.isnan(row["ei_hat"])
 
+    def test_zero_forcing_is_never_assembled(self, monkeypatch):
+        # the standing mode marks its forcing as identically zero: no load is
+        # assembled, and the estimators match a run that projects the zero
+        # callable at every step bit for bit
+        import dataclasses
+
+        from wavest import harness
+        from wavest.fem import FemSpace
+
+        cfg = ExperimentConfig(kind="wave", solution="mode",
+                               mesh_spec="structured:n=6:pattern=crisscross",
+                               grid_rule="alt10", N=12)
+        loads = []
+        assemble_load = FemSpace.assemble_load
+        monkeypatch.setattr(FemSpace, "assemble_load",
+                            lambda *a, **k: loads.append(1) or assemble_load(*a, **k))
+        _, _, skipped = run_wave_experiment(cfg)
+        assert loads == []
+
+        get_solution = harness.get_solution
+        monkeypatch.setattr(harness, "get_solution", lambda name: dataclasses.replace(
+            get_solution(name), zero_forcing=False))
+        _, _, projected = run_wave_experiment(cfg)
+        assert len(loads) == cfg.N + 1
+        for key in ("eta3_total", "eta5_total", "space_part1", "space_part2"):
+            assert getattr(skipped, key) == getattr(projected, key), key
+        assert skipped.eta3_total > 0 and skipped.space_part1 > 0
+
     def test_quadrature_refinement_sanity_for_true_error(self):
         # degree-5 rule vs element-subdivided evaluation differ well below 0.1%
         from wavest.fem import FemSpace, quadrature_rule

@@ -2,9 +2,58 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavest.mesh import (Mesh, MeshError, build_edges, format_mesh,
                          generate_structured, import_mesh)
+
+
+def loop_structured(n, pattern):
+    """Python-loop oracle of generate_structured: vertices, triangles, boundary flags."""
+    xs = np.linspace(0.0, 1.0, n + 1)
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    verts = np.column_stack([gx.ravel(), gy.ravel()])
+
+    def vid(i, j):
+        return i * (n + 1) + j
+
+    tris = []
+    if pattern == "diagonal":
+        for i in range(n):
+            for j in range(n):
+                v00, v10 = vid(i, j), vid(i + 1, j)
+                v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+                tris.append((v00, v10, v11))
+                tris.append((v00, v11, v01))
+    else:
+        centers = []
+        for i in range(n):
+            for j in range(n):
+                centers.append([(xs[i] + xs[i + 1]) / 2, (xs[j] + xs[j + 1]) / 2])
+        verts = np.vstack([verts, np.asarray(centers)])
+        for i in range(n):
+            for j in range(n):
+                c = (n + 1) ** 2 + i * n + j
+                v00, v10 = vid(i, j), vid(i + 1, j)
+                v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+                tris.extend([(v00, v10, c), (v10, v11, c), (v11, v01, c), (v01, v00, c)])
+    boundary = np.zeros(len(verts), dtype=bool)
+    for k, (x, y) in enumerate(verts):
+        boundary[k] = any(np.isclose(z, 0.0) or np.isclose(z, 1.0) for z in (x, y))
+    return verts, np.asarray(tris, dtype=np.int64), boundary
+
+
+def loop_edges(triangles):
+    """Python-loop oracle of build_edges: interior edges sorted by endpoints, pairs sorted."""
+    owners = {}
+    for t, tri in enumerate(triangles):
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            owners.setdefault((min(a, b), max(a, b)), []).append(t)
+    interior = sorted(e for e, ts in owners.items() if len(ts) == 2)
+    ev = np.asarray(interior, dtype=np.int64).reshape(-1, 2)
+    et = np.asarray([sorted(owners[e]) for e in interior], dtype=np.int64).reshape(-1, 2)
+    return ev, et
 
 
 class TestStructured:
@@ -53,6 +102,38 @@ class TestStructured:
             generate_structured(0)
 
 
+class TestVectorisedAgainstLoops:
+    @pytest.mark.parametrize("pattern", ["diagonal", "crisscross"])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_structured_mesh_bit_equal(self, n, pattern):
+        m = generate_structured(n, pattern)
+        verts, tris, boundary = loop_structured(n, pattern)
+        ev, et = loop_edges(tris)
+        for got, want in ((m.vertices, verts), (m.triangles, tris),
+                          (m.boundary_vertex, boundary), (m.edge_vertices, ev),
+                          (m.edge_tris, et)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4), pattern=st.sampled_from(["diagonal", "crisscross"]),
+           data=st.data())
+    def test_interior_edges_invariant_under_relabelling(self, n, pattern, data):
+        m = generate_structured(n, pattern)
+        nt = m.n_triangles
+        perm = np.asarray(data.draw(st.permutations(range(nt))), dtype=np.int64)
+        shift = np.asarray(data.draw(st.lists(st.integers(0, 2), min_size=nt, max_size=nt)))
+        cols = (np.arange(3)[None, :] + shift[:, None]) % 3
+        tris = np.take_along_axis(m.triangles[perm], cols, axis=1)
+        ev, et = build_edges(m.vertices, tris)
+        # map the triangle indices back through the permutation
+        relabelled = {(tuple(e), tuple(sorted(perm[t]))) for e, t in zip(ev, et)}
+        original = {(tuple(e), tuple(t)) for e, t in zip(m.edge_vertices, m.edge_tris)}
+        assert relabelled == original
+        for got, want in zip((ev, et), loop_edges(tris)):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestEdges:
     def test_adjacent_triangles_share_exactly_the_endpoints(self):
         m = generate_structured(3)
@@ -76,8 +157,9 @@ class TestEdges:
     def test_non_manifold_rejected(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, -1.0]])
         tris = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
-        with pytest.raises(MeshError, match="non-manifold"):
+        with pytest.raises(MeshError, match=r"non-manifold edge \(0, 1\) shared by 3"):
             build_edges(verts, tris)
+
 
 
 class TestImport:

@@ -134,6 +134,19 @@ class TestStep:
                 K @ (tn * (u_np + u_n)) / 4)
             assert np.linalg.norm(resid) <= 1e-11 * scale
 
+    def test_step_matrix_values_refreshed_in_place(self):
+        # one matrix per stepper; each change of tau rewrites its values to
+        # exactly those of a freshly built M + tau^2/4 K
+        space = FemSpace(generate_structured(5, "crisscross"))
+        solver = NewmarkWaveSolver(zero_problem(), space)
+        first = solver._system_matrix(0.1)
+        for tau in (0.1, 0.001, 0.1, 0.037):
+            matrix = solver._system_matrix(tau)
+            assert matrix is first
+            rebuilt = (space.mass_ff + (tau * tau / 4.0) * space.stiffness_ff).tocsr()
+            np.testing.assert_array_equal(matrix.indices, rebuilt.indices)
+            np.testing.assert_array_equal(matrix.data, rebuilt.data)
+
     def test_energy_conservation_without_forcing(self):
         space = FemSpace(generate_structured(8), tol=1e-12)
         problem = make_problem(standing_mode())
