@@ -7,7 +7,15 @@ that expression; the tests validate them against finite differences.  The
 pulse does not vanish on the boundary: its largest boundary value over
 [0, 1] is exp(-9) = 1.23e-4, at t = 0 and t = 1 (the center is 0.3 from two
 sides), falling to exp(-16) = 1.1e-7 at t = 0.5.  The homogeneous Dirichlet
-condition therefore holds to about 1e-4, not to round-off.
+condition therefore holds to about 1e-4, not to round-off, and only on
+[0, 1]: the center reaches the boundary at t = 1.32.
+
+``bind(x, y)`` fixes the points (a run's quadrature points) and returns
+``t -> (du/dt, (du/dx, du/dy))``, the pair the true energy error needs.  The
+standing mode evaluates its shape and gradient once, when bound; the pulse
+evaluates its exponential once per time for both parts.  Both use the
+helpers of the ``(t, x, y)`` callables in the same order, so the values are
+bit-equal to ``dudt`` and ``grad_u``.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ class ManufacturedSolution:
     grad_u: Callable      # (du/dx, du/dy)(t, x, y)
     grad_dudt: Callable   # gradient of du/dt
     f: Callable           # u_tt - Lap(u)
+    bind: Callable        # bind(x, y) -> (t -> (du/dt, (du/dx, du/dy))) at fixed points
     zero_forcing: bool = False  # f vanishes identically, so solvers may skip it
 
     def initial_data(self):
@@ -50,16 +59,20 @@ def gaussian_pulse(sharpness=100.0) -> ManufacturedSolution:
         Y = y - c
         return X, Y, np.exp(-s * (X * X + Y * Y))
 
+    def velocity(t, X, Y, g):
+        return 2.0 * s * 0.8 * t * (X + Y) * g
+
+    def gradient(X, Y, g):
+        return -2.0 * s * X * g, -2.0 * s * Y * g
+
     def u(t, x, y):
         return parts(t, x, y)[2]
 
     def dudt(t, x, y):
-        X, Y, g = parts(t, x, y)
-        return 2.0 * s * 0.8 * t * (X + Y) * g
+        return velocity(t, *parts(t, x, y))
 
     def grad_u(t, x, y):
-        X, Y, g = parts(t, x, y)
-        return -2.0 * s * X * g, -2.0 * s * Y * g
+        return gradient(*parts(t, x, y))
 
     def grad_dudt(t, x, y):
         X, Y, g = parts(t, x, y)
@@ -78,8 +91,14 @@ def gaussian_pulse(sharpness=100.0) -> ManufacturedSolution:
         lap = (-4.0 * s + 4.0 * s * s * (X * X + Y * Y)) * g
         return utt - lap
 
-    return ManufacturedSolution(name="gaussian", u=u, dudt=dudt,
-                                grad_u=grad_u, grad_dudt=grad_dudt, f=f)
+    def bind(x, y):
+        def at(t):
+            X, Y, g = parts(t, x, y)
+            return velocity(t, X, Y, g), gradient(X, Y, g)
+        return at
+
+    return ManufacturedSolution(name="gaussian", u=u, dudt=dudt, grad_u=grad_u,
+                                grad_dudt=grad_dudt, f=f, bind=bind)
 
 
 def standing_mode(kx=1, ky=1) -> ManufacturedSolution:
@@ -94,27 +113,37 @@ def standing_mode(kx=1, ky=1) -> ManufacturedSolution:
         gy = ky * np.pi * np.sin(kx * np.pi * x) * np.cos(ky * np.pi * y)
         return gx, gy
 
+    # the time factors of u and du/dt
+    def position(t):
+        return np.cos(omega * t)
+
+    def velocity(t):
+        return -omega * np.sin(omega * t)
+
+    def scaled(a, g):
+        return a * g[0], a * g[1]
+
     def u(t, x, y):
-        return np.cos(omega * t) * shape(x, y)
+        return position(t) * shape(x, y)
 
     def dudt(t, x, y):
-        return -omega * np.sin(omega * t) * shape(x, y)
+        return velocity(t) * shape(x, y)
 
     def grad_u(t, x, y):
-        gx, gy = grad_shape(x, y)
-        ct = np.cos(omega * t)
-        return ct * gx, ct * gy
+        return scaled(position(t), grad_shape(x, y))
 
     def grad_dudt(t, x, y):
-        gx, gy = grad_shape(x, y)
-        st = -omega * np.sin(omega * t)
-        return st * gx, st * gy
+        return scaled(velocity(t), grad_shape(x, y))
 
     def f(t, x, y):
         return np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
 
-    return ManufacturedSolution(name=f"mode({kx},{ky})", u=u, dudt=dudt,
-                                grad_u=grad_u, grad_dudt=grad_dudt, f=f, zero_forcing=True)
+    def bind(x, y):
+        s, g = shape(x, y), grad_shape(x, y)
+        return lambda t: (velocity(t) * s, scaled(position(t), g))
+
+    return ManufacturedSolution(name=f"mode({kx},{ky})", u=u, dudt=dudt, grad_u=grad_u,
+                                grad_dudt=grad_dudt, f=f, bind=bind, zero_forcing=True)
 
 
 def get_solution(name: str) -> ManufacturedSolution:

@@ -35,7 +35,6 @@ class WaveProblem:
     v0: Optional[Callable]         # None means zero initial velocity
     grad_v0: Optional[Callable]
     T: float
-    exact: Optional[object] = None  # carries u, dudt, grad_u callables when known
 
     def __post_init__(self):
         if self.T <= 0:

@@ -3,16 +3,51 @@
 import numpy as np
 import pytest
 
+from wavest.fem import FemSpace
 from wavest.grids import alternating_grid, build_grid, decaying_grid, uniform_grid
 from wavest.harness import (ODE_COLUMNS, TRACE_COLUMNS, WAVE_COLUMNS,
                             ExperimentConfig, benchmark_estimators,
                             parse_config_file, parse_mesh_spec, rows_to_csv,
                             run_ode_experiment, run_ode_table,
-                            run_wave_experiment)
-from wavest.manufactured import gaussian_pulse
-from wavest.mesh import generate_structured
+                            run_wave_experiment, wave_energy_error_at,
+                            wave_problem_from)
+from wavest.manufactured import gaussian_pulse, standing_mode
+from wavest.mesh import Mesh, generate_structured
+from wavest.newmark import NewmarkWaveSolver
 
 RNG = np.random.default_rng(5)
+
+
+def jittered_crisscross(n, seed=7):
+    """Crisscross level n with each interior vertex moved by at most 0.1 h."""
+    base = generate_structured(n, "crisscross")
+    rng = np.random.default_rng(seed)
+    verts = base.vertices.copy()
+    free = ~base.boundary_vertex
+    radius = 0.1 * base.h * np.sqrt(rng.uniform(size=free.sum()))
+    angle = rng.uniform(0.0, 2.0 * np.pi, size=free.sum())
+    verts[free] += radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+    return Mesh(vertices=verts, triangles=base.triangles, boundary_vertex=base.boundary_vertex)
+
+
+def bound(solution, space):
+    """The solution bound to the space's quadrature points, as the harness binds it."""
+    return solution.bind(space.quad_xy[:, :, 0], space.quad_xy[:, :, 1])
+
+
+def einsum_energy_error(space, state, solution):
+    """Oracle: the true-error quadrature as one einsum per norm, from the (t, x, y) callables."""
+    t = state.t
+    xy = space.quad_xy
+    v_h = np.einsum("tb,qb->tq", state.v.full()[space.mesh.triangles], space.rule.points)
+    dv = v_h - solution.dudt(t, xy[:, :, 0], xy[:, :, 1])
+    l2_sq = np.einsum("tq,q,t->", dv * dv, space.rule.weights, space.area)
+    grads = space.element_gradients(state.u.full())
+    gx, gy = solution.grad_u(t, xy[:, :, 0], xy[:, :, 1])
+    dx = grads[:, 0][:, None] - gx
+    dy = grads[:, 1][:, None] - gy
+    h1_sq = np.einsum("tq,q,t->", dx * dx + dy * dy, space.rule.weights, space.area)
+    return float(np.sqrt(l2_sq + h1_sq))
 
 
 class TestGrids:
@@ -125,6 +160,20 @@ class TestManufactured:
         dt = (sol.u(t + h, x, y) - sol.u(t - h, x, y)) / (2 * h)
         assert sol.dudt(t, x, y) == pytest.approx(dt, rel=1e-8)
 
+    @pytest.mark.parametrize("make", [gaussian_pulse, standing_mode])
+    def test_bound_evaluator_bit_equal_to_callables(self, make):
+        # bind evaluates what does not depend on t once; the values must still
+        # be those of dudt and grad_u, bit for bit
+        sol = make()
+        space = FemSpace(jittered_crisscross(6))
+        x, y = space.quad_xy[:, :, 0], space.quad_xy[:, :, 1]
+        at = sol.bind(x, y)
+        for t in (0.0, 0.37, 1.0):
+            dudt, (gx, gy) = at(t)
+            ex, ey = sol.grad_u(t, x, y)
+            assert np.array_equal(dudt, sol.dudt(t, x, y)), t
+            assert np.array_equal(gx, ex) and np.array_equal(gy, ey), t
+
 
 class TestOdeExperiments:
     def test_sample_row(self):
@@ -161,7 +210,8 @@ class TestWaveExperiment:
             zero2 = lambda t, x, y: np.zeros_like(np.asarray(x, float))
             gz = lambda t, x, y: (np.zeros_like(np.asarray(x, float)),) * 2
             return ManufacturedSolution(name="zero", u=zero2, dudt=zero2,
-                                        grad_u=gz, grad_dudt=gz, f=zero2)
+                                        grad_u=gz, grad_dudt=gz, f=zero2,
+                                        bind=lambda x, y: lambda t: (0.0 * x, (0.0 * x, 0.0 * y)))
 
         orig = harness.get_solution
         harness.get_solution = fake_get
@@ -180,7 +230,6 @@ class TestWaveExperiment:
         import dataclasses
 
         from wavest import harness
-        from wavest.fem import FemSpace
 
         cfg = ExperimentConfig(kind="wave", solution="mode",
                                mesh_spec="structured:n=6:pattern=crisscross",
@@ -201,11 +250,58 @@ class TestWaveExperiment:
             assert getattr(skipped, key) == getattr(projected, key), key
         assert skipped.eta3_total > 0 and skipped.space_part1 > 0
 
+    def test_standing_mode_evaluates_no_callable_after_the_initial_data(self, monkeypatch):
+        # the true error reads the solution bound once to the quadrature
+        # points; dudt and grad_u serve only the initial projection
+        import dataclasses
+
+        from wavest import harness
+
+        calls = []
+        get_solution = harness.get_solution
+
+        def recording(name):
+            sol = get_solution(name)
+
+            def rec(key, fn):
+                return lambda t, x, y: calls.append((key, t)) or fn(t, x, y)
+            return dataclasses.replace(sol, dudt=rec("dudt", sol.dudt),
+                                       grad_u=rec("grad_u", sol.grad_u))
+
+        monkeypatch.setattr(harness, "get_solution", recording)
+        cfg = ExperimentConfig(kind="wave", solution="mode",
+                               mesh_spec="structured:n=6:pattern=crisscross",
+                               grid_rule="alt10", N=12)
+        row, trace, _ = run_wave_experiment(cfg)
+        assert calls == [("grad_u", 0.0)]
+        assert len(trace) == cfg.N + 1 and row["e"] > 0
+
+    @pytest.mark.parametrize("make", [gaussian_pulse, standing_mode])
+    def test_true_error_against_einsum_oracle(self, make):
+        sol = make()
+        space = FemSpace(jittered_crisscross(6))
+        solver = NewmarkWaveSolver(wave_problem_from(sol, 1.0), space)
+        exact = bound(sol, space)
+        state = solver.initial_state()
+        for tau in (0.05, 0.2, 0.03):
+            state = solver.step(state, tau)
+            oracle = einsum_energy_error(space, state, sol)
+            assert oracle > 0
+            assert wave_energy_error_at(space, state, exact) == pytest.approx(oracle, rel=1e-14)
+
+    def test_rejects_a_solution_off_zero_on_the_boundary(self):
+        # the pulse's center reaches the boundary at t = 1.32; by t = 1.05 the
+        # trace has passed the bound on a mesh vertex
+        cfg = ExperimentConfig(kind="wave", solution="gaussian",
+                               mesh_spec="structured:n=14:pattern=diagonal",
+                               grid_rule="uniform", N=21, T=1.05)
+        with pytest.raises(ValueError, match=r"'gaussian' reaches \|u\| = 0\.00114 on the "
+                                             r"boundary at t = 1\.05, above the bound 0\.001 "):
+            run_wave_experiment(cfg)
+
     def test_quadrature_refinement_sanity_for_true_error(self):
         # degree-5 rule vs element-subdivided evaluation differ well below 0.1%
-        from wavest.fem import FemSpace, quadrature_rule
-        from wavest.harness import wave_problem_from, wave_energy_error_at
-        from wavest.newmark import NewmarkWaveSolver
+        from wavest.fem import quadrature_rule
         sol = gaussian_pulse()
         mesh = generate_structured(28)
         space = FemSpace(mesh, quadrature_rule(5), tol=1e-10)
@@ -213,7 +309,7 @@ class TestWaveExperiment:
         state = solver.initial_state()
         for _ in range(3):
             state = solver.step(state, 0.01)
-        err = wave_energy_error_at(space, state, sol)
+        err = wave_energy_error_at(space, state, bound(sol, space))
         # oracle: same evaluation on the uniformly refined mesh carrying the
         # prolongated P1 field (each triangle split in 4, same function)
         fine_mesh, prolong = refine_mesh_with_prolongation(mesh)
@@ -225,14 +321,13 @@ class TestWaveExperiment:
                                u=fine_space.field(fu[fine_space.free]),
                                v=fine_space.field(fv[fine_space.free]),
                                f_h=fine_space.zero_field("l2"))
-        oracle = wave_energy_error_at(fine_space, fine_state, sol)
+        oracle = wave_energy_error_at(fine_space, fine_state, bound(sol, fine_space))
         assert abs(err - oracle) / oracle < 1e-3
 
 
 def refine_mesh_with_prolongation(mesh):
     """Uniform red refinement plus the P1 prolongation matrix (dense)."""
     import scipy.sparse as sp
-    from wavest.mesh import Mesh
     verts = list(map(tuple, mesh.vertices))
     index = {v: i for i, v in enumerate(verts)}
     rows, cols, vals = list(range(len(verts))), list(range(len(verts))), [1.0] * len(verts)
@@ -355,6 +450,18 @@ class TestCli:
             assert err == ""
         else:
             assert err == f"wavest: error: {error}\n"
+
+    @pytest.mark.parametrize("T, error", [
+        ("1", None),
+        ("2", "manufactured solution 'gaussian' reaches |u| = 0.999 on the boundary at "
+              "t = 1.32438, above the bound 0.001 of the homogeneous Dirichlet condition"),
+    ])
+    def test_boundary_trace_checked_before_stepping(self, T, error, capsys):
+        from wavest.cli import main
+        assert main(["wave", "--grid", "decay", "--tau0", "0.05", "--T", T]) == \
+            (0 if error is None else 1)
+        err = capsys.readouterr().err
+        assert err == ("" if error is None else f"wavest: error: {error}\n")
 
     def test_wave_smoke(self, tmp_path):
         from wavest.cli import main

@@ -15,7 +15,7 @@ RNG = np.random.default_rng(11)
 def make_problem(solution, T=1.0):
     u0, grad_u0, v0, grad_v0 = solution.initial_data()
     return WaveProblem(f=solution.f, u0=u0, grad_u0=grad_u0, v0=v0,
-                       grad_v0=grad_v0, T=T, exact=solution)
+                       grad_v0=grad_v0, T=T)
 
 
 def zero_problem(T=1.0):
