@@ -11,9 +11,10 @@ the triangles' vertex indices.  A load vector is a single matmul of the
 integrand's quadrature values with the rule's weights times its barycentric
 points, scaled by the triangle areas.
 
-Linear systems are solved with Jacobi-preconditioned conjugate gradients;
-pass a ``SolveCounter`` to account for solver work (the cost comparison of
-the two time estimators rests on these counters).
+Linear systems are solved with Jacobi-preconditioned conjugate gradients,
+from zero or from a given start vector; pass a ``SolveCounter`` to account
+for solver work (the cost comparison of the two time estimators rests on
+these counters).
 """
 
 from __future__ import annotations
@@ -167,12 +168,13 @@ def assemble_stiffness(mesh) -> sp.csr_matrix:
 
 
 def solve_spd(matrix, rhs, tol=1e-10, max_iter=None, counter: Optional[SolveCounter] = None,
-              precond_diag=None):
+              precond_diag=None, x0=None):
     """Jacobi-preconditioned conjugate gradients for SPD systems.
 
-    Stops when the preconditioned residual satisfies ||r|| <= tol * ||b||.
-    Deterministic for fixed inputs; raises SolverError with the last residual
-    if max_iter is exhausted.
+    Starts from ``x0`` (zero by default; the caller's array is not changed)
+    and stops when the residual satisfies ||b - A x|| <= tol * ||b||, after
+    0 iterations if ``x0`` already does.  Deterministic for fixed inputs;
+    raises SolverError with the last residual if max_iter is exhausted.
     """
     b = np.asarray(rhs, dtype=float)
     n = len(b)
@@ -186,8 +188,16 @@ def solve_spd(matrix, rhs, tol=1e-10, max_iter=None, counter: Optional[SolveCoun
     d = matrix.diagonal() if precond_diag is None else precond_diag
     if np.any(d <= 0):
         raise SolverError("matrix diagonal is not positive", residual=np.inf)
-    x = np.zeros(n)
-    r = b.copy()
+    if x0 is None:
+        x = np.zeros(n)
+        r = b.copy()
+    else:
+        x = np.array(x0, dtype=float)
+        r = b - matrix @ x
+        if np.linalg.norm(r) <= tol * bnorm:
+            if counter is not None:
+                counter.record(0)
+            return x
     z = r / d
     p = z.copy()
     rz = float(r @ z)
@@ -265,10 +275,7 @@ class FemSpace:
         gx_gy = grad_g(self.quad_xy[:, :, 0], self.quad_xy[:, :, 1])
         gx = np.asarray(gx_gy[0], dtype=float)
         gy = np.asarray(gx_gy[1], dtype=float)
-        # integral over each triangle of grad g . grad phi_b; this contraction
-        # order is kept because the CG noise seeded by the initial projections
-        # dominates the time estimators on alternating grids: a matmul here
-        # moves eta_T of the standing mode on alt100 (n=56, N=200) by 0.4 %
+        # integral over each triangle of grad g . grad phi_b
         contrib = np.einsum("tq,q,tb,t->tb", gx, self.rule.weights, self.grads[:, :, 0], self.area) \
             + np.einsum("tq,q,tb,t->tb", gy, self.rule.weights, self.grads[:, :, 1], self.area)
         rhs = self._scatter(contrib)

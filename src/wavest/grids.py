@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# a final step below this fraction of the step before it is warned about: the
+# time estimators divide the solver noise of that step by its square
+SLIVER_RATIO = 1e-3
 
 
 @dataclass(frozen=True)
@@ -26,6 +31,11 @@ class TimeGrid:
             raise ValueError("time points must be strictly increasing")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "steps", steps)
+        if len(steps) > 1 and steps[-1] < SLIVER_RATIO * steps[-2]:
+            warnings.warn(f"final step {steps[-1]:.3g} of grid {self.rule!r} is "
+                          f"{steps[-1] / steps[-2]:.3g} of the step before it "
+                          f"(below {SLIVER_RATIO:g}); the time estimators divide its "
+                          "solver noise by its square")
 
     @property
     def n_steps(self):

@@ -199,24 +199,41 @@ def _check_boundary_trace(solution: ManufacturedSolution, mesh, times):
                          f"{BOUNDARY_TRACE_BOUND:g} of the homogeneous Dirichlet condition")
 
 
-def wave_energy_error_at(space: FemSpace, state, exact) -> float:
+class ErrorWork:
+    """Buffers of the true-error quadrature, reused for every state of a run."""
+
+    def __init__(self, space: FemSpace):
+        nt, q = space.quad_xy.shape[:2]
+        self.full = np.zeros(space.mesh.n_vertices)  # all-vertex coefficients, zero on the boundary
+        self.nodal = np.empty((nt, 3))               # coefficients at each triangle's vertices
+        self.resid = np.empty((nt, q))               # one residual at the quadrature points
+        self.per_tri = np.empty(nt)                  # a gradient component, then an integral
+
+
+def wave_energy_error_at(space: FemSpace, state, exact, work: Optional[ErrorWork] = None) -> float:
     """Energy-norm error of one state against the exact solution (quadrature).
 
     ``exact`` is a solution bound to ``space.quad_xy`` (``ManufacturedSolution.bind``):
-    it maps t to du/dt and (du/dx, du/dy) at the quadrature points.
+    it maps t to du/dt and (du/dx, du/dy) at the quadrature points.  ``work``
+    holds the buffers of a run (a fresh set by default).
     """
     dudt, (gx, gy) = exact(state.t)
-    rule, area = space.rule, space.area
+    rule, area, tris = space.rule, space.area, space.mesh.triangles
+    w = work if work is not None else ErrorWork(space)
     # P1 values at the quadrature points: nodal values times the barycentric
     # coordinates of the rule; one (triangles, points) buffer holds each
     # squared residual in turn
-    r = state.v.full()[space.mesh.triangles] @ rule.points.T
+    w.full[space.free] = state.v.values
+    r = np.matmul(np.take(w.full, tris, out=w.nodal), rule.points.T, out=w.resid)
     np.square(np.subtract(r, dudt, out=r), out=r)
-    err_sq = (r @ rule.weights) @ area
-    grads = space.element_gradients(state.u.full())
+    err_sq = np.matmul(r, rule.weights, out=w.per_tri) @ area
+    w.full[space.free] = state.u.values
+    np.take(w.full, tris, out=w.nodal)
     for d, g in enumerate((gx, gy)):
-        np.square(np.subtract(grads[:, d, None], g, out=r), out=r)
-        err_sq += (r @ rule.weights) @ area
+        # component d of the constant gradient on each triangle
+        grad = np.einsum("tb,tb->t", w.nodal, space.grads[:, :, d], out=w.per_tri)
+        np.square(np.subtract(grad[:, None], g, out=r), out=r)
+        err_sq += np.matmul(r, rule.weights, out=w.per_tri) @ area
     return float(np.sqrt(err_sq))
 
 
@@ -231,11 +248,14 @@ def run_wave_experiment(config: ExperimentConfig):
     exact = solution.bind(space.quad_xy[:, :, 0], space.quad_xy[:, :, 1])
     solver = NewmarkWaveSolver(problem, space)
     acc = WaveEstimatorAccumulator(space, payload_form=config.payload_form)
+    work = None
     err_max = 0.0
     trace = []
     for n, state in enumerate(solver.run(grid)):
         acc.push(state)
-        err_max = max(err_max, wave_energy_error_at(space, state, exact))
+        if work is None:   # after the initial projections, whose temporaries are freed by now
+            work = ErrorWork(space)
+        err_max = max(err_max, wave_energy_error_at(space, state, exact, work))
         trace.append({
             "n": n, "t": state.t,
             "eta_T_cum": acc.eta3_total,

@@ -140,7 +140,15 @@ def standing_mode(kx=1, ky=1) -> ManufacturedSolution:
 
     def bind(x, y):
         s, g = shape(x, y), grad_shape(x, y)
-        return lambda t: (velocity(t) * s, scaled(position(t), g))
+        out = [None, None, None]   # allocated by the first call, overwritten by the next
+
+        def at(t):
+            a = position(t)
+            out[0] = np.multiply(velocity(t), s, out=out[0])
+            out[1] = np.multiply(a, g[0], out=out[1])
+            out[2] = np.multiply(a, g[1], out=out[2])
+            return out[0], (out[1], out[2])
+        return at
 
     return ManufacturedSolution(name=f"mode({kx},{ky})", u=u, dudt=dudt, grad_u=grad_u,
                                 grad_dudt=grad_dudt, f=f, bind=bind, zero_forcing=True)

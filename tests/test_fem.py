@@ -188,6 +188,30 @@ class TestSolver:
         M = assemble_mass(m)
         np.testing.assert_array_equal(solve_spd(M, np.zeros(m.n_vertices)), 0.0)
 
+    def test_start_meeting_the_tolerance_returns_a_copy_after_no_iteration(self):
+        K = FemSpace(generate_structured(6)).stiffness_ff
+        b = RNG.normal(size=K.shape[0])
+        x0 = solve_spd(K, b, tol=1e-13)
+        before = x0.copy()
+        counter = SolveCounter()
+        x = solve_spd(K, b, tol=1e-10, counter=counter, x0=x0)
+        assert counter.solves == 1 and counter.iterations == 0
+        np.testing.assert_array_equal(x, x0)
+        assert x is not x0
+        x[0] += 1.0
+        np.testing.assert_array_equal(x0, before)
+
+    def test_nonzero_start_reaches_the_tolerance(self):
+        import scipy.sparse as sp
+        R = RNG.normal(size=(30, 30))
+        A = sp.csr_matrix(R @ R.T + 30 * np.eye(30))
+        b = RNG.normal(size=30)
+        x0 = RNG.normal(size=30)
+        counter = SolveCounter()
+        x = solve_spd(A, b, tol=1e-10, counter=counter, x0=x0)
+        assert counter.iterations > 0
+        assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
+
 
 class TestProjections:
     def test_l2_projection_of_constant(self):

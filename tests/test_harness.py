@@ -6,7 +6,7 @@ import pytest
 from wavest.fem import FemSpace
 from wavest.grids import alternating_grid, build_grid, decaying_grid, uniform_grid
 from wavest.harness import (ODE_COLUMNS, TRACE_COLUMNS, WAVE_COLUMNS,
-                            ExperimentConfig, benchmark_estimators,
+                            ErrorWork, ExperimentConfig, benchmark_estimators,
                             parse_config_file, parse_mesh_spec, rows_to_csv,
                             run_ode_experiment, run_ode_table,
                             run_wave_experiment, wave_energy_error_at,
@@ -95,6 +95,26 @@ class TestGrids:
         assert build_grid("decay", 1.0, tau0=0.02).points[1] == pytest.approx(0.02)
         with pytest.raises(ValueError):
             build_grid("nope", 1.0)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: decaying_grid(0.029687284364218212), r"final step 8e-07 .* is 2\.66e-05 "),
+        (lambda: alternating_grid(taustar=0.0660066003300165, small=0.01),
+         r"final step 5e-09 .* is 7\.58e-08 "),
+    ])
+    def test_warns_on_a_sliver_final_step(self, make, message):
+        # the grid stays as the rule builds it; only the warning is added
+        with pytest.warns(UserWarning, match=message + r"of the step before it"):
+            g = make()
+        assert g.points[-1] == 1.0 and g.steps[-1] < 1e-3 * g.steps[-2]
+
+    def test_no_warning_on_the_table_and_sweep_grids(self):
+        import warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rule, N in (("alt10", 18180), ("alt100", 19800), ("alt100", 200)):
+                build_grid(rule, 1.0, N=N)
+            for n in (14, 28, 56):
+                build_grid("decay", 1.0, tau0=0.12 * np.sqrt(1.0 / n))
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -197,6 +217,20 @@ class TestOdeExperiments:
         assert rows[0]["eta_T"] / rows[1]["eta_T"] == pytest.approx(100, rel=0.1)
 
 
+def fresh_array_energy_error(space, state, exact):
+    """Oracle: the true-error quadrature with fresh (triangles, points) arrays for every state."""
+    dudt, (gx, gy) = exact(state.t)
+    rule, area = space.rule, space.area
+    r = state.v.full()[space.mesh.triangles] @ rule.points.T
+    np.square(np.subtract(r, dudt, out=r), out=r)
+    err_sq = (r @ rule.weights) @ area
+    grads = space.element_gradients(state.u.full())
+    for d, g in enumerate((gx, gy)):
+        np.square(np.subtract(grads[:, d, None], g, out=r), out=r)
+        err_sq += (r @ rule.weights) @ area
+    return float(np.sqrt(err_sq))
+
+
 class TestWaveExperiment:
     def test_zero_data_flags_undefined_effectivity(self):
         cfg = ExperimentConfig(kind="wave", solution="zero",
@@ -288,6 +322,23 @@ class TestWaveExperiment:
             oracle = einsum_energy_error(space, state, sol)
             assert oracle > 0
             assert wave_energy_error_at(space, state, exact) == pytest.approx(oracle, rel=1e-14)
+
+    @pytest.mark.parametrize("make", [gaussian_pulse, standing_mode])
+    def test_run_buffers_bit_equal_to_fresh_arrays(self, make):
+        # one set of buffers and one bound solution serve states at t1, t2
+        # and t1 again: each value is the oracle's, so nothing leaks between states
+        sol = make()
+        space = FemSpace(jittered_crisscross(6))
+        solver = NewmarkWaveSolver(wave_problem_from(sol, 1.0), space)
+        x, y = space.quad_xy[:, :, 0], space.quad_xy[:, :, 1]
+        fresh = lambda t: (sol.dudt(t, x, y), sol.grad_u(t, x, y))
+        s1 = solver.step(solver.initial_state(), 0.05)
+        s2 = solver.step(s1, 0.2)
+        exact, work = bound(sol, space), ErrorWork(space)
+        for state in (s1, s2, s1):
+            oracle = fresh_array_energy_error(space, state, fresh)
+            assert oracle > 0
+            assert wave_energy_error_at(space, state, exact, work) == oracle, state.t
 
     def test_rejects_a_solution_off_zero_on_the_boundary(self):
         # the pulse's center reaches the boundary at t = 1.32; by t = 1.05 the

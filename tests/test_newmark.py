@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wavest.fem import FemSpace, quadrature_rule, solve_spd
+from wavest.fem import FemSpace, SolveCounter, quadrature_rule, solve_spd
 from wavest.grids import TimeGrid, uniform_grid
 from wavest.manufactured import gaussian_pulse, standing_mode
 from wavest.mesh import generate_structured
@@ -43,6 +43,12 @@ class TestInitialState:
         assert np.all(s0.u.values == 0.0)
         assert np.all(s0.v.values == 0.0)
         assert np.all(s0.f_h.values == 0.0)
+
+    def test_initial_acceleration_is_zero(self):
+        space = FemSpace(generate_structured(4))
+        s0 = NewmarkWaveSolver(make_problem(gaussian_pulse()), space).initial_state()
+        assert s0.a.kind == "h10"
+        assert np.all(s0.a.values == 0.0)
 
     def test_idempotent_on_p1_data(self):
         space = FemSpace(generate_structured(4), tol=1e-12)
@@ -146,6 +152,37 @@ class TestStep:
             rebuilt = (space.mass_ff + (tau * tau / 4.0) * space.stiffness_ff).tocsr()
             np.testing.assert_array_equal(matrix.indices, rebuilt.indices)
             np.testing.assert_array_equal(matrix.data, rebuilt.data)
+
+    def test_warm_start_from_the_predictor(self):
+        # CG from u + tau v + tau^2/2 a lands within tolerance of a tight
+        # solve, in fewer iterations than CG from zero on the same system
+        sol = gaussian_pulse()
+        space = FemSpace(generate_structured(12, "crisscross"), tol=1e-10)
+        tight = FemSpace(space.mesh, tol=1e-13)
+        solver = NewmarkWaveSolver(make_problem(sol), space)
+        state = solver.initial_state()
+        for tau in (0.02, 0.01, 0.02):
+            state = solver.step(state, tau)
+        assert np.any(state.a.values != 0.0)
+        tau = 0.015
+        warm = solver.step(state, tau)
+        ref = NewmarkWaveSolver(make_problem(sol), tight).step(state, tau)
+        matrix = solver._system_matrix(tau)
+        b_old, b_new = ((space.mass @ s.f_h.full())[space.free] for s in (state, warm))
+        rhs = space.mass_ff @ (state.u.values + tau * state.v.values) \
+            - (tau * tau / 4.0) * (space.stiffness_ff @ state.u.values) \
+            + (tau * tau / 4.0) * (b_new + b_old)
+        assert np.linalg.norm(rhs - matrix @ warm.u.values) <= 1e-10 * np.linalg.norm(rhs)
+        assert np.linalg.norm(warm.u.values - ref.u.values) \
+            <= 1e-9 * np.linalg.norm(ref.u.values)
+        np.testing.assert_allclose(warm.a.values, (warm.v.values - state.v.values) / tau)
+
+        predictor = state.u.values + tau * state.v.values + tau * tau / 2.0 * state.a.values
+        from_predictor, from_zero = SolveCounter(), SolveCounter()
+        x = solve_spd(matrix, rhs, tol=space.tol, counter=from_predictor, x0=predictor)
+        solve_spd(matrix, rhs, tol=space.tol, counter=from_zero)
+        np.testing.assert_array_equal(x, warm.u.values)
+        assert 0 < from_predictor.iterations < from_zero.iterations
 
     def test_energy_conservation_without_forcing(self):
         space = FemSpace(generate_structured(8), tol=1e-12)
