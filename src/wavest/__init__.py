@@ -12,20 +12,19 @@ Subpackages:
     harness      experiment drivers, CSV emission, cost benchmark
 """
 
-from .fem import Field, FemSpace, QuadratureRule, SolveCounter, SolverError, quadrature_rule
+from .fem import FemSpace, QuadratureRule, SolveCounter, SolverError, quadrature_rule
 from .grids import TimeGrid, alternating_grid, build_grid, decaying_grid, uniform_grid
 from .mesh import Mesh, MeshError, generate_structured, import_mesh, read_mesh
-from .newmark import NewmarkWaveSolver, StateWindow, WaveProblem, WaveState
+from .newmark import NewmarkWaveSolver, WaveProblem, WaveState
 from .ode import (OdeProblem, OdeTrajectory, effectivity, eta3_ode_cumulative,
                   eta5_ode_cumulative, ode_energy_error, solve_newmark_ode)
 
 __all__ = [
-    "Field", "FemSpace", "QuadratureRule", "SolveCounter", "SolverError",
-    "quadrature_rule", "TimeGrid", "alternating_grid", "build_grid",
-    "decaying_grid", "uniform_grid", "Mesh", "MeshError", "generate_structured",
-    "import_mesh", "read_mesh", "NewmarkWaveSolver", "StateWindow",
-    "WaveProblem", "WaveState", "OdeProblem", "OdeTrajectory", "effectivity",
-    "eta3_ode_cumulative", "eta5_ode_cumulative", "ode_energy_error",
+    "FemSpace", "QuadratureRule", "SolveCounter", "SolverError", "quadrature_rule",
+    "TimeGrid", "alternating_grid", "build_grid", "decaying_grid", "uniform_grid",
+    "Mesh", "MeshError", "generate_structured", "import_mesh", "read_mesh",
+    "NewmarkWaveSolver", "WaveProblem", "WaveState", "OdeProblem", "OdeTrajectory",
+    "effectivity", "eta3_ode_cumulative", "eta5_ode_cumulative", "ode_energy_error",
     "solve_newmark_ode",
 ]
 

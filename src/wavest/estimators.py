@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem import FemSpace, SolveCounter
-from .newmark import StateWindow, WaveState
+from .newmark import WaveState
 from .stencils import hat_second_diff, initial_weight, second_diff, step_weight
 
 __all__ = [
@@ -89,9 +89,9 @@ def node_diffs(space: FemSpace, states) -> NodeDiffs:
     """Second differences of u, v and f_h over three consecutive states, and |d2 v|_H1."""
     s0, s1, s2 = states
     tau = (s1.t - s0.t, s2.t - s1.t)
-    d2u = second_diff([s.u.values for s in states], tau)
-    d2v = space.field(second_diff([s.v.values for s in states], tau)).full()
-    d2f = second_diff([s.f_h.full() for s in states], tau)
+    d2u = second_diff([s.u for s in states], tau)
+    d2v = space.full(second_diff([s.v for s in states], tau))
+    d2f = second_diff([s.f_h for s in states], tau)
     return NodeDiffs(t=s1.t, that=0.5 * (s2.t + s0.t), tau_prev=tau[0], tau=tau[1],
                      d2u=d2u, d2v=d2v, d2f=d2f, d2v_h1=space.h1_seminorm(d2v))
 
@@ -103,8 +103,8 @@ def eta3_step(space: FemSpace, node: NodeDiffs,
 
     Performs exactly one mass solve (for the discrete Laplacian of d2_k u).
     """
-    z = space.apply_discrete_laplacian(space.field(node.d2u), counter=counter)
-    resid = node.d2f - z.full()
+    z = space.apply_discrete_laplacian(node.d2u, counter=counter)
+    resid = node.d2f - space.full(z)
     payload = _combine(node.d2v_h1, space.l2_norm(resid), payload_form)
     w = step_weight(node.tau, node.tau_prev)
     return EstimatorSample(t=node.t, weight=w, value=w * payload)
@@ -119,7 +119,7 @@ def eta5_step(space: FemSpace, nodes, payload_form="rms") -> EstimatorSample:
     """
     d4u = hat_second_diff([n.d2u for n in nodes], [n.that for n in nodes])
     node = nodes[-1]
-    payload = _combine5(node.d2v_h1, space.l2_norm(space.field(d4u)), payload_form)
+    payload = _combine5(node.d2v_h1, space.l2_norm(space.full(d4u)), payload_form)
     w = step_weight(node.tau, node.tau_prev)
     return EstimatorSample(t=node.t, weight=w, value=w * payload)
 
@@ -172,12 +172,13 @@ class SpaceEstimatorAccumulator:
 
     def update(self, states, node: NodeDiffs):
         s0, s1, s2 = states
+        full = self.space.full
         central = node.tau_prev + node.tau
-        v_c = (s2.v.full() - s0.v.full()) / central
-        p1 = self._part(v_c - s1.f_h.values, s1.u.full())
+        v_c = full((s2.v - s0.v) / central)
+        p1 = self._part(v_c - s1.f_h, full(s1.u))
         self.part1_max = max(self.part1_max, np.sqrt(p1))
-        f_c = (s2.f_h.values - s0.f_h.values) / central
-        u_c = (s2.u.full() - s0.u.full()) / central
+        f_c = (s2.f_h - s0.f_h) / central
+        u_c = full((s2.u - s0.u) / central)
         p2 = self._part(node.d2v - f_c, u_c)
         self.part2_sum += node.tau * np.sqrt(p2)
         self.samples += 1
@@ -215,24 +216,25 @@ class WaveEstimatorAccumulator:
     The 3-point cumulative total is tau_0 * eta_T(t_0) + sum_{k>=1} tau_k *
     eta_T(t_k); the 5-point total starts at k = 3.  Retains the last 3
     states and the second differences of the last 3 interior nodes, each
-    computed once.
+    computed once.  States must come in time order: the second differences
+    reject a non-positive step.
     """
 
-    def __init__(self, space: FemSpace, payload_form="rms", with_space=True):
+    def __init__(self, space: FemSpace, payload_form="rms"):
         if payload_form not in PAYLOAD_FORMS:
             raise ValueError(f"payload_form must be one of {PAYLOAD_FORMS}")
         self.space = space
         self.payload_form = payload_form
-        self.window = StateWindow(maxlen=3)
+        self.states = deque(maxlen=3)
         self.nodes = deque(maxlen=3)
         self.report = EstimatorReport()
-        self.space_acc = SpaceEstimatorAccumulator(space) if with_space else None
+        self.space_acc = SpaceEstimatorAccumulator(space)
 
     def push(self, state: WaveState):
-        self.window.push(state)
-        if len(self.window) < 3:
+        states = self.states
+        states.append(state)
+        if len(states) < 3:
             return
-        states = self.window.last(3)
         node = node_diffs(self.space, states)
         self.nodes.append(node)
         rep = self.report
@@ -248,9 +250,8 @@ class WaveEstimatorAccumulator:
             init = EstimatorSample(t=states[0].t, weight=w0, value=w0 * payload)
             rep.eta3_total += node.tau_prev * init.value
             rep.eta3_samples.insert(0, init)
-        if self.space_acc is not None:
-            self.space_acc.update(states, node)
-            rep.space_part1, rep.space_part2 = self.space_acc.parts
+        self.space_acc.update(states, node)
+        rep.space_part1, rep.space_part2 = self.space_acc.parts
         if len(self.nodes) == 3:
             sample = eta5_step(self.space, self.nodes, payload_form=self.payload_form)
             rep.eta5_samples.append(sample)

@@ -4,7 +4,9 @@ Matrices are assembled over the full vertex set as scipy CSR; homogeneous
 Dirichlet conditions are imposed by restriction to the free (non-boundary)
 vertices, which keeps every system symmetric positive definite.  ``FemSpace``
 bundles a mesh with its assembled operators, quadrature geometry and the
-index bookkeeping the time steppers and estimators need.
+index bookkeeping the time steppers and estimators need.  A P1 function is a
+plain coefficient array, on the free vertices (zero trace) or on all of
+them; ``FemSpace.full`` scatters the first kind into the second.
 
 Per-triangle integrals reach the vertices through one ``np.bincount`` over
 the triangles' vertex indices.  A load vector is a single matmul of the
@@ -19,7 +21,7 @@ these counters).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -86,39 +88,6 @@ def quadrature_rule(degree=5) -> QuadratureRule:
             wts += [w, w, w]
         return QuadratureRule(np.asarray(pts), np.asarray(wts), 5)
     raise ValueError("available rules: degree 1, 2 and 5")
-
-
-@dataclass(frozen=True)
-class Field:
-    """Coefficient vector of a P1 function.
-
-    kind 'h10': values on free vertices only, zero trace on the boundary.
-    kind 'l2' : values on every vertex.
-    """
-
-    values: np.ndarray
-    space: "FemSpace"
-    kind: str
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if self.kind == "h10":
-            expected = len(self.space.free)
-        elif self.kind == "l2":
-            expected = self.space.mesh.n_vertices
-        else:
-            raise ValueError("field kind must be 'h10' or 'l2'")
-        if vals.shape != (expected,):
-            raise ValueError(f"{self.kind} field needs {expected} values, got {vals.shape}")
-        object.__setattr__(self, "values", vals)
-
-    def full(self) -> np.ndarray:
-        """All-vertex coefficient vector (h10 fields scatter zeros on the boundary)."""
-        if self.kind == "l2":
-            return self.values
-        out = np.zeros(self.space.mesh.n_vertices)
-        out[self.space.free] = self.values
-        return out
 
 
 def _triangle_geometry(mesh):
@@ -241,14 +210,9 @@ class FemSpace:
 
     # -- integration ------------------------------------------------------
 
-    def assemble_load(self, g: Callable, rule: Optional[QuadratureRule] = None) -> np.ndarray:
-        """Load vector b_i ~ integral(g phi_i) over all vertices."""
-        if rule is None:
-            rule = self.rule
-            xy = self.quad_xy
-        else:
-            p = self.mesh.vertices[self.mesh.triangles]
-            xy = np.einsum("qb,tbd->tqd", rule.points, p)
+    def assemble_load(self, g: Callable) -> np.ndarray:
+        """Load vector b_i ~ integral(g phi_i) over all vertices, by the space's rule."""
+        rule, xy = self.rule, self.quad_xy
         vals = np.asarray(g(xy[:, :, 0], xy[:, :, 1]), dtype=float)
         return self._scatter(self.area[:, None] * (vals @ (rule.weights[:, None] * rule.points)))
 
@@ -257,16 +221,21 @@ class FemSpace:
         return np.bincount(self.mesh.triangles.ravel(), weights=contrib.ravel(),
                            minlength=self.mesh.n_vertices)
 
+    def full(self, values) -> np.ndarray:
+        """All-vertex coefficients of free-vertex values, zero on the boundary."""
+        out = np.zeros(self.mesh.n_vertices)
+        out[self.free] = values
+        return out
+
     # -- projections and operators ----------------------------------------
 
-    def l2_project(self, g: Callable, counter=None) -> Field:
-        """L2 projection onto the full P1 space (no boundary condition)."""
+    def l2_project(self, g: Callable, counter=None) -> np.ndarray:
+        """L2 projection onto the full P1 space (no boundary condition), on all vertices."""
         b = self.assemble_load(g)
-        x = solve_spd(self.mass, b, tol=self.tol, counter=counter)
-        return Field(x, self, "l2")
+        return solve_spd(self.mass, b, tol=self.tol, counter=counter)
 
-    def h1_project(self, grad_g: Callable, counter=None) -> Field:
-        """H1_0-orthogonal projection from the gradient of the target.
+    def h1_project(self, grad_g: Callable, counter=None) -> np.ndarray:
+        """H1_0-orthogonal projection from the gradient of the target, on the free vertices.
 
         grad_g(x, y) returns the two gradient components; the projection
         solves the free-vertex stiffness system with rhs integral(grad g .
@@ -279,26 +248,22 @@ class FemSpace:
         contrib = np.einsum("tq,q,tb,t->tb", gx, self.rule.weights, self.grads[:, :, 0], self.area) \
             + np.einsum("tq,q,tb,t->tb", gy, self.rule.weights, self.grads[:, :, 1], self.area)
         rhs = self._scatter(contrib)
-        x = solve_spd(self.stiffness_ff, rhs[self.free], tol=self.tol, counter=counter)
-        return Field(x, self, "h10")
+        return solve_spd(self.stiffness_ff, rhs[self.free], tol=self.tol, counter=counter)
 
-    def apply_discrete_laplacian(self, w: Field, counter=None) -> Field:
-        """z in V_h with (z, phi) = (grad w, grad phi) for all phi in V_h."""
-        if w.kind != "h10":
-            raise ValueError("the discrete Laplacian acts on h10 fields")
-        rhs = self.stiffness_ff @ w.values
-        z = solve_spd(self.mass_ff, rhs, tol=self.tol, counter=counter)
-        return Field(z, self, "h10")
+    def apply_discrete_laplacian(self, w, counter=None) -> np.ndarray:
+        """z in V_h with (z, phi) = (grad w, grad phi) for all phi in V_h; free vertices."""
+        return solve_spd(self.mass_ff, self.stiffness_ff @ w, tol=self.tol, counter=counter)
 
     # -- norms --------------------------------------------------------------
 
     def l2_norm(self, values) -> float:
-        """L2 norm of a P1 function given by its coefficients (Field or array)."""
-        v = values.full() if isinstance(values, Field) else np.asarray(values, dtype=float)
+        """L2 norm of a P1 function given by its all-vertex coefficients."""
+        v = np.asarray(values, dtype=float)
         return float(np.sqrt(max(v @ (self.mass @ v), 0.0)))
 
     def h1_seminorm(self, values) -> float:
-        v = values.full() if isinstance(values, Field) else np.asarray(values, dtype=float)
+        """H1 seminorm of a P1 function given by its all-vertex coefficients."""
+        v = np.asarray(values, dtype=float)
         return float(np.sqrt(max(v @ (self.stiffness @ v), 0.0)))
 
     # -- elementwise quantities for the space estimator ---------------------
@@ -316,10 +281,3 @@ class FemSpace:
         """Constant gradient of a P1 function on each triangle, shape (nt, 2)."""
         w = np.asarray(full_values, dtype=float)[self.mesh.triangles]
         return np.einsum("tb,tbd->td", w, self.grads)
-
-    def field(self, values, kind="h10") -> Field:
-        return Field(np.asarray(values, dtype=float), self, kind)
-
-    def zero_field(self, kind="h10") -> Field:
-        n = len(self.free) if kind == "h10" else self.mesh.n_vertices
-        return Field(np.zeros(n), self, kind)

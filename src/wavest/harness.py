@@ -178,9 +178,9 @@ def run_ode_table(configs):
 
 def wave_problem_from(solution: ManufacturedSolution, T) -> WaveProblem:
     """The wave problem of a manufactured solution; a zero forcing becomes f = None."""
-    u0, grad_u0, v0, grad_v0 = solution.initial_data()
+    grad_u0, grad_v0 = solution.initial_data()
     f = None if solution.zero_forcing else solution.f
-    return WaveProblem(f=f, u0=u0, grad_u0=grad_u0, v0=v0, grad_v0=grad_v0, T=T)
+    return WaveProblem(f=f, grad_u0=grad_u0, grad_v0=grad_v0, T=T)
 
 
 def _check_boundary_trace(solution: ManufacturedSolution, mesh, times):
@@ -223,11 +223,11 @@ def wave_energy_error_at(space: FemSpace, state, exact, work: Optional[ErrorWork
     # P1 values at the quadrature points: nodal values times the barycentric
     # coordinates of the rule; one (triangles, points) buffer holds each
     # squared residual in turn
-    w.full[space.free] = state.v.values
+    w.full[space.free] = state.v
     r = np.matmul(np.take(w.full, tris, out=w.nodal), rule.points.T, out=w.resid)
     np.square(np.subtract(r, dudt, out=r), out=r)
     err_sq = np.matmul(r, rule.weights, out=w.per_tri) @ area
-    w.full[space.free] = state.u.values
+    w.full[space.free] = state.u
     np.take(w.full, tris, out=w.nodal)
     for d, g in enumerate((gx, gy)):
         # component d of the constant gradient on each triangle

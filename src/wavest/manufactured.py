@@ -40,11 +40,9 @@ class ManufacturedSolution:
     zero_forcing: bool = False  # f vanishes identically, so solvers may skip it
 
     def initial_data(self):
-        """(u0, grad_u0, v0, grad_v0) as space-only callables."""
+        """(grad u0, grad v0) as space-only callables, the data of the H1_0 projections."""
         return (
-            lambda x, y: self.u(0.0, x, y),
             lambda x, y: self.grad_u(0.0, x, y),
-            lambda x, y: self.dudt(0.0, x, y),
             lambda x, y: self.grad_dudt(0.0, x, y),
         )
 

@@ -1,19 +1,26 @@
 """Trapezoidal-Newmark time integration of the semi-discrete wave equation.
 
-The canonical integrator is the one-step form on the displacement/velocity
-pair (the first-order-system midpoint rule), which the two-step displacement
-recurrence is equivalent to; the initial step needs no special casing.  Per
-step one SPD system with matrix (M + tau^2/4 K) is solved on the free
-vertices by Jacobi-CG.  One such matrix is kept per stepper: M and K share a
+The stepper advances the displacement/velocity/acceleration triple on the
+free vertices in the form the scalar model uses (``ode.solve_newmark_ode``),
+with M and K the free-vertex mass and stiffness matrices and F the forcing
+loads:
+
+    (M + tau^2/4 K) a_{n+1} = F_{n+1} - K (u_n + tau v_n + tau^2/4 a_n)
+    u_{n+1} = u_n + tau v_n + tau^2/4 (a_n + a_{n+1})
+    v_{n+1} = v_n + tau/2 (a_n + a_{n+1})
+
+The initial acceleration costs one mass solve, M a_0 = F_0 - K u_0.  This is
+algebraically the two-step displacement recurrence, and the first step needs
+no special casing.  The solve error of a_{n+1} reaches u scaled by tau^2/4
+and v by tau/2, so no solve error is divided by tau.  The time estimators'
+second and fourth differences divide u and v by tau^2 to tau^4; with this
+form they measure the discretisation error, not the solver tolerance, on
+grids with step ratio 100 too.
+
+Per step one SPD system with matrix (M + tau^2/4 K) is solved by Jacobi-CG,
+started from a_n.  One such matrix is kept per stepper: M and K share a
 sparsity pattern, so a change of tau recomputes its values in place and
 nothing is factored or rebuilt.
-
-CG starts from the predictor u + tau v + tau^2/2 a, where a = (v - v_prev) /
-tau_prev is the mean acceleration of the step that produced the state (zero
-at t = 0).  The time estimators divide the solver error by tau^2: on the
-standing mode with alternating steps (ratio 100, n=56, N=200) they come
-within 1 % of a tol = 1e-13 solve from the predictor, and lie up to 74 %
-above it from zero, which also takes about three times the iterations.
 
 Initial data enter through H1_0-orthogonal projections of u0 and v0; the
 forcing enters through its L2 projections at the grid times, which are kept
@@ -28,7 +35,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .fem import Field, FemSpace, SolveCounter, solve_spd
+from .fem import FemSpace, solve_spd
 from .grids import TimeGrid
 
 
@@ -37,10 +44,8 @@ class WaveProblem:
     """Wave equation data on the unit-square mesh: u_tt - Lap(u) = f, u = 0 on the boundary."""
 
     f: Optional[Callable]          # f(t, x, y); None means zero forcing
-    u0: Callable                   # u0(x, y)
     grad_u0: Callable              # (du0/dx, du0/dy)(x, y)
-    v0: Optional[Callable]         # None means zero initial velocity
-    grad_v0: Optional[Callable]
+    grad_v0: Optional[Callable]    # None means zero initial velocity
     T: float
 
     def __post_init__(self):
@@ -50,65 +55,46 @@ class WaveProblem:
 
 @dataclass(frozen=True)
 class WaveState:
+    """One time level: u, v and a on the free vertices, f_h on all vertices."""
+
     t: float
-    u: Field     # h10
-    v: Field     # h10
-    f_h: Field   # l2 projection of f(t)
-    a: Optional[Field] = None  # h10 (v - v_prev) / tau_prev; None reads as zero
-
-
-class StateWindow:
-    """Sliding window over the most recent states, oldest first."""
-
-    def __init__(self, maxlen=5):
-        self.maxlen = maxlen
-        self.states = []
-
-    def push(self, state: WaveState):
-        if self.states and state.t <= self.states[-1].t:
-            raise ValueError("window times must be strictly increasing")
-        self.states.append(state)
-        if len(self.states) > self.maxlen:
-            self.states.pop(0)
-
-    def __len__(self):
-        return len(self.states)
-
-    def last(self, k):
-        """The most recent k states, oldest first."""
-        if k > len(self.states):
-            raise ValueError(f"window holds {len(self.states)} states, asked for {k}")
-        return self.states[-k:]
+    u: np.ndarray
+    v: np.ndarray
+    f_h: np.ndarray   # L2 projection of f(t)
+    a: np.ndarray     # acceleration, M a = F - K u
 
 
 class NewmarkWaveSolver:
     """Stepper bound to one problem and one finite element space."""
 
-    def __init__(self, problem: WaveProblem, space: FemSpace,
-                 counter: Optional[SolveCounter] = None):
+    def __init__(self, problem: WaveProblem, space: FemSpace):
         self.problem = problem
         self.space = space
-        self.counter = counter if counter is not None else SolveCounter()
         self._system_tau = None
         self._system = None
 
     # -- data projection ----------------------------------------------------
 
-    def project_forcing(self, t) -> Field:
+    def project_forcing(self, t) -> np.ndarray:
         f = self.problem.f
         if f is None:
-            return self.space.zero_field("l2")
-        return self.space.l2_project(lambda x, y: f(t, x, y), counter=self.counter)
+            return np.zeros(self.space.mesh.n_vertices)
+        return self.space.l2_project(lambda x, y: f(t, x, y))
 
     def initial_state(self) -> WaveState:
         space = self.space
-        u0 = space.h1_project(self.problem.grad_u0, counter=self.counter)
-        if self.problem.v0 is None:
-            v0 = space.zero_field("h10")
+        u0 = space.h1_project(self.problem.grad_u0)
+        if self.problem.grad_v0 is None:
+            v0 = np.zeros(len(space.free))
         else:
-            v0 = space.h1_project(self.problem.grad_v0, counter=self.counter)
-        return WaveState(t=0.0, u=u0, v=v0, f_h=self.project_forcing(0.0),
-                         a=space.zero_field("h10"))
+            v0 = space.h1_project(self.problem.grad_v0)
+        f0 = self.project_forcing(0.0)
+        a0 = solve_spd(space.mass_ff, self._load(f0) - space.stiffness_ff @ u0, tol=space.tol)
+        return WaveState(t=0.0, u=u0, v=v0, f_h=f0, a=a0)
+
+    def _load(self, f_h):
+        """Forcing loads (f, phi_i) on the free vertices, from an L2 projection of f."""
+        return (self.space.mass @ f_h)[self.space.free]
 
     # -- stepping -------------------------------------------------------------
 
@@ -126,35 +112,18 @@ class NewmarkWaveSolver:
         return self._system
 
     def step(self, state: WaveState, tau) -> WaveState:
-        """Advance one step of size tau from the given state.
-
-        Solves (M + tau^2/4 K) u_new = M (u + tau v) - tau^2/4 K u
-        + tau^2/4 (b_new + b_old) on the free vertices, where b holds the
-        forcing loads, by CG from the predictor u + tau v + tau^2/2 a; the
-        velocity update is the recovery formula.  The first step from the
-        initial state is this same map.
-        """
+        """Advance one step of size tau from the given state (the module's scheme)."""
         if tau <= 0:
             raise ValueError("step must be positive")
         space = self.space
-        problem = self.problem
         t_new = state.t + tau
         f_new = self.project_forcing(t_new)
-        u = state.u.values
-        v = state.v.values
-        # forcing loads (f, phi_i) on free vertices, via the stored projections
-        b_old = (space.mass @ state.f_h.full())[space.free]
-        b_new = (space.mass @ f_new.full())[space.free]
-        predictor = u + tau * v
-        rhs = space.mass_ff @ predictor - (tau * tau / 4.0) * (space.stiffness_ff @ u) \
-            + (tau * tau / 4.0) * (b_new + b_old)
-        if state.a is not None:   # the CG start is u + tau v + tau^2/2 a
-            predictor += (tau * tau / 2.0) * state.a.values
-        matrix = self._system_matrix(tau)
-        u_new = solve_spd(matrix, rhs, tol=space.tol, counter=self.counter, x0=predictor)
-        v_new = 2.0 * (u_new - u) / tau - v
-        return WaveState(t=t_new, u=space.field(u_new), v=space.field(v_new), f_h=f_new,
-                         a=space.field((v_new - v) / tau))
+        u, v, a = state.u, state.v, state.a
+        predictor = u + tau * v + (tau * tau / 4.0) * a   # u_new less its a_new term
+        rhs = self._load(f_new) - space.stiffness_ff @ predictor
+        a_new = solve_spd(self._system_matrix(tau), rhs, tol=space.tol, x0=a)
+        return WaveState(t=t_new, u=predictor + (tau * tau / 4.0) * a_new,
+                         v=v + (tau / 2.0) * (a + a_new), f_h=f_new, a=a_new)
 
     def run(self, grid: TimeGrid) -> Iterator[WaveState]:
         """Yield the initial state and every stepped state in order."""
@@ -172,6 +141,5 @@ class NewmarkWaveSolver:
     def discrete_energy(self, state: WaveState) -> float:
         """(1/2) (v' M v + u' K u); conserved exactly for zero forcing."""
         space = self.space
-        v = state.v.values
-        u = state.u.values
+        u, v = state.u, state.v
         return 0.5 * float(v @ (space.mass_ff @ v) + u @ (space.stiffness_ff @ u))

@@ -1,10 +1,9 @@
 """Scalar model problem u'' + A u = f with the trapezoidal Newmark scheme.
 
 This is the wave equation stripped of the space variable: the time stepping,
-the velocity recovery, the true-error measure and both a posteriori time
-estimators survive unchanged, which makes the scalar problem the reference
-case for validating estimator behaviour on uniform and strongly graded time
-grids.
+the true-error measure and both a posteriori time estimators survive
+unchanged, which makes the scalar problem the reference case for validating
+estimator behaviour on uniform and strongly graded time grids.
 
 The solver advances the classical displacement/velocity/acceleration triple
 
@@ -14,10 +13,12 @@ The solver advances the classical displacement/velocity/acceleration triple
 
 which is algebraically identical to the two-step displacement recurrence
 plus velocity recovery v_{n+1} = 2(u_{n+1}-u_n)/tau - v_n (the tests check
-both identities), but is much better conditioned in floating point: the
-recovery form divides rounding errors of u by the step size, which visibly
-pollutes the estimators' high-order differences on grids with step ratios
-of 100.
+both identities).  The recovery itself is not used: it would divide rounding
+errors of u by the step size, and the estimators' high-order differences
+divide them again.  The wave stepper (``newmark``) advances the same triple
+with M and K in place of 1 and A, solving for a_{n+1} first; here that 1x1
+solve is the division above, and the tests check that a wave run with one
+free vertex follows this scheme.
 """
 
 from __future__ import annotations

@@ -314,10 +314,8 @@ class TestCriterion6:
         M, K = space.mass_ff, space.stiffness_ff
         for n in range(1, len(taus)):
             tn, tm = taus[n], taus[n - 1]
-            up, u, um = (states[n + 1].u.values, states[n].u.values,
-                         states[n - 1].u.values)
-            b = [(space.mass @ states[j].f_h.full())[space.free]
-                 for j in (n - 1, n, n + 1)]
+            up, u, um = states[n + 1].u, states[n].u, states[n - 1].u
+            b = [(space.mass @ states[j].f_h)[space.free] for j in (n - 1, n, n + 1)]
             resid = M @ ((up - u) / tn - (u - um) / tm) \
                 + K @ (tn * (up + u) + tm * (u + um)) / 4 \
                 - (tn * (b[2] + b[1]) + tm * (b[1] + b[0])) / 4
@@ -353,16 +351,14 @@ class TestCriterion7:
         rng = np.random.default_rng(2)
         space = FemSpace(generate_structured(5), tol=1e-12)
         w = rng.normal(size=len(space.free))
-        full = np.zeros(space.mesh.n_vertices)
-        full[space.free] = w
-        grads = space.element_gradients(full)
+        grads = space.element_gradients(space.full(w))
         proj = space.h1_project(lambda x, y: (np.broadcast_to(grads[:, [0]], x.shape),
                                               np.broadcast_to(grads[:, [1]], x.shape)))
-        idem_h1 = np.abs(proj.values - w).max()
+        idem_h1 = np.abs(proj - w).max()
         from wavest.fem import solve_spd
         l2 = space.l2_project(lambda x, y: np.cos(x) * y)
-        again = solve_spd(space.mass, space.mass @ l2.values, tol=1e-12)
-        idem_l2 = np.abs(again - l2.values).max()
+        again = solve_spd(space.mass, space.mass @ l2, tol=1e-12)
+        idem_l2 = np.abs(again - l2).max()
         # H1 projection rate for sin(pi x) sin(pi y) over 3 levels
         g_grad = lambda x, y: (np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
                                np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
@@ -371,7 +367,7 @@ class TestCriterion7:
         for n in (8, 16, 32):
             sp_n = FemSpace(generate_structured(n), tol=1e-12)
             p = sp_n.h1_project(g_grad)
-            errs.append(np.sqrt(max(exact_sq - sp_n.h1_seminorm(p) ** 2, 0.0)))
+            errs.append(np.sqrt(max(exact_sq - sp_n.h1_seminorm(sp_n.full(p)) ** 2, 0.0)))
         rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         ok = (mass_err <= 1e-14 and stiff_err <= 1e-14 and idem_h1 <= 1e-8
               and idem_l2 <= 1e-8 and np.all(np.abs(rates - 1.0) <= 0.1))

@@ -18,11 +18,12 @@ RNG = np.random.default_rng(3)
 
 
 def states_from(space, times, u_list, v_list, f_list=None):
-    states = []
-    for k, t in enumerate(times):
-        f_h = space.zero_field("l2") if f_list is None else space.field(f_list[k], "l2")
-        states.append(WaveState(t=t, u=space.field(u_list[k]), v=space.field(v_list[k]), f_h=f_h))
-    return states
+    """States from free-vertex u, v and all-vertex f_h (zero by default); the estimators read no a."""
+    zero_f, zero_a = np.zeros(space.mesh.n_vertices), np.zeros(len(space.free))
+    return [WaveState(t=t, u=np.asarray(u_list[k], dtype=float),
+                      v=np.asarray(v_list[k], dtype=float),
+                      f_h=zero_f if f_list is None else f_list[k], a=zero_a)
+            for k, t in enumerate(times)]
 
 
 def nodes_from(space, states):
@@ -138,11 +139,10 @@ class TestTimeSamples:
         # values scaled by 1/sqrt(m) turn the discrete H1/L2 norms into the
         # scalar-model payloads sqrt(A d2v^2 + (A d2u)^2) and
         # sqrt(A d2v^2 + d4u^2) exactly
-        acc = WaveEstimatorAccumulator(space, with_space=False)
-        for n, t in enumerate(grid.points):
-            acc.push(WaveState(t=t, u=space.field([traj.u[n] / np.sqrt(m)]),
-                               v=space.field([traj.v[n] / np.sqrt(m)]),
-                               f_h=space.zero_field("l2")))
+        acc = WaveEstimatorAccumulator(space)
+        for state in states_from(space, grid.points, traj.u[:, None] / np.sqrt(m),
+                                 traj.v[:, None] / np.sqrt(m)):
+            acc.push(state)
         rep = acc.report
         for wave, scalar in (
                 (rep.eta3_samples,
@@ -163,8 +163,8 @@ class TestTimeSamples:
 
 
 def _problem(sol):
-    u0, grad_u0, v0, grad_v0 = sol.initial_data()
-    return WaveProblem(f=sol.f, u0=u0, grad_u0=grad_u0, v0=v0, grad_v0=grad_v0, T=1.0)
+    grad_u0, grad_v0 = sol.initial_data()
+    return WaveProblem(f=sol.f, grad_u0=grad_u0, grad_v0=grad_v0, T=1.0)
 
 
 def scaled_jumps(space, full_values):
@@ -314,12 +314,13 @@ class TestSpaceEstimator:
             s0, s1, s2 = window
             tau_prev, tau = s1.t - s0.t, s2.t - s1.t
             central = tau_prev + tau
-            v_c = (s2.v.full() - s0.v.full()) / central
-            part1 = max(part1, np.sqrt(part(v_c - s1.f_h.full(), s1.u.full())))
-            d2v = ((s2.v.full() - s1.v.full()) / tau
-                   - (s1.v.full() - s0.v.full()) / tau_prev) / (central / 2)
-            f_c = (s2.f_h.full() - s0.f_h.full()) / central
-            u_c = (s2.u.full() - s0.u.full()) / central
+            full = space.full
+            v_c = (full(s2.v) - full(s0.v)) / central
+            part1 = max(part1, np.sqrt(part(v_c - s1.f_h, full(s1.u))))
+            d2v = ((full(s2.v) - full(s1.v)) / tau
+                   - (full(s1.v) - full(s0.v)) / tau_prev) / (central / 2)
+            f_c = (s2.f_h - s0.f_h) / central
+            u_c = (full(s2.u) - full(s0.u)) / central
             part2 += tau * np.sqrt(part(d2v - f_c, u_c))
         assert acc.part1_max == pytest.approx(part1, rel=1e-13)
         assert acc.part2_sum == pytest.approx(part2, rel=1e-13)
@@ -341,6 +342,19 @@ class TestAccumulator:
         assert len(rep.eta3_samples) == grid.n_steps  # initial + N-1 regular
         assert len(rep.eta5_samples) == grid.n_steps - 3
         assert rep.eta3_total > 0 and rep.eta5_total > 0 and rep.eta_space > 0
+
+    def test_rejects_non_increasing_times(self):
+        # the accumulator keeps its last three states in a plain deque; time
+        # order is enforced by the second differences' positive-step guard
+        space = FemSpace(generate_structured(2))
+        zeros = [np.zeros(len(space.free))] * 3
+        for times in ([0.0, 0.1, 0.1], [0.0, 0.0, 0.1], [0.0, 0.2, 0.1]):
+            acc = WaveEstimatorAccumulator(space)
+            states = states_from(space, times, zeros, zeros)
+            acc.push(states[0])
+            acc.push(states[1])
+            with pytest.raises(ValueError, match="steps must be positive"):
+                acc.push(states[2])
 
     def test_payload_form_selection(self):
         sol = gaussian_pulse()

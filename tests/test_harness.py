@@ -39,10 +39,10 @@ def einsum_energy_error(space, state, solution):
     """Oracle: the true-error quadrature as one einsum per norm, from the (t, x, y) callables."""
     t = state.t
     xy = space.quad_xy
-    v_h = np.einsum("tb,qb->tq", state.v.full()[space.mesh.triangles], space.rule.points)
+    v_h = np.einsum("tb,qb->tq", space.full(state.v)[space.mesh.triangles], space.rule.points)
     dv = v_h - solution.dudt(t, xy[:, :, 0], xy[:, :, 1])
     l2_sq = np.einsum("tq,q,t->", dv * dv, space.rule.weights, space.area)
-    grads = space.element_gradients(state.u.full())
+    grads = space.element_gradients(space.full(state.u))
     gx, gy = solution.grad_u(t, xy[:, :, 0], xy[:, :, 1])
     dx = grads[:, 0][:, None] - gx
     dy = grads[:, 1][:, None] - gy
@@ -221,10 +221,10 @@ def fresh_array_energy_error(space, state, exact):
     """Oracle: the true-error quadrature with fresh (triangles, points) arrays for every state."""
     dudt, (gx, gy) = exact(state.t)
     rule, area = space.rule, space.area
-    r = state.v.full()[space.mesh.triangles] @ rule.points.T
+    r = space.full(state.v)[space.mesh.triangles] @ rule.points.T
     np.square(np.subtract(r, dudt, out=r), out=r)
     err_sq = (r @ rule.weights) @ area
-    grads = space.element_gradients(state.u.full())
+    grads = space.element_gradients(space.full(state.u))
     for d, g in enumerate((gx, gy)):
         np.square(np.subtract(grads[:, d, None], g, out=r), out=r)
         err_sq += (r @ rule.weights) @ area
@@ -256,6 +256,19 @@ class TestWaveExperiment:
         assert row["e"] == 0.0
         assert row["eta_T"] == 0.0 and row["eta_T_hat"] == 0.0 and row["eta_S"] == 0.0
         assert np.isnan(row["ei"]) and np.isnan(row["ei_hat"])
+
+    def test_estimators_not_set_by_the_solver_tolerance(self):
+        # standing mode, n=8 diagonal, step ratio 100: the time estimators
+        # divide u and v by up to tau^2, so solver error divided by tau would
+        # show; at the default tol they match a tol = 1e-13 run within 1 %
+        rows = {}
+        for tol in (ExperimentConfig.tol, 1e-13):
+            cfg = ExperimentConfig(kind="wave", mesh_spec="structured:n=8:pattern=diagonal",
+                                   solution="mode", grid_rule="alt100", N=400, T=1.0, tol=tol)
+            rows[tol] = run_wave_experiment(cfg)[0]
+        default, tight = rows[ExperimentConfig.tol], rows[1e-13]
+        for col in ("eta_T", "eta_T_hat", "eta_S"):
+            assert default[col] == pytest.approx(tight[col], rel=0.01), col
 
     def test_zero_forcing_is_never_assembled(self, monkeypatch):
         # the standing mode marks its forcing as identically zero: no load is
@@ -366,12 +379,11 @@ class TestWaveExperiment:
         fine_mesh, prolong = refine_mesh_with_prolongation(mesh)
         fine_space = FemSpace(fine_mesh, quadrature_rule(5))
         from wavest.newmark import WaveState
-        fu = prolong @ state.u.full()
-        fv = prolong @ state.v.full()
-        fine_state = WaveState(t=state.t,
-                               u=fine_space.field(fu[fine_space.free]),
-                               v=fine_space.field(fv[fine_space.free]),
-                               f_h=fine_space.zero_field("l2"))
+        fu = prolong @ space.full(state.u)
+        fv = prolong @ space.full(state.v)
+        fine_state = WaveState(t=state.t, u=fu[fine_space.free], v=fv[fine_space.free],
+                               f_h=np.zeros(fine_mesh.n_vertices),
+                               a=np.zeros(len(fine_space.free)))
         oracle = wave_energy_error_at(fine_space, fine_state, bound(sol, fine_space))
         assert abs(err - oracle) / oracle < 1e-3
 
