@@ -40,12 +40,12 @@ def main():
             tau0=tau0,
             T=1.0,
         )
-        row, trace, report = run_wave_experiment(cfg)
+        row, trace, acc = run_wave_experiment(cfg)
         rows.append(row)
+        part1, part2 = acc.space_acc.parts
         print(f"h = {row['h']:.4f}: N_ts = {row['N_ts']}, e = {row['e']:.4f}, "
               f"eta_T = {row['eta_T']:.4f}, eta_T_hat = {row['eta_T_hat']:.4f}, "
-              f"eta_S = {row['eta_S']:.3f} "
-              f"(parts {report.space_part1:.3f} + {report.space_part2:.3f}), "
+              f"eta_S = {row['eta_S']:.3f} (parts {part1:.3f} + {part2:.3f}), "
               f"ei = {row['ei']:.2f}, ei_hat = {row['ei_hat']:.2f}")
     print()
     print(rows_to_csv(WAVE_COLUMNS, rows))

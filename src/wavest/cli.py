@@ -6,7 +6,8 @@ Usage:
     wavest ode  --config run.cfg --A 1000        # flags override the file
 
 Config files are line-oriented 'key = value' with the same keys as the
-flags (kind, A, N, grid, tau0, taustar, mesh, T, tol, payload, out, trace).
+flags (kind, A, N, grid, tau0, taustar, mesh, T, tol, out, trace), plus solution
+(the manufactured solution of a wave run: gaussian or mode).
 Exit code is 0 on success and 1 with a diagnostic on stderr otherwise.
 """
 
@@ -20,9 +21,6 @@ from .harness import (
     benchmark_estimators, parse_config_file, parse_mesh_spec, rows_to_csv,
     run_ode_experiment, run_wave_experiment, write_csv,
 )
-
-_PAYLOAD_NAMES = {"sqrt-squares": "rms", "paper-literal": "literal"}
-
 
 def build_parser():
     p = argparse.ArgumentParser(prog="wavest",
@@ -39,8 +37,6 @@ def build_parser():
     p.add_argument("--mesh", help="structured:n=K:pattern=diagonal|crisscross or file:PATH")
     p.add_argument("--T", type=float, help="final time")
     p.add_argument("--tol", type=float, help="linear solver tolerance")
-    p.add_argument("--payload", choices=tuple(_PAYLOAD_NAMES),
-                   help="estimator payload form")
     p.add_argument("--out", help="CSV output path for the result row")
     p.add_argument("--trace", help="CSV output path for the per-step trace")
     return p
@@ -53,8 +49,7 @@ def config_from_args(args) -> ExperimentConfig:
             raw = parse_config_file(fh.read())
         casts = {"A": float, "N": int, "tau0": float, "taustar": float,
                  "T": float, "tol": float}
-        keymap = {"grid": "grid_rule", "mesh": "mesh_spec", "payload": "payload_form",
-                  "kind": "kind", "out": "out", "trace": "trace"}
+        keymap = {"grid": "grid_rule", "mesh": "mesh_spec"}
         for key, value in raw.items():
             attr = keymap.get(key, key)
             if not hasattr(cfg, attr):
@@ -72,10 +67,6 @@ def config_from_args(args) -> ExperimentConfig:
         cfg.grid_rule = args.grid
     if args.mesh:
         cfg.mesh_spec = args.mesh
-    if args.payload:
-        cfg.payload_form = _PAYLOAD_NAMES[args.payload]
-    if cfg.payload_form in _PAYLOAD_NAMES:  # config files may use the flag spelling
-        cfg.payload_form = _PAYLOAD_NAMES[cfg.payload_form]
     return cfg
 
 

@@ -137,7 +137,7 @@ def assemble_stiffness(mesh) -> sp.csr_matrix:
 
 
 def solve_spd(matrix, rhs, tol=1e-10, max_iter=None, counter: Optional[SolveCounter] = None,
-              precond_diag=None, x0=None):
+              x0=None):
     """Jacobi-preconditioned conjugate gradients for SPD systems.
 
     Starts from ``x0`` (zero by default; the caller's array is not changed)
@@ -154,7 +154,7 @@ def solve_spd(matrix, rhs, tol=1e-10, max_iter=None, counter: Optional[SolveCoun
         if counter is not None:
             counter.record(0)
         return np.zeros(n)
-    d = matrix.diagonal() if precond_diag is None else precond_diag
+    d = matrix.diagonal()
     if np.any(d <= 0):
         raise SolverError("matrix diagonal is not positive", residual=np.inf)
     if x0 is None:

@@ -1,7 +1,10 @@
 """Experiment drivers: table rows, traces, true errors and the cost benchmark.
 
-Outputs are plain CSV with fixed headers and 6-significant-digit decimals so
-repeated runs of the same configuration are byte-identical.
+Both models end in one per-step trace (``step_trace``), built as columns from
+the estimators' running totals and the per-state true errors; each result
+row takes its totals from its trace's last entries.  Outputs are plain CSV
+with fixed headers and 6-significant-digit decimals so repeated runs of the
+same configuration are byte-identical.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ class ExperimentConfig:
     T: float = 1.0
     # numerics
     tol: float = 1e-10
-    payload_form: str = "rms"
     # outputs
     out: Optional[str] = None
     trace: Optional[str] = None
@@ -110,6 +112,9 @@ def _fmt(x):
 
 
 def rows_to_csv(columns, rows) -> str:
+    """CSV text of ``rows``: row dicts, or one mapping of columns (a trace)."""
+    if isinstance(rows, dict):
+        rows = [dict(zip(columns, values)) for values in zip(*(rows[c] for c in columns))]
     buf = io.StringIO()
     buf.write(",".join(columns) + "\n")
     for row in rows:
@@ -125,6 +130,20 @@ def write_csv(path, columns, rows):
 # -- scalar model -------------------------------------------------------------
 
 
+def step_trace(t, eta3_cum, eta5_cum, err):
+    """The per-step trace as columns over n = 0..N.
+
+    ``eta3_cum``/``eta5_cum`` are the running totals of the two time
+    estimators (entries n = 1..N and n = 4..N: the trace's eta_T_cum at n is
+    sum_{k<n} tau_k eta_T(t_k)), and ``err`` the true error at every t_n; the
+    trace carries its running maximum.
+    """
+    return {"n": np.arange(len(t)), "t": np.asarray(t),
+            "eta_T_cum": np.concatenate((np.zeros(1), eta3_cum)),
+            "eta_T_hat_cum": np.concatenate((np.zeros(4), eta5_cum)),
+            "err_max": np.maximum.accumulate(err)}
+
+
 def run_ode_experiment(config: ExperimentConfig):
     """One row of the scalar-model tables plus the per-step trace."""
     A = config.A
@@ -136,36 +155,15 @@ def run_ode_experiment(config: ExperimentConfig):
     grid = config.build_grid()
     traj = ode.solve_newmark_ode(problem, grid)
     fs = problem.f_samples(grid.points)
-    err = ode.ode_energy_error(traj, problem.exact, A)
-    eta3 = ode.eta3_ode_cumulative(traj, fs, A, grid.n_steps)
-    eta5 = ode.eta5_ode_cumulative(traj, A, grid.n_steps)
+    trace = step_trace(grid.points, ode.eta3_ode_cumulative(traj, fs, A),
+                       ode.eta5_ode_cumulative(traj, A),
+                       ode.ode_energy_error(traj, problem.exact, A))
+    eta3, eta5, err = (trace[c][-1] for c in ("eta_T_cum", "eta_T_hat_cum", "err_max"))
     row = {
         "A": A, "N": grid.n_steps, "eta_T": eta3, "eta_T_hat": eta5, "e": err,
         "ei_T": ode.effectivity(err, eta3), "ei_T_hat": ode.effectivity(err, eta5),
     }
-    trace = _ode_trace(problem, traj, fs)
     return row, trace
-
-
-def _ode_trace(problem, traj, fs):
-    grid = traj.grid
-    A = problem.A
-    u_exact, du_exact = problem.exact
-    err = np.sqrt((traj.v - du_exact(grid.points)) ** 2
-                  + A * (traj.u - u_exact(grid.points)) ** 2)
-    running = np.maximum.accumulate(err)
-    c3 = np.cumsum(ode.eta3_ode_samples(traj, fs, A))
-    c5 = np.cumsum(ode.eta5_ode_samples(traj, A))
-    rows = []
-    for n in range(grid.n_steps + 1):
-        rows.append({
-            "n": n,
-            "t": grid.points[n],
-            "eta_T_cum": c3[n - 1] if n >= 1 else 0.0,
-            "eta_T_hat_cum": c5[n - 4] if n >= 4 else 0.0,
-            "err_max": running[n],
-        })
-    return rows
 
 
 def run_ode_table(configs):
@@ -247,31 +245,26 @@ def run_wave_experiment(config: ExperimentConfig):
     space = FemSpace(mesh, quadrature_rule(5), tol=config.tol)
     exact = solution.bind(space.quad_xy[:, :, 0], space.quad_xy[:, :, 1])
     solver = NewmarkWaveSolver(problem, space)
-    acc = WaveEstimatorAccumulator(space, payload_form=config.payload_form)
+    acc = WaveEstimatorAccumulator(space)
     work = None
-    err_max = 0.0
-    trace = []
+    errors = np.empty(grid.n_steps + 1)
     for n, state in enumerate(solver.run(grid)):
         acc.push(state)
         if work is None:   # after the initial projections, whose temporaries are freed by now
             work = ErrorWork(space)
-        err_max = max(err_max, wave_energy_error_at(space, state, exact, work))
-        trace.append({
-            "n": n, "t": state.t,
-            "eta_T_cum": acc.eta3_total,
-            "eta_T_hat_cum": acc.eta5_total,
-            "err_max": err_max,
-        })
-    rep = acc.report
-    eta_s = rep.eta_space
+        errors[n] = wave_energy_error_at(space, state, exact, work)
+    inc3, inc5 = acc.increments()
+    trace = step_trace(grid.points, np.cumsum(inc3), np.cumsum(inc5), errors)
+    eta3, eta5, err_max = (trace[c][-1] for c in ("eta_T_cum", "eta_T_hat_cum", "err_max"))
+    eta_s = acc.space_acc.total
     row = {
         "h": mesh.h, "tau0": grid.steps[0],
-        "ei": (rep.eta3_total + eta_s) / err_max if err_max > 0 else float("nan"),
-        "ei_hat": (rep.eta5_total + eta_s) / err_max if err_max > 0 else float("nan"),
-        "eta_T": rep.eta3_total, "eta_T_hat": rep.eta5_total, "eta_S": eta_s,
+        "ei": (eta3 + eta_s) / err_max if err_max > 0 else float("nan"),
+        "ei_hat": (eta5 + eta_s) / err_max if err_max > 0 else float("nan"),
+        "eta_T": eta3, "eta_T_hat": eta5, "eta_S": eta_s,
         "tau_F": grid.tau_final, "N_ts": grid.n_steps, "e": err_max,
     }
-    return row, trace, rep
+    return row, trace, acc
 
 
 # -- estimator cost benchmark ---------------------------------------------------
@@ -284,14 +277,15 @@ class BenchmarkReport:
     eta3_seconds_per_step: float
     eta5_seconds_per_step: float
     eta3_aux_solves: int
-    eta5_aux_solves: int
 
     def to_rows(self):
+        # eta5_step takes no solver counter: it solves nothing (the tests
+        # count solve_spd calls around it)
         return [
             {"path": "eta3", "n_vertices": self.n_vertices, "steps": self.steps_timed,
              "seconds_per_step": self.eta3_seconds_per_step, "aux_solves": self.eta3_aux_solves},
             {"path": "eta5", "n_vertices": self.n_vertices, "steps": self.steps_timed,
-             "seconds_per_step": self.eta5_seconds_per_step, "aux_solves": self.eta5_aux_solves},
+             "seconds_per_step": self.eta5_seconds_per_step, "aux_solves": 0},
         ]
 
 
@@ -303,10 +297,11 @@ def benchmark_estimators(mesh=None, n_steps=8, warmup=2, tau=1e-3, repeats=3) ->
 
     Integration cost is excluded: the states and each node's second
     differences (shared by both paths) are built once, then each estimator
-    is evaluated per node as ``WaveEstimatorAccumulator.push`` calls it, with
-    its own solver counter, timing only the estimator work.  The reported
-    per-step time is the median over nodes of the best of ``repeats``
-    evaluations, which keeps one-off allocation spikes out of the comparison.
+    is evaluated per node as ``WaveEstimatorAccumulator.push`` calls it,
+    timing only the estimator work and counting the 3-point path's mass
+    solves.  The reported per-step time is the median over nodes of the best
+    of ``repeats`` evaluations, which keeps one-off allocation spikes out of
+    the comparison.
     """
     if mesh is None:
         mesh = generate_structured(100, "diagonal")
@@ -334,13 +329,12 @@ def benchmark_estimators(mesh=None, n_steps=8, warmup=2, tau=1e-3, repeats=3) ->
 
     c3 = SolveCounter()
     t3 = timed(lambda w: eta3_step(space, w[-1], counter=c3))
-    c5 = SolveCounter()
     t5 = timed(lambda w: eta5_step(space, w))
 
     return BenchmarkReport(
         n_vertices=mesh.n_vertices, steps_timed=n_steps,
         eta3_seconds_per_step=t3, eta5_seconds_per_step=t5,
-        eta3_aux_solves=c3.solves // repeats, eta5_aux_solves=c5.solves // repeats,
+        eta3_aux_solves=c3.solves // repeats,
     )
 
 

@@ -19,6 +19,12 @@ divide them again.  The wave stepper (``newmark``) advances the same triple
 with M and K in place of 1 and A, solving for a_{n+1} first; here that 1x1
 solve is the division above, and the tests check that a wave run with one
 free vertex follows this scheme.
+
+Both time estimators reduce to per-node payloads here; the time weights, the
+initial slab and the 5-point estimator's start at t_3 are the wave problem's
+(``stencils.eta3_increments``/``eta5_increments``).  The cumulative functions
+return running totals, one per step, from which the harness builds the
+per-step trace.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grids import TimeGrid
-from .stencils import hat_second_diff, hat_times, initial_weight, second_diff, step_weight
+from .stencils import (eta3_increments, eta5_increments, hat_second_diff, hat_times,
+                       second_diff)
 
 
 @dataclass(frozen=True)
@@ -91,13 +98,13 @@ def solve_newmark_ode(problem: OdeProblem, grid: TimeGrid) -> OdeTrajectory:
     return OdeTrajectory(grid=grid, u=u, v=v)
 
 
-def ode_energy_error(traj: OdeTrajectory, exact, A) -> float:
-    """max_n sqrt(|v_n - u'(t_n)|^2 + A |u_n - u(t_n)|^2)."""
+def ode_energy_error(traj: OdeTrajectory, exact, A) -> np.ndarray:
+    """sqrt(|v_n - u'(t_n)|^2 + A |u_n - u(t_n)|^2) at every grid point t_n."""
     u_exact, du_exact = exact
     t = traj.grid.points
     dv = traj.v - np.asarray(du_exact(t), dtype=float)
     du = traj.u - np.asarray(u_exact(t), dtype=float)
-    return float(np.max(np.sqrt(dv * dv + A * du * du)))
+    return np.sqrt(dv * dv + A * du * du)
 
 
 def effectivity(e, eta):
@@ -113,34 +120,25 @@ def _shifted(w):
 
 
 def eta3_ode_samples(traj: OdeTrajectory, f_samples, A) -> np.ndarray:
-    """Per-step contributions to the cumulative 3-point time estimator.
+    """Per-step increments tau_k eta_T(t_k), k = 0..N-1, of the 3-point time estimator.
 
-    Entry 0 is the initial-slab term with weight tau0*(5/12 tau0^2
-    + 1/2 tau0 tau1) applied to the k=1 payload; entry k (1 <= k <= N-1)
-    is tau_k*(1/12 tau_k^2 + 1/8 tau_{k-1} tau_k) * sqrt(A (d2_k v)^2
-    + (d2_k f - A d2_k u)^2).
+    The payload at an interior node t_k is sqrt(A (d2_k v)^2
+    + (d2_k f - A d2_k u)^2); ``stencils.eta3_increments`` weights it.
     """
     tau = traj.grid.steps
-    if traj.grid.n_steps < 2:
-        raise ValueError("the 3-point estimator needs at least 2 steps")
     steps = (tau[:-1], tau[1:])
     d2v = second_diff(_shifted(traj.v), steps)
     d2u = second_diff(_shifted(traj.u), steps)
     d2f = second_diff(_shifted(np.asarray(f_samples, dtype=float)), steps)
-    payload = np.sqrt(A * d2v ** 2 + (d2f - A * d2u) ** 2)
-    out = np.empty(traj.grid.n_steps)
-    out[0] = tau[0] * initial_weight(tau[0], tau[1]) * payload[0]
-    out[1:] = tau[1:] * step_weight(tau[1:], tau[:-1]) * payload
-    return out
+    return eta3_increments(tau, np.sqrt(A * d2v ** 2 + (d2f - A * d2u) ** 2))
 
 
 def eta5_ode_samples(traj: OdeTrajectory, A) -> np.ndarray:
-    """Per-step contributions to the cumulative 5-point time estimator.
+    """Per-step increments tau_k eta-hat_T(t_k), k = 3..N-1, of the 5-point time estimator.
 
-    Entry k-3 is tau_k*(1/12 tau_k^2 + 1/8 tau_{k-1} tau_k)
-    * sqrt(A (d2_k v)^2 + (d4_k u)^2) for k = 3..N-1, where d4_k u is the
-    staggered second difference of d2 u at nodes k-2, k-1, k; the estimator
-    has no contribution before the fourth node.
+    The payload at t_k is sqrt(A (d2_k v)^2 + (d4_k u)^2), where d4_k u is
+    the staggered second difference of d2 u at nodes k-2, k-1, k;
+    ``stencils.eta5_increments`` weights it.
     """
     tau = traj.grid.steps
     if traj.grid.n_steps < 4:
@@ -149,25 +147,14 @@ def eta5_ode_samples(traj: OdeTrajectory, A) -> np.ndarray:
     d2v = second_diff(_shifted(traj.v), steps)[2:]
     d2u = second_diff(_shifted(traj.u), steps)
     d4u = hat_second_diff(_shifted(d2u), _shifted(hat_times(traj.grid.points)))
-    payload = np.sqrt(A * d2v ** 2 + d4u ** 2)
-    return tau[3:] * step_weight(tau[3:], tau[2:-1]) * payload
+    return eta5_increments(tau, np.sqrt(A * d2v ** 2 + d4u ** 2))
 
 
-def eta3_ode_cumulative(traj: OdeTrajectory, f_samples, A, n) -> float:
-    """Cumulative 3-point estimator sum_{k=0}^{n-1} tau_k eta_T(t_k)."""
-    if n < 2:
-        raise ValueError("cumulative 3-point estimator needs n >= 2")
-    if n > traj.grid.n_steps:
-        raise ValueError("n exceeds the trajectory length")
-    samples = eta3_ode_samples(traj, f_samples, A)
-    return float(np.sum(samples[:n]))
+def eta3_ode_cumulative(traj: OdeTrajectory, f_samples, A) -> np.ndarray:
+    """Running totals sum_{k<n} tau_k eta_T(t_k) of the 3-point estimator, n = 1..N."""
+    return np.cumsum(eta3_ode_samples(traj, f_samples, A))
 
 
-def eta5_ode_cumulative(traj: OdeTrajectory, A, n) -> float:
-    """Cumulative 5-point estimator sum_{k=3}^{n-1} tau_k eta-hat_T(t_k)."""
-    if n < 4:
-        raise ValueError("cumulative 5-point estimator needs n >= 4")
-    if n > traj.grid.n_steps:
-        raise ValueError("n exceeds the trajectory length")
-    samples = eta5_ode_samples(traj, A)
-    return float(np.sum(samples[:n - 3]))
+def eta5_ode_cumulative(traj: OdeTrajectory, A) -> np.ndarray:
+    """Running totals sum_{k=3}^{n-1} tau_k eta-hat_T(t_k) of the 5-point estimator, n = 4..N."""
+    return np.cumsum(eta5_ode_samples(traj, A))

@@ -17,7 +17,9 @@ Conventions for a window ``w[0..m]`` with steps ``tau[k] = t[k+1] - t[k]``:
 * ``fourth_diff`` composes the two: it needs 5 values and 4 steps and on a
   uniform grid reduces to the classical (1, -4, 6, -4, 1) / tau^4 stencil,
 * ``step_weight`` and ``initial_weight`` are the time weights both time
-  estimators put on their per-node payloads.
+  estimators put on their per-node payloads; ``eta3_increments`` and
+  ``eta5_increments`` apply them, for the scalar model and the wave problem
+  alike.
 """
 
 from __future__ import annotations
@@ -110,6 +112,40 @@ def step_weight(tau_k, tau_km1):
 def initial_weight(tau0, tau1):
     """Weight 5/12 tau_0^2 + tau_1 tau_0/2 of the initial-slab term, which reuses the t_1 payload."""
     return 5.0 * tau0 ** 2 / 12.0 + tau1 * tau0 / 2.0
+
+
+def eta3_increments(tau, payload):
+    """Per-step increments tau_k eta_T(t_k), k = 0..N-1, of the 3-point time estimator.
+
+    ``tau`` holds the N steps and ``payload`` the estimator's payloads at the
+    interior nodes t_1..t_{N-1}.  Entry k >= 1 is tau_k step_weight * payload_k;
+    entry 0, the initial slab, puts the t_1 payload under ``initial_weight``.
+    """
+    tau = np.asarray(tau, dtype=float)
+    payload = np.asarray(payload, dtype=float)
+    if len(tau) < 2:
+        raise ValueError("the 3-point estimator needs at least 2 steps")
+    if len(payload) != len(tau) - 1:
+        raise ValueError("the 3-point estimator needs one payload per interior node")
+    out = np.empty(len(tau))
+    out[0] = tau[0] * initial_weight(tau[0], tau[1]) * payload[0]
+    out[1:] = tau[1:] * step_weight(tau[1:], tau[:-1]) * payload
+    return out
+
+
+def eta5_increments(tau, payload):
+    """Per-step increments tau_k eta-hat_T(t_k), k = 3..N-1, of the 5-point time estimator.
+
+    ``payload`` holds the payloads at t_3..t_{N-1}: the fourth difference
+    needs five time levels, so the estimator has no term before t_3.
+    """
+    tau = np.asarray(tau, dtype=float)
+    payload = np.asarray(payload, dtype=float)
+    if len(tau) < 4:
+        raise ValueError("the 5-point estimator needs at least 4 steps")
+    if len(payload) != len(tau) - 3:
+        raise ValueError("the 5-point estimator needs one payload per node from t_3 on")
+    return tau[3:] * step_weight(tau[3:], tau[2:-1]) * payload
 
 
 @dataclass(frozen=True)

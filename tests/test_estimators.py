@@ -38,12 +38,14 @@ class TestTimeSamples:
         times = [0.0, 0.1, 0.25, 0.4, 0.5]
         zeros = [np.zeros(nf)] * 5
         nodes = nodes_from(space, states_from(space, times, zeros, zeros))
-        assert eta3_step(space, nodes[-1]).value == 0.0
-        assert eta5_step(space, nodes).value == 0.0
+        assert eta3_step(space, nodes[-1]) == 0.0
+        assert eta5_step(space, nodes) == 0.0
         acc = WaveEstimatorAccumulator(space)
         for state in states_from(space, times, zeros, zeros):
             acc.push(state)
-        assert acc.report.eta3_samples[0].value == 0.0  # initial slab
+        inc3, inc5 = acc.increments()
+        assert inc3[0] == 0.0  # initial slab
+        assert not inc3.any() and not inc5.any()
 
     def test_stationary_solution_gives_zero_eta3(self):
         # u constant in time, v = 0 and f_h consistent with the stationary
@@ -54,7 +56,7 @@ class TestTimeSamples:
         f_full = RNG.normal(size=space.mesh.n_vertices)
         times = [0.0, 0.08, 0.2]
         states = states_from(space, times, [u] * 3, [np.zeros(nf)] * 3, [f_full] * 3)
-        assert eta3_step(space, node_diffs(space, states)).value <= 1e-12
+        assert eta3_step(space, node_diffs(space, states)) <= 1e-12
 
     def test_weights(self):
         assert step_weight(0.2, 0.1) == pytest.approx(0.2 ** 2 / 12 + 0.1 * 0.2 / 8)
@@ -70,14 +72,17 @@ class TestTimeSamples:
         acc = WaveEstimatorAccumulator(space)
         state = solver.initial_state()
         acc.push(state)
-        for tau in (0.01, 0.015):
+        for tau in (0.01, 0.015, 0.012, 0.02):
             state = solver.step(state, tau)
             acc.push(state)
-        s_init, s_reg = acc.report.eta3_samples
-        assert s_init.t == 0.0 and s_reg.t == pytest.approx(0.01)
-        assert s_init.weight == pytest.approx(initial_weight(0.01, 0.015), rel=1e-12)
-        assert s_init.value / s_init.weight == pytest.approx(
-            s_reg.value / s_reg.weight, rel=1e-12)
+        inc3, _ = acc.increments()
+        tau = np.diff(acc.times)
+        assert tau[:2] == pytest.approx([0.01, 0.015], rel=1e-12)
+        # the initial slab (entry 0) and the t_1 entry share the t_1 payload
+        payload = acc.eta3_payloads[0]
+        assert payload > 0
+        assert inc3[0] == tau[0] * initial_weight(tau[0], tau[1]) * payload
+        assert inc3[1] == tau[1] * step_weight(tau[1], tau[0]) * payload
 
     def test_eta3_counts_exactly_one_mass_solve(self):
         space = FemSpace(generate_structured(4))
@@ -143,12 +148,10 @@ class TestTimeSamples:
         for state in states_from(space, grid.points, traj.u[:, None] / np.sqrt(m),
                                  traj.v[:, None] / np.sqrt(m)):
             acc.push(state)
-        rep = acc.report
-        for wave, scalar in (
-                (rep.eta3_samples,
-                 eta3_ode_samples(traj, problem.f_samples(grid.points), lam) / grid.steps),
-                (rep.eta5_samples, eta5_ode_samples(traj, lam) / grid.steps[3:])):
-            np.testing.assert_allclose([s.value for s in wave], scalar, rtol=1e-10)
+        inc3, inc5 = acc.increments()
+        np.testing.assert_allclose(
+            inc3, eta3_ode_samples(traj, problem.f_samples(grid.points), lam), rtol=1e-10)
+        np.testing.assert_allclose(inc5, eta5_ode_samples(traj, lam), rtol=1e-10)
 
     def test_gaussian_anchor_order_of_magnitude(self):
         # coarse check against the published magnitude at (h=.05, tau0=.01)
@@ -327,7 +330,7 @@ class TestSpaceEstimator:
 
 
 class TestAccumulator:
-    def test_counts_and_totals(self):
+    def test_counts_and_totals(self, eta5_solves):
         sol = gaussian_pulse()
         space = FemSpace(generate_structured(6), tol=1e-10)
         solver = NewmarkWaveSolver(_problem(sol), space)
@@ -335,13 +338,14 @@ class TestAccumulator:
         acc = WaveEstimatorAccumulator(space)
         for state in solver.run(grid):
             acc.push(state)
-        rep = acc.report
-        # one auxiliary mass solve per interior node k = 1..N-1
-        assert rep.eta3_counter.solves == grid.n_steps - 1
-        assert rep.eta5_counter.solves == 0
-        assert len(rep.eta3_samples) == grid.n_steps  # initial + N-1 regular
-        assert len(rep.eta5_samples) == grid.n_steps - 3
-        assert rep.eta3_total > 0 and rep.eta5_total > 0 and rep.eta_space > 0
+        # one auxiliary mass solve per interior node k = 1..N-1, none on the
+        # 5-point path (k = 3..N-1)
+        assert acc.aux_counter.solves == grid.n_steps - 1
+        assert eta5_solves == [0] * (grid.n_steps - 3)
+        inc3, inc5 = acc.increments()
+        assert len(inc3) == grid.n_steps  # initial + N-1 regular
+        assert len(inc5) == grid.n_steps - 3
+        assert inc3.sum() > 0 and inc5.sum() > 0 and acc.space_acc.total > 0
 
     def test_rejects_non_increasing_times(self):
         # the accumulator keeps its last three states in a plain deque; time
@@ -355,17 +359,3 @@ class TestAccumulator:
             acc.push(states[1])
             with pytest.raises(ValueError, match="steps must be positive"):
                 acc.push(states[2])
-
-    def test_payload_form_selection(self):
-        sol = gaussian_pulse()
-        space = FemSpace(generate_structured(5), tol=1e-10)
-        totals = {}
-        for form in ("rms", "literal"):
-            solver = NewmarkWaveSolver(_problem(sol), space)
-            acc = WaveEstimatorAccumulator(space, payload_form=form)
-            for state in solver.run(uniform_grid(6, T=1.0)):
-                acc.push(state)
-            totals[form] = (acc.eta3_total, acc.eta5_total)
-        assert totals["rms"] != totals["literal"]
-        with pytest.raises(ValueError):
-            WaveEstimatorAccumulator(space, payload_form="bogus")

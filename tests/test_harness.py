@@ -14,6 +14,7 @@ from wavest.harness import (ODE_COLUMNS, TRACE_COLUMNS, WAVE_COLUMNS,
 from wavest.manufactured import gaussian_pulse, standing_mode
 from wavest.mesh import Mesh, generate_structured
 from wavest.newmark import NewmarkWaveSolver
+from wavest.ode import OdeProblem, eta3_ode_samples, solve_newmark_ode
 
 RNG = np.random.default_rng(5)
 
@@ -48,6 +49,19 @@ def einsum_energy_error(space, state, solution):
     dy = grads[:, 1][:, None] - gy
     h1_sq = np.einsum("tq,q,t->", dx * dx + dy * dy, space.rule.weights, space.area)
     return float(np.sqrt(l2_sq + h1_sq))
+
+
+def assert_row_is_trace_end(row, trace):
+    """A result row's totals are its trace's last entries, bit for bit."""
+    for col, key in (("eta_T", "eta_T_cum"), ("eta_T_hat", "eta_T_hat_cum"), ("e", "err_max")):
+        assert row[col] == trace[key][-1], col
+
+
+def cosine(A):
+    """The tables' scalar problem u'' + A u = 0, u = cos(sqrt(A) t)."""
+    w = np.sqrt(A)
+    return OdeProblem(A=A, f=None, u0=1.0, v0=0.0, T=1.0,
+                      exact=(lambda t: np.cos(w * t), lambda t: -w * np.sin(w * t)))
 
 
 class TestGrids:
@@ -201,15 +215,27 @@ class TestOdeExperiments:
         row, trace = run_ode_experiment(cfg)
         assert row["ei_T"] == pytest.approx(2.5, abs=0.1)
         assert row["ei_T_hat"] == pytest.approx(2.49, abs=0.01)
-        assert len(trace) == 1001
-        assert trace[-1]["eta_T_cum"] == pytest.approx(row["eta_T"], rel=1e-12)
+        assert set(trace) == set(TRACE_COLUMNS)
+        assert all(len(trace[c]) == 1001 for c in TRACE_COLUMNS)
+        assert_row_is_trace_end(row, trace)
 
     def test_trace_monotone(self):
         cfg = ExperimentConfig(kind="ode", A=100.0, N=180, grid_rule="alt10")
         _, trace = run_ode_experiment(cfg)
         for key in ("eta_T_cum", "eta_T_hat_cum", "err_max"):
-            vals = [r[key] for r in trace]
-            assert np.all(np.diff(vals) >= -1e-15)
+            assert np.all(np.diff(trace[key]) >= -1e-15)
+
+    def test_trace_starts_with_the_initial_slab(self):
+        # the trace's eta_T_cum at n is sum_{k<n} tau_k eta_T(t_k): the n = 1
+        # entry is the initial slab, and the 5-point sum starts at n = 4
+        cfg = ExperimentConfig(kind="ode", A=100.0, N=180, grid_rule="alt10")
+        _, trace = run_ode_experiment(cfg)
+        grid = cfg.build_grid()
+        traj = solve_newmark_ode(cosine(100.0), grid)
+        assert trace["eta_T_cum"][0] == 0.0
+        assert trace["eta_T_cum"][1] == eta3_ode_samples(traj, np.zeros(grid.n_steps + 1),
+                                                         100.0)[0] > 0
+        assert not trace["eta_T_hat_cum"][:4].any() and trace["eta_T_hat_cum"][4] > 0
 
     def test_run_ode_table(self):
         rows = run_ode_table([ExperimentConfig(kind="ode", A=100.0, N=n, grid_rule="uniform")
@@ -232,6 +258,20 @@ def fresh_array_energy_error(space, state, exact):
 
 
 class TestWaveExperiment:
+    def test_trace(self):
+        # rows end the trace; the n = 1 entry carries the initial slab, as
+        # the scalar trace's does, and the 5-point sum starts at n = 4
+        cfg = ExperimentConfig(kind="wave", mesh_spec="structured:n=6:pattern=crisscross",
+                               grid_rule="alt10", N=12)
+        row, trace, acc = run_wave_experiment(cfg)
+        assert all(len(trace[c]) == cfg.N + 1 for c in TRACE_COLUMNS)
+        assert_row_is_trace_end(row, trace)
+        inc3, inc5 = acc.increments()
+        np.testing.assert_array_equal(trace["eta_T_cum"], np.cumsum(np.r_[0.0, inc3]))
+        np.testing.assert_array_equal(trace["eta_T_hat_cum"], np.cumsum(np.r_[[0.0] * 4, inc5]))
+        assert trace["eta_T_cum"][0] == 0.0 and trace["eta_T_cum"][1] == inc3[0] > 0
+        assert np.all(np.diff(trace["err_max"]) >= 0) and trace["err_max"][0] > 0
+
     def test_zero_data_flags_undefined_effectivity(self):
         cfg = ExperimentConfig(kind="wave", solution="zero",
                                mesh_spec="structured:n=4:pattern=diagonal",
@@ -285,17 +325,18 @@ class TestWaveExperiment:
         assemble_load = FemSpace.assemble_load
         monkeypatch.setattr(FemSpace, "assemble_load",
                             lambda *a, **k: loads.append(1) or assemble_load(*a, **k))
-        _, _, skipped = run_wave_experiment(cfg)
+        skipped, _, skipped_acc = run_wave_experiment(cfg)
         assert loads == []
 
         get_solution = harness.get_solution
         monkeypatch.setattr(harness, "get_solution", lambda name: dataclasses.replace(
             get_solution(name), zero_forcing=False))
-        _, _, projected = run_wave_experiment(cfg)
+        projected, _, projected_acc = run_wave_experiment(cfg)
         assert len(loads) == cfg.N + 1
-        for key in ("eta3_total", "eta5_total", "space_part1", "space_part2"):
-            assert getattr(skipped, key) == getattr(projected, key), key
-        assert skipped.eta3_total > 0 and skipped.space_part1 > 0
+        for key in ("eta_T", "eta_T_hat"):
+            assert skipped[key] == projected[key], key
+        assert skipped_acc.space_acc.parts == projected_acc.space_acc.parts
+        assert skipped["eta_T"] > 0 and skipped_acc.space_acc.part1_max > 0
 
     def test_standing_mode_evaluates_no_callable_after_the_initial_data(self, monkeypatch):
         # the true error reads the solution bound once to the quadrature
@@ -321,7 +362,7 @@ class TestWaveExperiment:
                                grid_rule="alt10", N=12)
         row, trace, _ = run_wave_experiment(cfg)
         assert calls == [("grad_u", 0.0)]
-        assert len(trace) == cfg.N + 1 and row["e"] > 0
+        assert len(trace["err_max"]) == cfg.N + 1 and row["e"] > 0
 
     @pytest.mark.parametrize("make", [gaussian_pulse, standing_mode])
     def test_true_error_against_einsum_oracle(self, make):
@@ -535,18 +576,22 @@ class TestCli:
         assert code == 0
         assert out.read_text().splitlines()[0] == ",".join(WAVE_COLUMNS)
 
-    def test_payload_flag_spelling(self, capsys):
+    def test_payload_key_is_unknown(self, tmp_path, capsys):
+        # every payload is sqrt(a^2 + b^2) of its two norm terms: there is no
+        # payload form to choose
         from wavest.cli import main
-        code = main(["wave", "--mesh", "structured:n=4:pattern=diagonal",
-                     "--grid", "uniform", "--N", "5", "--payload", "paper-literal"])
-        assert code == 0
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("kind = ode\nA = 100\nN = 100\ngrid = uniform\npayload = rms\n")
+        assert main(["--config", str(cfgfile)]) == 1
+        assert capsys.readouterr().err == "wavest: error: unknown config key 'payload'\n"
 
 
 class TestBenchmark:
-    def test_counters_small_mesh(self):
+    def test_counters_small_mesh(self, eta5_solves):
         report = benchmark_estimators(mesh=generate_structured(12), n_steps=4, warmup=1)
         assert report.eta3_aux_solves == 4
-        assert report.eta5_aux_solves == 0
+        assert len(eta5_solves) == 1 + 4 * 3  # warm-up, then 3 repeats per node
+        assert sum(eta5_solves) == 0
         assert report.eta3_seconds_per_step > 0
         rows = report.to_rows()
         assert {r["path"] for r in rows} == {"eta3", "eta5"}

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from wavest.stencils import (LemmaCoefficients, bar_average, fourth_diff,
-                             hat_second_diff, hat_times, lemma_coefficients,
-                             quadratic_reconstruction, second_diff)
+from wavest.stencils import (LemmaCoefficients, bar_average, eta3_increments,
+                             eta5_increments, fourth_diff, hat_second_diff, hat_times,
+                             lemma_coefficients, quadratic_reconstruction, second_diff)
 
 RNG = np.random.default_rng(20240817)
 
@@ -124,6 +124,33 @@ class TestFourthDiff:
         t = np.arange(5) * 0.3
         w = [np.full(4, tk ** 4) for tk in t]
         np.testing.assert_allclose(fourth_diff(w, t), np.full(4, 24.0), rtol=1e-9)
+
+
+class TestIncrements:
+    def test_layout_and_loop_oracle(self):
+        # a loop over the weights of the paper: tau_0 (5/12 tau_0^2 + tau_1 tau_0 / 2)
+        # on the t_1 payload, then tau_k (tau_k^2 / 12 + tau_{k-1} tau_k / 8)
+        tau = random_steps(9)
+        p3, p5 = RNG.uniform(size=8), RNG.uniform(size=6)
+        inc3, inc5 = eta3_increments(tau, p3), eta5_increments(tau, p5)
+        assert (len(inc3), len(inc5)) == (9, 6)
+        assert inc3[0] == pytest.approx(
+            tau[0] * (5 * tau[0] ** 2 / 12 + tau[1] * tau[0] / 2) * p3[0], rel=1e-15)
+        for k in range(1, 9):
+            w = tau[k] * (tau[k] ** 2 / 12 + tau[k - 1] * tau[k] / 8)
+            assert inc3[k] == pytest.approx(w * p3[k - 1], rel=1e-15)
+            if k >= 3:
+                assert inc5[k - 3] == pytest.approx(w * p5[k - 3], rel=1e-15)
+
+    @pytest.mark.parametrize("n_steps, n3, n5", [(1, 0, 0), (3, 2, 0), (5, 3, 2), (5, 4, 1)])
+    def test_rejects_short_grids_and_wrong_payload_counts(self, n_steps, n3, n5):
+        tau = np.full(n_steps, 0.1)
+        if n_steps < 2 or n3 != n_steps - 1:
+            with pytest.raises(ValueError, match="3-point"):
+                eta3_increments(tau, np.ones(n3))
+        if n_steps < 4 or n5 != n_steps - 3:
+            with pytest.raises(ValueError, match="5-point"):
+                eta5_increments(tau, np.ones(n5))
 
 
 class TestLemmaCoefficients:
