@@ -14,6 +14,7 @@ Exit code is 0 on success and 1 with a diagnostic on stderr otherwise.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .harness import (
@@ -50,9 +51,10 @@ def config_from_args(args) -> ExperimentConfig:
         casts = {"A": float, "N": int, "tau0": float, "taustar": float,
                  "T": float, "tol": float}
         keymap = {"grid": "grid_rule", "mesh": "mesh_spec"}
+        known = {f.name for f in dataclasses.fields(cfg)}
         for key, value in raw.items():
             attr = keymap.get(key, key)
-            if not hasattr(cfg, attr):
+            if attr not in known:
                 raise ValueError(f"unknown config key {key!r}")
             cast = casts.get(key, str)
             setattr(cfg, attr, cast(value))

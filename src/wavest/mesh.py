@@ -187,6 +187,8 @@ def import_mesh(payload: str) -> Mesh:
         nv, nt = int(tokens[0]), int(tokens[1])
     except ValueError as exc:
         raise MeshError(f"malformed count line: {exc}") from exc
+    if nv < 0 or nt < 0:
+        raise MeshError("vertex and triangle counts must be non-negative")
     need = 2 + 3 * nv + 3 * nt
     if len(tokens) != need:
         raise MeshError(f"expected {need} whitespace-separated fields, found {len(tokens)}")
@@ -196,12 +198,17 @@ def import_mesh(payload: str) -> Mesh:
         raise MeshError(f"malformed vertex line: {exc}") from exc
     verts = body[:, :2]
     bflag = body[:, 2]
+    if not np.all(np.isfinite(verts)):
+        raise MeshError("vertex coordinates must be finite")
     if not np.all(np.isin(bflag, (0.0, 1.0))):
         raise MeshError("boundary flags must be 0 or 1")
     try:
         tris = np.asarray(tokens[2 + 3 * nv:], dtype=np.int64).reshape(nt, 3)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise MeshError(f"malformed triangle line: {exc}") from exc
+    # checked here because reorienting indexes the vertices before Mesh validates
+    if tris.min(initial=0) < 0 or tris.max(initial=-1) >= nv:
+        raise MeshError("triangle vertex index out of range")
 
     p0, p1, p2 = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
     signed = 0.5 * ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])

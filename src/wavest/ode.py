@@ -18,7 +18,10 @@ errors of u by the step size, and the estimators' high-order differences
 divide them again.  The wave stepper (``newmark``) advances the same triple
 with M and K in place of 1 and A, solving for a_{n+1} first; here that 1x1
 solve is the division above, and the tests check that a wave run with one
-free vertex follows this scheme.
+free vertex follows this scheme.  The march forms the step coefficients
+tau^2/4, 1 + A tau^2/4 and tau/2 once as arrays and then runs on Python
+floats, in the formula's order of operations, so u and v are bit-equal to
+the formula evaluated on numpy scalars at a fraction of the cost.
 
 Both time estimators reduce to per-node payloads here; the time weights, the
 initial slab and the 5-point estimator's start at t_3 are the wave problem's
@@ -79,22 +82,26 @@ def solve_newmark_ode(problem: OdeProblem, grid: TimeGrid) -> OdeTrajectory:
     """March the trapezoidal Newmark scheme over the grid."""
     if grid.n_steps < 1:
         raise ValueError("grid must contain at least one step")
-    t = grid.points
     tau = grid.steps
-    fs = problem.f_samples(t)
-    A = problem.A
-    n = grid.n_steps
-    u = np.empty(n + 1)
-    v = np.empty(n + 1)
-    a = np.empty(n + 1)
+    fs = problem.f_samples(grid.points)
+    A = float(problem.A)
+    u = np.empty(grid.n_steps + 1)
+    v = np.empty(grid.n_steps + 1)
     u[0] = problem.u0
     v[0] = problem.v0
-    a[0] = fs[0] - A * u[0]
-    for k in range(n):
-        s = tau[k]
-        u[k + 1] = (u[k] + s * v[k] + s * s / 4.0 * (a[k] + fs[k + 1])) / (1.0 + A * s * s / 4.0)
-        a[k + 1] = fs[k + 1] - A * u[k + 1]
-        v[k + 1] = v[k] + s / 2.0 * (a[k] + a[k + 1])
+    uk, vk = float(u[0]), float(v[0])
+    ak = float(fs[0] - A * u[0])
+    # the step coefficients in the formula's evaluation order; the march runs on floats
+    coefs = (tau * tau / 4.0, 1.0 + A * tau * tau / 4.0, tau / 2.0)
+    u_out, v_out = memoryview(u), memoryview(v)
+    steps = zip(memoryview(tau), *map(memoryview, coefs), memoryview(fs)[1:])
+    for k, (s, s2, denom, half, f) in enumerate(steps, 1):
+        uk = (uk + s * vk + s2 * (ak + f)) / denom
+        a_next = f - A * uk
+        vk = vk + half * (ak + a_next)
+        ak = a_next
+        u_out[k] = uk
+        v_out[k] = vk
     return OdeTrajectory(grid=grid, u=u, v=v)
 
 

@@ -585,6 +585,13 @@ class TestCli:
         assert main(["--config", str(cfgfile)]) == 1
         assert capsys.readouterr().err == "wavest: error: unknown config key 'payload'\n"
 
+    def test_method_name_is_not_a_config_key(self, tmp_path, capsys):
+        from wavest.cli import main
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("kind = ode\nA = 100\nN = 100\nbuild_grid = x\n")
+        assert main(["--config", str(cfgfile)]) == 1
+        assert capsys.readouterr().err == "wavest: error: unknown config key 'build_grid'\n"
+
 
 class TestBenchmark:
     def test_counters_small_mesh(self, eta5_solves):

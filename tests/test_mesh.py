@@ -1,5 +1,7 @@
 """Mesh construction, edge adjacency and the text import format."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,3 +233,56 @@ class TestImport:
     def test_min_angle_metadata(self):
         m = generate_structured(2)
         assert m.min_angle == pytest.approx(np.pi / 4, rel=1e-12)
+
+    def test_triangle_index_out_of_range_rejected(self):
+        for bad in ("5", "-4"):
+            payload = f"3 1\n0 0 1\n1 0 1\n0 1 1\n0 1 {bad}\n"
+            with pytest.raises(MeshError, match="out of range"):
+                import_mesh(payload)
+        # an index past int64 fails while parsing
+        with pytest.raises(MeshError, match="malformed triangle line"):
+            import_mesh("3 1\n0 0 1\n1 0 1\n0 1 1\n0 1 99999999999999999999\n")
+
+    def test_negative_counts_rejected(self):
+        with pytest.raises(MeshError, match="non-negative"):
+            import_mesh("-1 1\n")
+
+    def test_non_finite_coordinate_rejected(self):
+        for bad in ("nan", "inf", "-inf"):
+            payload = f"3 1\n0 0 1\n1 0 1\n0 {bad} 1\n0 1 2\n"
+            with pytest.raises(MeshError, match="finite"):
+                import_mesh(payload)
+
+
+# replacement tokens: non-finite and huge numbers, indices on both sides of the
+# vertex range, fractions and words
+MUTANT_TOKENS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e300", "0.5", "-0", "x", "",
+                     "99999999999999999999"]),
+    st.integers(-12, 12).map(str))
+
+
+@settings(max_examples=300)
+@given(data=st.data(), pattern=st.sampled_from(["diagonal", "crisscross"]))
+def test_mutated_payload_raises_only_mesh_error(data, pattern):
+    # a mutated payload is rejected with MeshError or parses to a valid mesh
+    mesh = generate_structured(2, pattern)
+    tokens = format_mesh(mesh).split()
+    nv3 = 2 + 3 * mesh.n_vertices
+    sections = (range(0, 2), range(2, nv3), range(nv3, len(tokens)))  # counts, vertices, triangles
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = min(data.draw(st.sampled_from(data.draw(st.sampled_from(sections)))), len(tokens) - 1)
+        edit = data.draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        if edit == "replace":
+            tokens[i] = data.draw(MUTANT_TOKENS)
+        elif edit == "delete":
+            del tokens[i]
+        else:
+            tokens.insert(i, tokens[i])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            mutant = import_mesh(" ".join(tokens))
+        except MeshError:
+            return
+    assert np.all(np.isfinite(mutant.vertices)) and np.all(mutant.areas > 0)

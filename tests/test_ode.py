@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wavest.grids import TimeGrid, alternating_grid, uniform_grid
+from wavest.grids import TimeGrid, alternating_grid, build_grid, uniform_grid
 from wavest.ode import (OdeProblem, effectivity, eta3_ode_cumulative,
                         eta3_ode_samples, eta5_ode_cumulative, eta5_ode_samples,
                         ode_energy_error, solve_newmark_ode)
@@ -17,7 +19,56 @@ def cosine_problem(A):
                       exact=(lambda t: np.cos(w * t), lambda t: -w * np.sin(w * t)))
 
 
+def reference_newmark(problem, grid):
+    """Per-index oracle of solve_newmark_ode: the same formula on numpy scalars."""
+    tau = grid.steps
+    fs = problem.f_samples(grid.points)
+    A = problem.A
+    n = grid.n_steps
+    u, v, a = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
+    u[0] = problem.u0
+    v[0] = problem.v0
+    a[0] = fs[0] - A * u[0]
+    for k in range(n):
+        s = tau[k]
+        u[k + 1] = (u[k] + s * v[k] + s * s / 4.0 * (a[k] + fs[k + 1])) / (1.0 + A * s * s / 4.0)
+        a[k + 1] = fs[k + 1] - A * u[k + 1]
+        v[k + 1] = v[k] + s / 2.0 * (a[k] + a[k + 1])
+    return u, v
+
+
 class TestSolver:
+    @pytest.mark.parametrize("rule,N", [("uniform", 1000), ("alt10", 1816), ("alt100", 1978)])
+    @pytest.mark.parametrize("A", [100.0, 10000.0])
+    def test_bit_equal_to_numpy_scalar_loop(self, rule, N, A):
+        problem = cosine_problem(A)
+        grid = build_grid(rule, 1.0, N=N)
+        u, v = reference_newmark(problem, grid)
+        traj = solve_newmark_ode(problem, grid)
+        assert np.array_equal(traj.u, u) and np.array_equal(traj.v, v)
+
+    @pytest.mark.parametrize("A", [50.0, 7])
+    def test_bit_equal_to_numpy_scalar_loop_forced(self, A):
+        # a forced problem, and an integer A
+        problem = OdeProblem(A=A, f=np.cos, u0=0.3, v0=-1.0, T=1.0)
+        grid = build_grid("alt100", 1.0, N=196)
+        u, v = reference_newmark(problem, grid)
+        traj = solve_newmark_ode(problem, grid)
+        assert np.array_equal(traj.u, u) and np.array_equal(traj.v, v)
+
+    @settings(max_examples=60)
+    @given(steps=st.lists(st.floats(1.0, 100.0), min_size=1, max_size=300),
+           A=st.floats(1.0, 1e4), v0=st.floats(-100.0, 100.0))
+    def test_discrete_energy_conserved_without_forcing(self, steps, A, v0):
+        # the trapezoidal scheme keeps v_n^2 + A u_n^2 up to rounding, on
+        # grids whose neighbouring steps differ by up to a factor 100
+        steps = np.asarray(steps)
+        grid = TimeGrid(np.concatenate(([0.0], np.cumsum(steps / steps.sum()))))
+        traj = solve_newmark_ode(OdeProblem(A=A, f=None, u0=1.0, v0=v0, T=1.0), grid)
+        energy = traj.v ** 2 + A * traj.u ** 2
+        n = np.arange(len(energy))
+        assert np.all(np.abs(energy - energy[0]) <= 1e-13 * n * energy[0])
+
     def test_first_step_hand_value(self):
         grid = TimeGrid(np.array([0.0, 0.1, 0.2]))
         traj = solve_newmark_ode(OdeProblem(A=1.0, f=None, u0=1.0, v0=0.0, T=0.2), grid)
