@@ -25,7 +25,7 @@ from wavest.harness import (ExperimentConfig, TRACE_COLUMNS, rows_to_csv,
 
 
 def main():
-    cfg = ExperimentConfig(kind="ode", A=100.0, N=180, grid_rule="alt10")
+    cfg = ExperimentConfig(kind="ode", A=100.0, N=180, grid="alt10")
     row, trace = run_ode_experiment(cfg)
     sys.stdout.write(rows_to_csv(TRACE_COLUMNS, trace))
     print(f"# final: eta_T={row['eta_T']:.4g} eta_T_hat={row['eta_T_hat']:.4g} "

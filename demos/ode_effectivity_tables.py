@@ -22,7 +22,7 @@ Things to observe in the output:
 Run:  python demos/ode_effectivity_tables.py
 """
 
-from wavest.harness import ExperimentConfig, ODE_COLUMNS, rows_to_csv, run_ode_table
+from wavest.harness import ExperimentConfig, ODE_COLUMNS, rows_to_csv, run_ode_experiment
 
 SWEEPS = {
     "uniform steps": ("uniform", [100, 1000, 10000]),
@@ -33,9 +33,8 @@ SWEEPS = {
 
 def main():
     for title, (rule, sizes) in SWEEPS.items():
-        configs = [ExperimentConfig(kind="ode", A=A, N=n, grid_rule=rule)
-                   for A in (100.0, 1000.0, 10000.0) for n in sizes]
-        rows = run_ode_table(configs)
+        rows = [run_ode_experiment(ExperimentConfig(kind="ode", A=A, N=n, grid=rule))[0]
+                for A in (100.0, 1000.0, 10000.0) for n in sizes]
         print(f"== {title} ==")
         print(rows_to_csv(ODE_COLUMNS, rows))
 

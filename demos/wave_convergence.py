@@ -35,8 +35,8 @@ def main():
         tau0 = 0.12 * np.sqrt(1.0 / n)
         cfg = ExperimentConfig(
             kind="wave",
-            mesh_spec=f"structured:n={n}:pattern=crisscross",
-            grid_rule="decay",
+            mesh=f"structured:n={n}:pattern=crisscross",
+            grid="decay",
             tau0=tau0,
             T=1.0,
         )

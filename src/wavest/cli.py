@@ -5,10 +5,12 @@ Usage:
     wavest wave --mesh structured:n=14:pattern=diagonal --grid decay --tau0 0.0141
     wavest ode  --config run.cfg --A 1000        # flags override the file
 
-Config files are line-oriented 'key = value' with the same keys as the
-flags (kind, A, N, grid, tau0, taustar, mesh, T, tol, out, trace), plus solution
-(the manufactured solution of a wave run: gaussian or mode).
-Exit code is 0 on success and 1 with a diagnostic on stderr otherwise.
+Config files are line-oriented 'key = value'.  Their keys are the fields of
+``ExperimentConfig``: exactly the flag names (kind, A, N, grid, tau0, taustar,
+mesh, T, tol, out, trace) plus solution (the manufactured solution of a wave
+run: gaussian or mode); any other key is an error.  Every flag given
+overrides the file.  Exit code is 0 on success and 1 with a diagnostic on
+stderr otherwise.
 """
 
 from __future__ import annotations
@@ -43,32 +45,23 @@ def build_parser():
     return p
 
 
+# config-file values are strings: the numeric fields' casts (the others stay strings)
+CASTS = {"A": float, "N": int, "tau0": float, "taustar": float, "T": float, "tol": float}
+
+
 def config_from_args(args) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if args.config:
         with open(args.config, "r", encoding="ascii") as fh:
             raw = parse_config_file(fh.read())
-        casts = {"A": float, "N": int, "tau0": float, "taustar": float,
-                 "T": float, "tol": float}
-        keymap = {"grid": "grid_rule", "mesh": "mesh_spec"}
         known = {f.name for f in dataclasses.fields(cfg)}
         for key, value in raw.items():
-            attr = keymap.get(key, key)
-            if attr not in known:
+            if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
-            cast = casts.get(key, str)
-            setattr(cfg, attr, cast(value))
-    if args.kind:
-        cfg.kind = args.kind
-    for flag, attr in (("A", "A"), ("N", "N"), ("tau0", "tau0"), ("taustar", "taustar"),
-                       ("T", "T"), ("tol", "tol"), ("out", "out"), ("trace", "trace")):
-        value = getattr(args, flag)
-        if value is not None:
-            setattr(cfg, attr, value)
-    if args.grid:
-        cfg.grid_rule = args.grid
-    if args.mesh:
-        cfg.mesh_spec = args.mesh
+            setattr(cfg, key, CASTS.get(key, str)(value))
+    for key, value in vars(args).items():
+        if key != "config" and value is not None:
+            setattr(cfg, key, value)
     return cfg
 
 
@@ -94,9 +87,7 @@ def main(argv=None) -> int:
             if cfg.trace:
                 write_csv(cfg.trace, TRACE_COLUMNS, trace)
         elif cfg.kind == "bench":
-            mesh = parse_mesh_spec(cfg.mesh_spec)
-            report = benchmark_estimators(mesh=mesh)
-            _emit(BENCH_COLUMNS, report.to_rows(), cfg.out)
+            _emit(BENCH_COLUMNS, benchmark_estimators(parse_mesh_spec(cfg.mesh)), cfg.out)
         else:
             raise ValueError("give an experiment kind: ode, wave or bench")
     except Exception as exc:

@@ -100,9 +100,9 @@ class SpaceEstimatorAccumulator:
     """
 
     space: FemSpace
-    part1_max: float = 0.0
-    part2_sum: float = 0.0
-    samples: int = 0
+    part1_max: float = field(init=False, default=0.0)
+    part2_sum: float = field(init=False, default=0.0)
+    samples: int = field(init=False, default=0)
     jump: sp.csr_matrix = field(init=False, repr=False)  # (interior edges, vertices)
 
     def __post_init__(self):

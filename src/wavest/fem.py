@@ -114,10 +114,9 @@ def _triangle_geometry(mesh):
 
 def assemble_mass(mesh) -> sp.csr_matrix:
     """Full-vertex mass matrix, entries integral(phi_i phi_j)."""
-    _, area = _triangle_geometry(mesh)
     local = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 12.0
     nt = mesh.n_triangles
-    data = (local[None, :, :] * area[:, None, None]).reshape(nt, 9)
+    data = (local[None, :, :] * mesh.areas[:, None, None]).reshape(nt, 9)
     rows = np.repeat(mesh.triangles, 3, axis=1).reshape(nt, 9)
     cols = np.tile(mesh.triangles, 3).reshape(nt, 9)
     n = mesh.n_vertices
@@ -229,12 +228,12 @@ class FemSpace:
 
     # -- projections and operators ----------------------------------------
 
-    def l2_project(self, g: Callable, counter=None) -> np.ndarray:
+    def l2_project(self, g: Callable) -> np.ndarray:
         """L2 projection onto the full P1 space (no boundary condition), on all vertices."""
         b = self.assemble_load(g)
-        return solve_spd(self.mass, b, tol=self.tol, counter=counter)
+        return solve_spd(self.mass, b, tol=self.tol)
 
-    def h1_project(self, grad_g: Callable, counter=None) -> np.ndarray:
+    def h1_project(self, grad_g: Callable) -> np.ndarray:
         """H1_0-orthogonal projection from the gradient of the target, on the free vertices.
 
         grad_g(x, y) returns the two gradient components; the projection
@@ -248,7 +247,7 @@ class FemSpace:
         contrib = np.einsum("tq,q,tb,t->tb", gx, self.rule.weights, self.grads[:, :, 0], self.area) \
             + np.einsum("tq,q,tb,t->tb", gy, self.rule.weights, self.grads[:, :, 1], self.area)
         rhs = self._scatter(contrib)
-        return solve_spd(self.stiffness_ff, rhs[self.free], tol=self.tol, counter=counter)
+        return solve_spd(self.stiffness_ff, rhs[self.free], tol=self.tol)
 
     def apply_discrete_laplacian(self, w, counter=None) -> np.ndarray:
         """z in V_h with (z, phi) = (grad w, grad phi) for all phi in V_h; free vertices."""

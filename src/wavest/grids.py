@@ -1,4 +1,8 @@
-"""Time grid construction: uniform, alternating, and decaying step rules."""
+"""Time grid construction: uniform, alternating, and decaying step rules.
+
+The decaying rule caps its step multiplier 1/sqrt(t_n) at ``DECAY_CAP``
+(the literal rule does not cap it).
+"""
 
 from __future__ import annotations
 
@@ -10,6 +14,9 @@ import numpy as np
 # a final step below this fraction of the step before it is warned about: the
 # time estimators divide the solver noise of that step by its square
 SLIVER_RATIO = 1e-3
+
+# largest step multiplier of the capped decaying rule
+DECAY_CAP = 10.0
 
 
 @dataclass(frozen=True)
@@ -103,12 +110,12 @@ def alternating_grid(n_steps=None, T=1.0, small=0.1, taustar=None):
     return TimeGrid(pts, rule=f"alternating(small={small})")
 
 
-def decaying_grid(tau0, T=1.0, cap=10.0, literal=False):
+def decaying_grid(tau0, T=1.0, literal=False):
     """Decaying step rule tau_n = tau0 / sqrt(t_n), starting with t1 = tau0.
 
     The literal rule jumps from tau0 to tau0/sqrt(tau0) at the second step;
-    by default the multiplier is capped (at ``cap``) and the final step is
-    truncated so the grid lands exactly on T.  Pass ``literal=True`` for the
+    by default the multiplier is capped at ``DECAY_CAP`` and the final step
+    is truncated so the grid lands exactly on T.  Pass ``literal=True`` for the
     uncapped variant.
     """
     if tau0 <= 0 or tau0 >= T:
@@ -118,13 +125,13 @@ def decaying_grid(tau0, T=1.0, cap=10.0, literal=False):
         t = pts[-1]
         mult = t ** -0.5
         if not literal:
-            mult = min(cap, mult)
+            mult = min(DECAY_CAP, mult)
         step = tau0 * mult
         if step <= 0:
             raise ValueError("decay rule produced a non-positive step")
         pts.append(min(t + step, T))
     pts[-1] = T
-    name = "decay-literal" if literal else f"decay(cap={cap:g})"
+    name = "decay-literal" if literal else f"decay(cap={DECAY_CAP:g})"
     return TimeGrid(np.asarray(pts), rule=f"{name}, tau0={tau0:g}")
 
 

@@ -5,13 +5,17 @@ the estimators' running totals and the per-state true errors; each result
 row takes its totals from its trace's last entries.  Outputs are plain CSV
 with fixed headers and 6-significant-digit decimals so repeated runs of the
 same configuration are byte-identical.
+
+The cost benchmark's settings are module constants: ``BENCH_STEPS`` timed
+nodes after ``BENCH_WARMUP`` untimed ones, steps of ``BENCH_TAU``, and the
+best of ``BENCH_REPEATS`` evaluations per node.
 """
 
 from __future__ import annotations
 
 import io
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -41,10 +45,10 @@ class ExperimentConfig:
     # ode parameters
     A: float = 100.0
     # wave parameters
-    mesh_spec: str = "structured:n=14:pattern=diagonal"
+    mesh: str = "structured:n=14:pattern=diagonal"
     solution: str = "gaussian"
     # grid
-    grid_rule: str = "uniform"
+    grid: str = "uniform"
     N: Optional[int] = None
     tau0: Optional[float] = None
     taustar: Optional[float] = None
@@ -56,11 +60,8 @@ class ExperimentConfig:
     trace: Optional[str] = None
 
     def build_grid(self) -> TimeGrid:
-        return build_grid(self.grid_rule, self.T, N=self.N, tau0=self.tau0,
+        return build_grid(self.grid, self.T, N=self.N, tau0=self.tau0,
                           taustar=self.taustar)
-
-    def build_mesh(self):
-        return parse_mesh_spec(self.mesh_spec)
 
 
 def parse_mesh_spec(spec: str):
@@ -166,11 +167,6 @@ def run_ode_experiment(config: ExperimentConfig):
     return row, trace
 
 
-def run_ode_table(configs):
-    """Rows for a list of scalar-model configurations."""
-    return [run_ode_experiment(c)[0] for c in configs]
-
-
 # -- wave problem -------------------------------------------------------------
 
 
@@ -208,30 +204,29 @@ class ErrorWork:
         self.per_tri = np.empty(nt)                  # a gradient component, then an integral
 
 
-def wave_energy_error_at(space: FemSpace, state, exact, work: Optional[ErrorWork] = None) -> float:
+def wave_energy_error_at(space: FemSpace, state, exact, work: ErrorWork) -> float:
     """Energy-norm error of one state against the exact solution (quadrature).
 
     ``exact`` is a solution bound to ``space.quad_xy`` (``ManufacturedSolution.bind``):
     it maps t to du/dt and (du/dx, du/dy) at the quadrature points.  ``work``
-    holds the buffers of a run (a fresh set by default).
+    holds the buffers of a run.
     """
     dudt, (gx, gy) = exact(state.t)
     rule, area, tris = space.rule, space.area, space.mesh.triangles
-    w = work if work is not None else ErrorWork(space)
     # P1 values at the quadrature points: nodal values times the barycentric
     # coordinates of the rule; one (triangles, points) buffer holds each
     # squared residual in turn
-    w.full[space.free] = state.v
-    r = np.matmul(np.take(w.full, tris, out=w.nodal), rule.points.T, out=w.resid)
+    work.full[space.free] = state.v
+    r = np.matmul(np.take(work.full, tris, out=work.nodal), rule.points.T, out=work.resid)
     np.square(np.subtract(r, dudt, out=r), out=r)
-    err_sq = np.matmul(r, rule.weights, out=w.per_tri) @ area
-    w.full[space.free] = state.u
-    np.take(w.full, tris, out=w.nodal)
+    err_sq = np.matmul(r, rule.weights, out=work.per_tri) @ area
+    work.full[space.free] = state.u
+    np.take(work.full, tris, out=work.nodal)
     for d, g in enumerate((gx, gy)):
         # component d of the constant gradient on each triangle
-        grad = np.einsum("tb,tb->t", w.nodal, space.grads[:, :, d], out=w.per_tri)
+        grad = np.einsum("tb,tb->t", work.nodal, space.grads[:, :, d], out=work.per_tri)
         np.square(np.subtract(grad[:, None], g, out=r), out=r)
-        err_sq += np.matmul(r, rule.weights, out=w.per_tri) @ area
+        err_sq += np.matmul(r, rule.weights, out=work.per_tri) @ area
     return float(np.sqrt(err_sq))
 
 
@@ -240,7 +235,7 @@ def run_wave_experiment(config: ExperimentConfig):
     solution = get_solution(config.solution)
     problem = wave_problem_from(solution, config.T)
     grid = config.build_grid()
-    mesh = config.build_mesh()
+    mesh = parse_mesh_spec(config.mesh)
     _check_boundary_trace(solution, mesh, grid.points)
     space = FemSpace(mesh, quadrature_rule(5), tol=config.tol)
     exact = solution.bind(space.quad_xy[:, :, 0], space.quad_xy[:, :, 1])
@@ -270,72 +265,58 @@ def run_wave_experiment(config: ExperimentConfig):
 # -- estimator cost benchmark ---------------------------------------------------
 
 
-@dataclass
-class BenchmarkReport:
-    n_vertices: int
-    steps_timed: int
-    eta3_seconds_per_step: float
-    eta5_seconds_per_step: float
-    eta3_aux_solves: int
-
-    def to_rows(self):
-        # eta5_step takes no solver counter: it solves nothing (the tests
-        # count solve_spd calls around it)
-        return [
-            {"path": "eta3", "n_vertices": self.n_vertices, "steps": self.steps_timed,
-             "seconds_per_step": self.eta3_seconds_per_step, "aux_solves": self.eta3_aux_solves},
-            {"path": "eta5", "n_vertices": self.n_vertices, "steps": self.steps_timed,
-             "seconds_per_step": self.eta5_seconds_per_step, "aux_solves": 0},
-        ]
-
-
 BENCH_COLUMNS = ("path", "n_vertices", "steps", "seconds_per_step", "aux_solves")
+BENCH_STEPS = 8      # interior nodes timed
+BENCH_WARMUP = 2     # nodes evaluated untimed first
+BENCH_TAU = 1e-3     # step of the prepared states
+BENCH_REPEATS = 3    # evaluations per node; the best counts
 
 
-def benchmark_estimators(mesh=None, n_steps=8, warmup=2, tau=1e-3, repeats=3) -> BenchmarkReport:
-    """Per-step cost of the two estimator paths at prepared interior nodes.
+def benchmark_estimators(mesh):
+    """Per-step cost of both estimator paths at prepared interior nodes, as two rows.
 
     Integration cost is excluded: the states and each node's second
     differences (shared by both paths) are built once, then each estimator
     is evaluated per node as ``WaveEstimatorAccumulator.push`` calls it,
     timing only the estimator work and counting the 3-point path's mass
     solves.  The reported per-step time is the median over nodes of the best
-    of ``repeats`` evaluations, which keeps one-off allocation spikes out of
-    the comparison.
+    of ``BENCH_REPEATS`` evaluations, which keeps one-off allocation spikes
+    out of the comparison.  Returns the ``BENCH_COLUMNS`` rows of the paths.
     """
-    if mesh is None:
-        mesh = generate_structured(100, "diagonal")
     problem = wave_problem_from(get_solution("mode"), T=1.0)
     space = FemSpace(mesh, quadrature_rule(2))
     solver = NewmarkWaveSolver(problem, space)
     state = solver.initial_state()
     states = [state]
-    for _ in range(4 + n_steps):
-        state = solver.step(state, tau)
+    for _ in range(4 + BENCH_STEPS):
+        state = solver.step(state, BENCH_TAU)
         states.append(state)
     nodes = [node_diffs(space, states[k:k + 3]) for k in range(len(states) - 2)]
-    windows = [nodes[k:k + 3] for k in range(n_steps)]  # the last three nodes, as push holds them
+    # the last three nodes, as push holds them
+    windows = [nodes[k:k + 3] for k in range(BENCH_STEPS)]
 
-    for w in windows[:warmup]:
+    for w in windows[:BENCH_WARMUP]:
         eta3_step(space, w[-1], counter=None)
         eta5_step(space, w)
 
     def timed(fn):
         per_window = []
         for w in windows:
-            best = min(_time_once(fn, w) for _ in range(repeats))
+            best = min(_time_once(fn, w) for _ in range(BENCH_REPEATS))
             per_window.append(best)
         return float(np.median(per_window))
 
     c3 = SolveCounter()
     t3 = timed(lambda w: eta3_step(space, w[-1], counter=c3))
     t5 = timed(lambda w: eta5_step(space, w))
-
-    return BenchmarkReport(
-        n_vertices=mesh.n_vertices, steps_timed=n_steps,
-        eta3_seconds_per_step=t3, eta5_seconds_per_step=t5,
-        eta3_aux_solves=c3.solves // repeats,
-    )
+    # eta5_step takes no solver counter: it solves nothing (the tests count
+    # solve_spd calls around it)
+    common = {"n_vertices": mesh.n_vertices, "steps": BENCH_STEPS}
+    return [
+        {"path": "eta3", **common, "seconds_per_step": t3,
+         "aux_solves": c3.solves // BENCH_REPEATS},
+        {"path": "eta5", **common, "seconds_per_step": t5, "aux_solves": 0},
+    ]
 
 
 def _time_once(fn, window):

@@ -1,14 +1,16 @@
 """Closed-form test solutions for the wave equation on the unit square.
 
-The main case is a travelling Gaussian pulse u = exp(-100 r^2) whose center
-moves from (0.3, 0.3) at t = 0 to (0.7, 0.7) at t = 1 along c(t) = 0.3
-+ 0.4 t^2.  All derivatives below are exact symbolic differentiations of
-that expression; the tests validate them against finite differences.  The
-pulse does not vanish on the boundary: its largest boundary value over
-[0, 1] is exp(-9) = 1.23e-4, at t = 0 and t = 1 (the center is 0.3 from two
-sides), falling to exp(-16) = 1.1e-7 at t = 0.5.  The homogeneous Dirichlet
-condition therefore holds to about 1e-4, not to round-off, and only on
-[0, 1]: the center reaches the boundary at t = 1.32.
+The main case is a travelling Gaussian pulse u = exp(-s r^2) of sharpness
+s = ``SHARPNESS`` = 100 whose center moves from (0.3, 0.3) at t = 0 to
+(0.7, 0.7) at t = 1 along c(t) = 0.3 + 0.4 t^2.  All derivatives below are
+exact symbolic differentiations of that expression; the tests validate them
+against finite differences.  The pulse does not vanish on the boundary: its
+largest boundary value over [0, 1] is exp(-9) = 1.23e-4, at t = 0 and t = 1
+(the center is 0.3 from two sides), falling to exp(-16) = 1.1e-7 at t = 0.5.
+The homogeneous Dirichlet condition therefore holds to about 1e-4, not to
+round-off, and only on [0, 1]: the center reaches the boundary at t = 1.32.
+The second case is the standing eigenmode with wave numbers ``MODE`` =
+(1, 1), which has no forcing.
 
 ``bind(x, y)`` fixes the points (a run's quadrature points) and returns
 ``t -> (du/dt, (du/dx, du/dy))``, the pair the true energy error needs.  The
@@ -24,6 +26,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+SHARPNESS = 100.0   # s of the Gaussian pulse exp(-s r^2)
+MODE = (1, 1)       # wave numbers (kx, ky) of the standing mode
 
 
 @dataclass(frozen=True)
@@ -47,9 +52,9 @@ class ManufacturedSolution:
         )
 
 
-def gaussian_pulse(sharpness=100.0) -> ManufacturedSolution:
+def gaussian_pulse() -> ManufacturedSolution:
     """The travelling Gaussian with center 0.3 + 0.4 t^2 in both coordinates."""
-    s = sharpness
+    s = SHARPNESS
 
     def parts(t, x, y):
         c = 0.3 + 0.4 * t * t
@@ -99,8 +104,9 @@ def gaussian_pulse(sharpness=100.0) -> ManufacturedSolution:
                                 grad_dudt=grad_dudt, f=f, bind=bind)
 
 
-def standing_mode(kx=1, ky=1) -> ManufacturedSolution:
+def standing_mode() -> ManufacturedSolution:
     """Separable eigenmode u = cos(omega t) sin(kx pi x) sin(ky pi y), f = 0."""
+    kx, ky = MODE
     omega = np.pi * np.hypot(kx, ky)
 
     def shape(x, y):
@@ -153,8 +159,9 @@ def standing_mode(kx=1, ky=1) -> ManufacturedSolution:
 
 
 def get_solution(name: str) -> ManufacturedSolution:
+    """The solution named 'gaussian' (the pulse) or 'mode' (the standing mode)."""
     if name == "gaussian":
         return gaussian_pulse()
-    if name.startswith("mode"):
+    if name == "mode":
         return standing_mode()
     raise ValueError(f"unknown manufactured solution {name!r}")

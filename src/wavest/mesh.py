@@ -58,6 +58,8 @@ class Mesh:
         p0, p1, p2 = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
         signed = 0.5 * ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
                         - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
+        if not np.all(np.isfinite(signed)):
+            raise MeshError("triangle area overflows: coordinates too large")
         if np.any(signed == 0):
             raise MeshError("degenerate (zero-area) triangle")
         if np.any(signed < 0):
@@ -70,6 +72,8 @@ class Mesh:
 
         edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
         lengths = np.linalg.norm(verts[edges[:, 1]] - verts[edges[:, 0]], axis=1)
+        if not np.all(np.isfinite(lengths)):
+            raise MeshError("triangle side length overflows: coordinates too large")
         object.__setattr__(self, "h_K", lengths.reshape(3, -1).max(axis=0))
 
         ev, et = build_edges(verts, tris)

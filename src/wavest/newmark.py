@@ -45,7 +45,7 @@ class WaveProblem:
 
     f: Optional[Callable]          # f(t, x, y); None means zero forcing
     grad_u0: Callable              # (du0/dx, du0/dy)(x, y)
-    grad_v0: Optional[Callable]    # None means zero initial velocity
+    grad_v0: Callable              # (dv0/dx, dv0/dy)(x, y)
     T: float
 
     def __post_init__(self):
@@ -84,10 +84,7 @@ class NewmarkWaveSolver:
     def initial_state(self) -> WaveState:
         space = self.space
         u0 = space.h1_project(self.problem.grad_u0)
-        if self.problem.grad_v0 is None:
-            v0 = np.zeros(len(space.free))
-        else:
-            v0 = space.h1_project(self.problem.grad_v0)
+        v0 = space.h1_project(self.problem.grad_v0)
         f0 = self.project_forcing(0.0)
         a0 = solve_spd(space.mass_ff, self._load(f0) - space.stiffness_ff @ u0, tol=space.tol)
         return WaveState(t=0.0, u=u0, v=v0, f_h=f0, a=a0)

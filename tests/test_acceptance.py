@@ -27,7 +27,7 @@ import pytest
 from wavest.estimators import WaveEstimatorAccumulator
 from wavest.fem import FemSpace, assemble_mass, assemble_stiffness, quadrature_rule
 from wavest.grids import uniform_grid
-from wavest.harness import (ExperimentConfig, benchmark_estimators,
+from wavest.harness import (BENCH_STEPS, ExperimentConfig, benchmark_estimators,
                             run_ode_experiment, run_wave_experiment,
                             wave_problem_from)
 from wavest.manufactured import gaussian_pulse, standing_mode
@@ -127,7 +127,7 @@ def last_digit_unit(printed: str) -> float:
 def run_table(rule, table):
     rows = {}
     for (A, N) in table:
-        cfg = ExperimentConfig(kind="ode", A=float(A), N=N, grid_rule=rule, T=1.0)
+        cfg = ExperimentConfig(kind="ode", A=float(A), N=N, grid=rule, T=1.0)
         rows[(A, N)] = run_ode_experiment(cfg)[0]
     return rows
 
@@ -386,8 +386,8 @@ class TestCriterion8:
         for n in (14, 28, 56):
             tau0 = 0.12 * np.sqrt(1.0 / n)
             cfg = ExperimentConfig(kind="wave",
-                                   mesh_spec=f"structured:n={n}:pattern=crisscross",
-                                   grid_rule="decay", tau0=tau0, T=1.0, tol=1e-10)
+                                   mesh=f"structured:n={n}:pattern=crisscross",
+                                   grid="decay", tau0=tau0, T=1.0, tol=1e-10)
             rows.append(run_wave_experiment(cfg)[0])
         elapsed = time.perf_counter() - t0
         es = [r["e"] for r in rows]
@@ -423,8 +423,8 @@ class TestCriterion8:
                               "inconsistent with the practical estimator at unit "
                               "constants by roughly a factor 10", strict=False)
     def test_strict_effectivity_window(self):
-        cfg = ExperimentConfig(kind="wave", mesh_spec="structured:n=28:pattern=crisscross",
-                               grid_rule="decay", tau0=0.12 * np.sqrt(1.0 / 28), T=1.0)
+        cfg = ExperimentConfig(kind="wave", mesh="structured:n=28:pattern=crisscross",
+                               grid="decay", tau0=0.12 * np.sqrt(1.0 / 28), T=1.0)
         row = run_wave_experiment(cfg)[0]
         assert 1.0 <= row["ei"] <= 10.0
         assert 1.0 <= row["ei_hat"] <= 10.0
@@ -448,17 +448,16 @@ class TestCriterion9:
         assert count5 == 0
         # timing part on a >= 10^4-vertex mesh
         eta5_solves.clear()
-        report = benchmark_estimators(mesh=generate_structured(100, "diagonal"),
-                                      n_steps=6, warmup=2)
-        assert report.n_vertices >= 10 ** 4
+        eta3, eta5 = benchmark_estimators(generate_structured(100, "diagonal"))
+        assert eta3["n_vertices"] >= 10 ** 4
         assert len(eta5_solves) > 0
-        assert report.eta3_aux_solves == 6 and sum(eta5_solves) == 0
-        ok = report.eta5_seconds_per_step < report.eta3_seconds_per_step
+        assert eta3["aux_solves"] == BENCH_STEPS and sum(eta5_solves) == 0
+        ok = eta5["seconds_per_step"] < eta3["seconds_per_step"]
         print(f"\n[criterion 09] {'PASS' if ok else 'FAIL'} - aux solves "
               f"{count3} = N-1 vs {count5} = 0; per-step "
-              f"eta5 {report.eta5_seconds_per_step * 1e3:.2f} ms < "
-              f"eta3 {report.eta3_seconds_per_step * 1e3:.2f} ms "
-              f"on {report.n_vertices} vertices")
+              f"eta5 {eta5['seconds_per_step'] * 1e3:.2f} ms < "
+              f"eta3 {eta3['seconds_per_step'] * 1e3:.2f} ms "
+              f"on {eta3['n_vertices']} vertices")
         assert ok
 
 

@@ -158,8 +158,8 @@ class TestTimeSamples:
         # on an unpublished Delaunay mesh; only the order is comparable
         from wavest.grids import decaying_grid
         from wavest.harness import run_wave_experiment, ExperimentConfig
-        cfg = ExperimentConfig(kind="wave", mesh_spec="structured:n=28:pattern=diagonal",
-                               grid_rule="decay", tau0=0.01, T=1.0, tol=1e-10)
+        cfg = ExperimentConfig(kind="wave", mesh="structured:n=28:pattern=diagonal",
+                               grid="decay", tau0=0.01, T=1.0, tol=1e-10)
         row, _, _ = run_wave_experiment(cfg)
         assert 0.02 <= row["eta_T"] <= 0.5
         assert 0.02 <= row["eta_T_hat"] <= 0.5

@@ -1,17 +1,19 @@
 """Grids, manufactured solution, experiment drivers, CSV and CLI."""
 
+import re
+
 import numpy as np
 import pytest
 
 from wavest.fem import FemSpace
 from wavest.grids import alternating_grid, build_grid, decaying_grid, uniform_grid
-from wavest.harness import (ODE_COLUMNS, TRACE_COLUMNS, WAVE_COLUMNS,
+from wavest.harness import (BENCH_COLUMNS, BENCH_REPEATS, BENCH_STEPS, BENCH_WARMUP,
+                            ODE_COLUMNS, TRACE_COLUMNS, WAVE_COLUMNS,
                             ErrorWork, ExperimentConfig, benchmark_estimators,
                             parse_config_file, parse_mesh_spec, rows_to_csv,
-                            run_ode_experiment, run_ode_table,
-                            run_wave_experiment, wave_energy_error_at,
-                            wave_problem_from)
-from wavest.manufactured import gaussian_pulse, standing_mode
+                            run_ode_experiment, run_wave_experiment,
+                            wave_energy_error_at, wave_problem_from)
+from wavest.manufactured import gaussian_pulse, get_solution, standing_mode
 from wavest.mesh import Mesh, generate_structured
 from wavest.newmark import NewmarkWaveSolver
 from wavest.ode import OdeProblem, eta3_ode_samples, solve_newmark_ode
@@ -208,10 +210,18 @@ class TestManufactured:
             assert np.array_equal(dudt, sol.dudt(t, x, y)), t
             assert np.array_equal(gx, ex) and np.array_equal(gy, ey), t
 
+    def test_solution_names_are_exact(self):
+        assert get_solution("gaussian").name == "gaussian"
+        assert get_solution("mode").name == "mode(1,1)"
+        for name in ("mode(2,3)", "modex", "gauss", ""):
+            message = f"unknown manufactured solution '{name}'"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                get_solution(name)
+
 
 class TestOdeExperiments:
     def test_sample_row(self):
-        cfg = ExperimentConfig(kind="ode", A=100.0, N=1000, grid_rule="uniform")
+        cfg = ExperimentConfig(kind="ode", A=100.0, N=1000, grid="uniform")
         row, trace = run_ode_experiment(cfg)
         assert row["ei_T"] == pytest.approx(2.5, abs=0.1)
         assert row["ei_T_hat"] == pytest.approx(2.49, abs=0.01)
@@ -220,7 +230,7 @@ class TestOdeExperiments:
         assert_row_is_trace_end(row, trace)
 
     def test_trace_monotone(self):
-        cfg = ExperimentConfig(kind="ode", A=100.0, N=180, grid_rule="alt10")
+        cfg = ExperimentConfig(kind="ode", A=100.0, N=180, grid="alt10")
         _, trace = run_ode_experiment(cfg)
         for key in ("eta_T_cum", "eta_T_hat_cum", "err_max"):
             assert np.all(np.diff(trace[key]) >= -1e-15)
@@ -228,7 +238,7 @@ class TestOdeExperiments:
     def test_trace_starts_with_the_initial_slab(self):
         # the trace's eta_T_cum at n is sum_{k<n} tau_k eta_T(t_k): the n = 1
         # entry is the initial slab, and the 5-point sum starts at n = 4
-        cfg = ExperimentConfig(kind="ode", A=100.0, N=180, grid_rule="alt10")
+        cfg = ExperimentConfig(kind="ode", A=100.0, N=180, grid="alt10")
         _, trace = run_ode_experiment(cfg)
         grid = cfg.build_grid()
         traj = solve_newmark_ode(cosine(100.0), grid)
@@ -238,8 +248,8 @@ class TestOdeExperiments:
         assert not trace["eta_T_hat_cum"][:4].any() and trace["eta_T_hat_cum"][4] > 0
 
     def test_run_ode_table(self):
-        rows = run_ode_table([ExperimentConfig(kind="ode", A=100.0, N=n, grid_rule="uniform")
-                              for n in (100, 1000)])
+        rows = [run_ode_experiment(ExperimentConfig(kind="ode", A=100.0, N=n, grid="uniform"))[0]
+                for n in (100, 1000)]
         assert rows[0]["eta_T"] / rows[1]["eta_T"] == pytest.approx(100, rel=0.1)
 
 
@@ -261,8 +271,8 @@ class TestWaveExperiment:
     def test_trace(self):
         # rows end the trace; the n = 1 entry carries the initial slab, as
         # the scalar trace's does, and the 5-point sum starts at n = 4
-        cfg = ExperimentConfig(kind="wave", mesh_spec="structured:n=6:pattern=crisscross",
-                               grid_rule="alt10", N=12)
+        cfg = ExperimentConfig(kind="wave", mesh="structured:n=6:pattern=crisscross",
+                               grid="alt10", N=12)
         row, trace, acc = run_wave_experiment(cfg)
         assert all(len(trace[c]) == cfg.N + 1 for c in TRACE_COLUMNS)
         assert_row_is_trace_end(row, trace)
@@ -274,8 +284,8 @@ class TestWaveExperiment:
 
     def test_zero_data_flags_undefined_effectivity(self):
         cfg = ExperimentConfig(kind="wave", solution="zero",
-                               mesh_spec="structured:n=4:pattern=diagonal",
-                               grid_rule="uniform", N=5)
+                               mesh="structured:n=4:pattern=diagonal",
+                               grid="uniform", N=5)
         from wavest import harness
         from wavest.newmark import WaveProblem
 
@@ -303,8 +313,8 @@ class TestWaveExperiment:
         # show; at the default tol they match a tol = 1e-13 run within 1 %
         rows = {}
         for tol in (ExperimentConfig.tol, 1e-13):
-            cfg = ExperimentConfig(kind="wave", mesh_spec="structured:n=8:pattern=diagonal",
-                                   solution="mode", grid_rule="alt100", N=400, T=1.0, tol=tol)
+            cfg = ExperimentConfig(kind="wave", mesh="structured:n=8:pattern=diagonal",
+                                   solution="mode", grid="alt100", N=400, T=1.0, tol=tol)
             rows[tol] = run_wave_experiment(cfg)[0]
         default, tight = rows[ExperimentConfig.tol], rows[1e-13]
         for col in ("eta_T", "eta_T_hat", "eta_S"):
@@ -319,8 +329,8 @@ class TestWaveExperiment:
         from wavest import harness
 
         cfg = ExperimentConfig(kind="wave", solution="mode",
-                               mesh_spec="structured:n=6:pattern=crisscross",
-                               grid_rule="alt10", N=12)
+                               mesh="structured:n=6:pattern=crisscross",
+                               grid="alt10", N=12)
         loads = []
         assemble_load = FemSpace.assemble_load
         monkeypatch.setattr(FemSpace, "assemble_load",
@@ -358,8 +368,8 @@ class TestWaveExperiment:
 
         monkeypatch.setattr(harness, "get_solution", recording)
         cfg = ExperimentConfig(kind="wave", solution="mode",
-                               mesh_spec="structured:n=6:pattern=crisscross",
-                               grid_rule="alt10", N=12)
+                               mesh="structured:n=6:pattern=crisscross",
+                               grid="alt10", N=12)
         row, trace, _ = run_wave_experiment(cfg)
         assert calls == [("grad_u", 0.0)]
         assert len(trace["err_max"]) == cfg.N + 1 and row["e"] > 0
@@ -375,7 +385,8 @@ class TestWaveExperiment:
             state = solver.step(state, tau)
             oracle = einsum_energy_error(space, state, sol)
             assert oracle > 0
-            assert wave_energy_error_at(space, state, exact) == pytest.approx(oracle, rel=1e-14)
+            err = wave_energy_error_at(space, state, exact, ErrorWork(space))
+            assert err == pytest.approx(oracle, rel=1e-14)
 
     @pytest.mark.parametrize("make", [gaussian_pulse, standing_mode])
     def test_run_buffers_bit_equal_to_fresh_arrays(self, make):
@@ -398,8 +409,8 @@ class TestWaveExperiment:
         # the pulse's center reaches the boundary at t = 1.32; by t = 1.05 the
         # trace has passed the bound on a mesh vertex
         cfg = ExperimentConfig(kind="wave", solution="gaussian",
-                               mesh_spec="structured:n=14:pattern=diagonal",
-                               grid_rule="uniform", N=21, T=1.05)
+                               mesh="structured:n=14:pattern=diagonal",
+                               grid="uniform", N=21, T=1.05)
         with pytest.raises(ValueError, match=r"'gaussian' reaches \|u\| = 0\.00114 on the "
                                              r"boundary at t = 1\.05, above the bound 0\.001 "):
             run_wave_experiment(cfg)
@@ -414,7 +425,7 @@ class TestWaveExperiment:
         state = solver.initial_state()
         for _ in range(3):
             state = solver.step(state, 0.01)
-        err = wave_energy_error_at(space, state, bound(sol, space))
+        err = wave_energy_error_at(space, state, bound(sol, space), ErrorWork(space))
         # oracle: same evaluation on the uniformly refined mesh carrying the
         # prolongated P1 field (each triangle split in 4, same function)
         fine_mesh, prolong = refine_mesh_with_prolongation(mesh)
@@ -425,7 +436,8 @@ class TestWaveExperiment:
         fine_state = WaveState(t=state.t, u=fu[fine_space.free], v=fv[fine_space.free],
                                f_h=np.zeros(fine_mesh.n_vertices),
                                a=np.zeros(len(fine_space.free)))
-        oracle = wave_energy_error_at(fine_space, fine_state, bound(sol, fine_space))
+        oracle = wave_energy_error_at(fine_space, fine_state, bound(sol, fine_space),
+                                      ErrorWork(fine_space))
         assert abs(err - oracle) / oracle < 1e-3
 
 
@@ -461,13 +473,13 @@ def refine_mesh_with_prolongation(mesh):
 
 class TestCsv:
     def test_deterministic_emission(self):
-        cfg = ExperimentConfig(kind="ode", A=100.0, N=100, grid_rule="uniform")
+        cfg = ExperimentConfig(kind="ode", A=100.0, N=100, grid="uniform")
         row1, _ = run_ode_experiment(cfg)
         row2, _ = run_ode_experiment(cfg)
         assert rows_to_csv(ODE_COLUMNS, [row1]) == rows_to_csv(ODE_COLUMNS, [row2])
 
     def test_schema_round_trip(self):
-        cfg = ExperimentConfig(kind="ode", A=100.0, N=100, grid_rule="uniform")
+        cfg = ExperimentConfig(kind="ode", A=100.0, N=100, grid="uniform")
         row, _ = run_ode_experiment(cfg)
         text = rows_to_csv(ODE_COLUMNS, [row])
         lines = text.strip().split("\n")
@@ -592,13 +604,52 @@ class TestCli:
         assert main(["--config", str(cfgfile)]) == 1
         assert capsys.readouterr().err == "wavest: error: unknown config key 'build_grid'\n"
 
+    def test_config_keys_are_the_flag_names(self, tmp_path, capsys):
+        # grid and mesh are the flag names; grid_rule and mesh_spec are no key
+        from wavest.cli import main
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("kind = wave\nmesh = structured:n=4:pattern=diagonal\n"
+                           "grid = uniform\nN = 4\n")
+        assert main(["--config", str(cfgfile)]) == 0
+        row = dict(zip(*(line.split(",") for line in capsys.readouterr().out.splitlines())))
+        assert row["h"] == "0.353553" and row["N_ts"] == "4"   # h of n=4 is sqrt(2)/4
+        for key, value in (("grid_rule", "alt10"), ("mesh_spec", "structured:n=4")):
+            cfgfile.write_text(f"kind = ode\nA = 100\nN = 100\n{key} = {value}\n")
+            assert main(["--config", str(cfgfile)]) == 1
+            assert capsys.readouterr().err == f"wavest: error: unknown config key '{key}'\n"
+
+    @pytest.mark.parametrize("name", ["mode(2,3)", "modex"])
+    def test_unknown_solution_name_fails(self, name, tmp_path, capsys):
+        from wavest.cli import main
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"kind = wave\nsolution = {name}\n")
+        assert main(["--config", str(cfgfile), "--mesh", "structured:n=2", "--grid", "uniform",
+                     "--N", "4"]) == 1
+        assert capsys.readouterr().err == \
+            f"wavest: error: unknown manufactured solution '{name}'\n"
+
+    def test_bench_writes_two_rows(self, tmp_path):
+        from wavest.cli import main
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--mesh", "structured:n=6:pattern=diagonal", "--out", str(out)]) == 0
+        header, *lines = out.read_text().splitlines()
+        assert header == ",".join(BENCH_COLUMNS)
+        rows = [dict(zip(BENCH_COLUMNS, line.split(","))) for line in lines]
+        assert [r["path"] for r in rows] == ["eta3", "eta5"]
+        assert all(r["n_vertices"] == "49" and r["steps"] == str(BENCH_STEPS) for r in rows)
+        # one auxiliary solve per timed node on the 3-point path, none on the 5-point
+        assert [r["aux_solves"] for r in rows] == [rows[0]["steps"], "0"]
+        assert all(float(r["seconds_per_step"]) > 0 for r in rows)
+
 
 class TestBenchmark:
     def test_counters_small_mesh(self, eta5_solves):
-        report = benchmark_estimators(mesh=generate_structured(12), n_steps=4, warmup=1)
-        assert report.eta3_aux_solves == 4
-        assert len(eta5_solves) == 1 + 4 * 3  # warm-up, then 3 repeats per node
+        rows = benchmark_estimators(generate_structured(12))
+        assert [r["path"] for r in rows] == ["eta3", "eta5"]
+        assert all(set(r) == set(BENCH_COLUMNS) for r in rows)
+        eta3, eta5 = rows
+        assert eta3["aux_solves"] == BENCH_STEPS and eta5["aux_solves"] == 0
+        # warm-up, then every repeat at each timed node
+        assert len(eta5_solves) == BENCH_WARMUP + BENCH_STEPS * BENCH_REPEATS
         assert sum(eta5_solves) == 0
-        assert report.eta3_seconds_per_step > 0
-        rows = report.to_rows()
-        assert {r["path"] for r in rows} == {"eta3", "eta5"}
+        assert eta3["seconds_per_step"] > 0

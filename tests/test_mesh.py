@@ -253,6 +253,20 @@ class TestImport:
             with pytest.raises(MeshError, match="finite"):
                 import_mesh(payload)
 
+    @pytest.mark.parametrize("payload, what", [
+        # area 5e599: inf
+        ("3 1\n0 0 1\n1e300 0 1\n0 1e300 1\n0 1 2\n", "area"),
+        # (x1 - x0) overflows to inf and (y2 - y0) is 0: a NaN area, which is
+        # neither zero nor negative
+        ("3 1\n-1e308 0 1\n1e308 1 1\n0 0 1\n0 1 2\n", "area"),
+        # area 0.5, but the squared side 1e400 overflows
+        ("3 1\n0 0 1\n1e200 0 1\n0 1e-200 1\n0 1 2\n", "side length"),
+    ])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy reports the overflow too
+    def test_overflowing_geometry_rejected(self, payload, what):
+        with pytest.raises(MeshError, match=f"triangle {what} overflows"):
+            import_mesh(payload)
+
 
 # replacement tokens: non-finite and huge numbers, indices on both sides of the
 # vertex range, fractions and words
@@ -286,3 +300,4 @@ def test_mutated_payload_raises_only_mesh_error(data, pattern):
         except MeshError:
             return
     assert np.all(np.isfinite(mutant.vertices)) and np.all(mutant.areas > 0)
+    assert np.all(np.isfinite(mutant.areas)) and np.all(np.isfinite(mutant.h_K))

@@ -18,9 +18,12 @@ def make_problem(solution, T=1.0):
     return WaveProblem(f=solution.f, grad_u0=grad_u0, grad_v0=grad_v0, T=T)
 
 
+def zero_gradient(x, y):
+    return np.zeros_like(x), np.zeros_like(x)
+
+
 def zero_problem(T=1.0):
-    gzero = lambda x, y: (np.zeros_like(x), np.zeros_like(x))
-    return WaveProblem(f=None, grad_u0=gzero, grad_v0=None, T=T)
+    return WaveProblem(f=None, grad_u0=zero_gradient, grad_v0=zero_gradient, T=T)
 
 
 def loads(space, state):
@@ -67,7 +70,7 @@ class TestInitialState:
             return (np.broadcast_to(grads[:, [0]], x.shape),
                     np.broadcast_to(grads[:, [1]], x.shape))
 
-        problem = WaveProblem(f=None, grad_u0=grad_fun, grad_v0=None, T=1.0)
+        problem = WaveProblem(f=None, grad_u0=grad_fun, grad_v0=zero_gradient, T=1.0)
         s0 = NewmarkWaveSolver(problem, space).initial_state()
         np.testing.assert_allclose(s0.u, w, atol=1e-9)
 
@@ -194,7 +197,7 @@ class TestStep:
         m = float(space.mass_ff.toarray()[0, 0])
         k = float(space.stiffness_ff.toarray()[0, 0])
         sol = standing_mode()
-        problem = WaveProblem(f=None, grad_u0=sol.initial_data()[0], grad_v0=None, T=1.0)
+        problem = WaveProblem(f=None, grad_u0=sol.initial_data()[0], grad_v0=zero_gradient, T=1.0)
         grid = alternating_grid(n_steps=20, small=0.01)
         states = list(NewmarkWaveSolver(problem, space).run(grid))
         u = np.array([s.u[0] for s in states])
@@ -225,7 +228,7 @@ class TestStep:
             return (np.broadcast_to(grads[:, [0]], x.shape),
                     np.broadcast_to(grads[:, [1]], x.shape))
 
-        problem = WaveProblem(f=None, grad_u0=grad_fun, grad_v0=None, T=1.0)
+        problem = WaveProblem(f=None, grad_u0=grad_fun, grad_v0=zero_gradient, T=1.0)
         errs = []
         for n_steps in (25, 50, 100):
             solver = NewmarkWaveSolver(problem, space)
