@@ -102,7 +102,6 @@ class SpaceEstimatorAccumulator:
     space: FemSpace
     part1_max: float = field(init=False, default=0.0)
     part2_sum: float = field(init=False, default=0.0)
-    samples: int = field(init=False, default=0)
     jump: sp.csr_matrix = field(init=False, repr=False)  # (interior edges, vertices)
 
     def __post_init__(self):
@@ -138,7 +137,6 @@ class SpaceEstimatorAccumulator:
         u_c = full((s2.u - s0.u) / central)
         p2 = self._part(node.d2v - f_c, u_c)
         self.part2_sum += node.tau * np.sqrt(p2)
-        self.samples += 1
 
     @property
     def parts(self):

@@ -13,19 +13,27 @@ the triangles' vertex indices.  A load vector is a single matmul of the
 integrand's quadrature values with the rule's weights times its barycentric
 points, scaled by the triangle areas.
 
-Linear systems are solved with Jacobi-preconditioned conjugate gradients,
-from zero or from a given start vector; pass a ``SolveCounter`` to account
-for solver work (the cost comparison of the two time estimators rests on
-these counters).
+Linear systems are solved with preconditioned conjugate gradients, from
+zero or from a given start vector; pass a ``SolveCounter`` to account for
+solver work (the cost comparison of the two time estimators rests on these
+counters).  The preconditioner is the diagonal (Jacobi), except for the
+free-vertex stiffness and Newmark step systems of spaces with at least
+``MULTIGRID_MIN_FREE`` free vertices: those take a smoothed-aggregation
+V-cycle (``Multigrid``), whose prolongators a space builds from its
+stiffness matrix at the first solve that needs them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
+
+MULTIGRID_MIN_FREE = 10_000  # free vertices from which the stiffness and step solves use Multigrid
+MULTIGRID_COARSEST = 300     # unknowns at or below which aggregation stops (dense inverse)
 
 
 class SolverError(RuntimeError):
@@ -67,7 +75,7 @@ class QuadratureRule:
         object.__setattr__(self, "weights", wts)
 
 
-def quadrature_rule(degree=5) -> QuadratureRule:
+def quadrature_rule(degree) -> QuadratureRule:
     """Centroid (degree 1), edge midpoints (degree 2) or the 7-point degree-5 rule."""
     if degree <= 1:
         return QuadratureRule(np.array([[1, 1, 1]]) / 3.0, np.array([1.0]), 1)
@@ -136,13 +144,16 @@ def assemble_stiffness(mesh) -> sp.csr_matrix:
 
 
 def solve_spd(matrix, rhs, tol=1e-10, max_iter=None, counter: Optional[SolveCounter] = None,
-              x0=None):
-    """Jacobi-preconditioned conjugate gradients for SPD systems.
+              x0=None, precond: Optional[Callable] = None):
+    """Preconditioned conjugate gradients for SPD systems.
 
-    Starts from ``x0`` (zero by default; the caller's array is not changed)
-    and stops when the residual satisfies ||b - A x|| <= tol * ||b||, after
-    0 iterations if ``x0`` already does.  Deterministic for fixed inputs;
-    raises SolverError with the last residual if max_iter is exhausted.
+    ``precond`` maps a residual r to B r for a symmetric positive definite B
+    (a ``Multigrid.preconditioner``); by default B is the inverse diagonal
+    (Jacobi).  Starts from ``x0`` (zero by default; the caller's array is not
+    changed) and stops when the residual satisfies ||b - A x|| <= tol * ||b||,
+    after 0 iterations if ``x0`` already does.  Deterministic for fixed
+    inputs; raises SolverError with the last residual if max_iter is
+    exhausted.
     """
     b = np.asarray(rhs, dtype=float)
     n = len(b)
@@ -156,6 +167,9 @@ def solve_spd(matrix, rhs, tol=1e-10, max_iter=None, counter: Optional[SolveCoun
     d = matrix.diagonal()
     if np.any(d <= 0):
         raise SolverError("matrix diagonal is not positive", residual=np.inf)
+    if precond is None:
+        def precond(r):
+            return r / d
     if x0 is None:
         x = np.zeros(n)
         r = b.copy()
@@ -166,7 +180,7 @@ def solve_spd(matrix, rhs, tol=1e-10, max_iter=None, counter: Optional[SolveCoun
             if counter is not None:
                 counter.record(0)
             return x
-    z = r / d
+    z = precond(r)
     p = z.copy()
     rz = float(r @ z)
     for it in range(1, max_iter + 1):
@@ -179,7 +193,7 @@ def solve_spd(matrix, rhs, tol=1e-10, max_iter=None, counter: Optional[SolveCoun
             if counter is not None:
                 counter.record(it)
             return x
-        z = r / d
+        z = precond(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -188,6 +202,91 @@ def solve_spd(matrix, rhs, tol=1e-10, max_iter=None, counter: Optional[SolveCoun
         f"(relative residual {res / bnorm:.3e})",
         residual=res / bnorm,
     )
+
+
+def _jacobi_weights(matrix):
+    """Damped-Jacobi weights omega / diag with omega = 4 / (3 rho).
+
+    rho is the Gershgorin bound of D^-1 A (largest absolute row sum over the
+    diagonal), so omega times every eigenvalue of D^-1 A lies in (0, 4/3].
+    """
+    d = matrix.diagonal()
+    rho = (np.add.reduceat(np.abs(matrix.data), matrix.indptr[:-1]) / d).max()
+    return (4.0 / (3.0 * rho)) / d
+
+
+class Multigrid:
+    """Smoothed-aggregation V-cycle over the free vertices of one space.
+
+    Aggregates are the vertices in one square bin of side ``side`` (twice the
+    mesh size); each coarser level doubles the side and bins the previous
+    level's aggregate centroids, until at most ``MULTIGRID_COARSEST``
+    unknowns are left.  The prolongator of a level is the aggregate indicator
+    smoothed by one damped-Jacobi step of the stiffness matrix's Galerkin
+    operator on that level, P = (I - omega D^-1 K) T, so the hierarchy does
+    not depend on tau.
+
+    ``preconditioner(matrix, key)`` applies one V-cycle of ``matrix``: one
+    damped-Jacobi sweep before the coarse correction and one after, the
+    Galerkin operators P^T A P on the coarse levels and a dense inverse on
+    the coarsest.  The cycle is symmetric positive definite, a valid CG
+    preconditioner.  The coarse operators of one matrix are kept, named by
+    ``key``, and rebuilt when the key changes; the build leaves those of the
+    stiffness matrix, under the key 'stiffness'.
+    """
+
+    def __init__(self, stiffness, xy, side):
+        self.prolongators = []
+        levels = []
+        a = stiffness
+        while a.shape[0] > MULTIGRID_COARSEST:
+            ids = np.floor(xy / side).astype(np.int64)
+            ids -= ids.min(axis=0)
+            _, agg = np.unique(ids[:, 0] * (ids[:, 1].max() + 1) + ids[:, 1],
+                               return_inverse=True)
+            size = np.bincount(agg)
+            n = a.shape[0]
+            tent = sp.csr_matrix((np.ones(n), (np.arange(n), agg)), shape=(n, len(size)))
+            weights = _jacobi_weights(a)
+            prolongator = tent - sp.diags(weights) @ (a @ tent)
+            self.prolongators.append(prolongator)
+            levels.append((a, weights))
+            a = (prolongator.T @ (a @ prolongator)).tocsr()
+            xy = np.column_stack([np.bincount(agg, weights=c) / size for c in xy.T])
+            side *= 2.0
+        self._key = "stiffness"
+        self._levels = levels
+        self._coarsest = np.linalg.inv(a.toarray())
+
+    def _galerkin(self, matrix):
+        levels = []
+        a = matrix
+        for prolongator in self.prolongators:
+            levels.append((a, _jacobi_weights(a)))
+            a = (prolongator.T @ (a @ prolongator)).tocsr()
+        self._levels = levels
+        self._coarsest = np.linalg.inv(a.toarray())
+
+    def preconditioner(self, matrix, key) -> Callable:
+        """The V-cycle r -> B r of ``matrix``; ``key`` names its values ('stiffness', or a tau)."""
+        if key != self._key:
+            self._galerkin(matrix)
+            self._key = key
+        levels, coarsest, prolongators = self._levels, self._coarsest, self.prolongators
+
+        def vcycle(r):
+            down = []
+            for (a, weights), prolongator in zip(levels, prolongators):
+                x = weights * r
+                down.append((a, weights, r, x))
+                r = prolongator.T @ (r - a @ x)
+            e = coarsest @ r
+            for (a, weights, r, x), prolongator in zip(reversed(down), reversed(prolongators)):
+                x += prolongator @ e
+                x += weights * (r - a @ x)
+                e = x
+            return e
+        return vcycle
 
 
 class FemSpace:
@@ -206,6 +305,18 @@ class FemSpace:
         # physical quadrature points per triangle: (nt, q, 2)
         p = mesh.vertices[mesh.triangles]
         self.quad_xy = np.einsum("qb,tbd->tqd", self.rule.points, p)
+
+    @cached_property
+    def multigrid(self) -> Optional[Multigrid]:
+        """The free-vertex V-cycle hierarchy, built at first use; None below MULTIGRID_MIN_FREE."""
+        if len(self.free) < MULTIGRID_MIN_FREE:
+            return None
+        return Multigrid(self.stiffness_ff, self.mesh.vertices[self.free], 2.0 * self.mesh.h)
+
+    def preconditioner(self, matrix, key) -> Optional[Callable]:
+        """``solve_spd``'s precond for a free-vertex stiffness or step matrix (None: Jacobi)."""
+        multigrid = self.multigrid
+        return None if multigrid is None else multigrid.preconditioner(matrix, key)
 
     # -- integration ------------------------------------------------------
 
@@ -247,7 +358,8 @@ class FemSpace:
         contrib = np.einsum("tq,q,tb,t->tb", gx, self.rule.weights, self.grads[:, :, 0], self.area) \
             + np.einsum("tq,q,tb,t->tb", gy, self.rule.weights, self.grads[:, :, 1], self.area)
         rhs = self._scatter(contrib)
-        return solve_spd(self.stiffness_ff, rhs[self.free], tol=self.tol)
+        return solve_spd(self.stiffness_ff, rhs[self.free], tol=self.tol,
+                         precond=self.preconditioner(self.stiffness_ff, "stiffness"))
 
     def apply_discrete_laplacian(self, w, counter=None) -> np.ndarray:
         """z in V_h with (z, phi) = (grad w, grad phi) for all phi in V_h; free vertices."""

@@ -64,7 +64,7 @@ class TimeGrid:
         return float(max(r.max(), (1.0 / r).max()))
 
 
-def uniform_grid(n_steps, T=1.0):
+def uniform_grid(n_steps, T):
     if n_steps < 1:
         raise ValueError("need at least one step")
     if T <= 0:
@@ -72,7 +72,7 @@ def uniform_grid(n_steps, T=1.0):
     return TimeGrid(np.linspace(0.0, T, n_steps + 1), rule=f"uniform(N={n_steps})")
 
 
-def alternating_grid(n_steps=None, T=1.0, small=0.1, taustar=None):
+def alternating_grid(T, small, n_steps=None, taustar=None):
     """Alternating steps (small*taustar, taustar, small*taustar, ...).
 
     Either ``n_steps`` (even; taustar is then chosen so the grid lands
@@ -110,7 +110,7 @@ def alternating_grid(n_steps=None, T=1.0, small=0.1, taustar=None):
     return TimeGrid(pts, rule=f"alternating(small={small})")
 
 
-def decaying_grid(tau0, T=1.0, literal=False):
+def decaying_grid(tau0, T, literal=False):
     """Decaying step rule tau_n = tau0 / sqrt(t_n), starting with t1 = tau0.
 
     The literal rule jumps from tau0 to tau0/sqrt(tau0) at the second step;

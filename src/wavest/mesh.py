@@ -97,13 +97,13 @@ class Mesh:
         if euler != 1:
             raise MeshError(f"Euler characteristic V-E+F = {euler}, expected 1")
 
+        # the corner between sides k and k - 1 has sine 2 area / (their product),
+        # divided one side at a time so no quotient overflows; a triangle's
+        # smallest angle is at most 60 degrees and any other corner's sine is
+        # larger, so the smallest sine is that of the smallest angle
         sides = lengths.reshape(3, -1)
-        a, b, c = sides[0], sides[1], sides[2]
-        angles = []
-        for opp, e1, e2 in ((a, b, c), (b, c, a), (c, a, b)):
-            cosang = np.clip((e1 ** 2 + e2 ** 2 - opp ** 2) / (2 * e1 * e2), -1.0, 1.0)
-            angles.append(np.arccos(cosang))
-        object.__setattr__(self, "min_angle", float(np.min(angles)))
+        sines = (2.0 * signed / sides) / np.roll(sides, 1, axis=0)
+        object.__setattr__(self, "min_angle", float(np.arcsin(sines.min())))
 
     @property
     def n_vertices(self):

@@ -17,10 +17,12 @@ second and fourth differences divide u and v by tau^2 to tau^4; with this
 form they measure the discretisation error, not the solver tolerance, on
 grids with step ratio 100 too.
 
-Per step one SPD system with matrix (M + tau^2/4 K) is solved by Jacobi-CG,
-started from a_n.  One such matrix is kept per stepper: M and K share a
-sparsity pattern, so a change of tau recomputes its values in place and
-nothing is factored or rebuilt.
+Per step one SPD system with matrix (M + tau^2/4 K) is solved by CG,
+started from a_n and preconditioned by ``FemSpace.preconditioner``: Jacobi,
+or on large spaces the multigrid V-cycle.  One such matrix is kept per
+stepper: M and K share a sparsity pattern, so a change of tau recomputes its
+values in place; the V-cycle's coarse operators are then rebuilt from its
+tau-independent prolongators, and nothing else is.
 
 Initial data enter through H1_0-orthogonal projections of u0 and v0; the
 forcing enters through its L2 projections at the grid times, which are kept
@@ -118,7 +120,9 @@ class NewmarkWaveSolver:
         u, v, a = state.u, state.v, state.a
         predictor = u + tau * v + (tau * tau / 4.0) * a   # u_new less its a_new term
         rhs = self._load(f_new) - space.stiffness_ff @ predictor
-        a_new = solve_spd(self._system_matrix(tau), rhs, tol=space.tol, x0=a)
+        system = self._system_matrix(tau)
+        a_new = solve_spd(system, rhs, tol=space.tol, x0=a,
+                          precond=space.preconditioner(system, tau))
         return WaveState(t=t_new, u=predictor + (tau * tau / 4.0) * a_new,
                          v=v + (tau / 2.0) * (a + a_new), f_h=f_new, a=a_new)
 

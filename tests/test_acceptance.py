@@ -234,7 +234,7 @@ class TestCriterion4:
                                     lambda t: -w * np.sin(w * t)))
         vals = {}
         for n in (100, 1000, 10000):
-            traj = solve_newmark_ode(problem, uniform_grid(n))
+            traj = solve_newmark_ode(problem, uniform_grid(n, 1.0))
             fs = problem.f_samples(traj.grid.points)
             vals[n] = (eta3_ode_cumulative(traj, fs, A)[-1],
                        eta5_ode_cumulative(traj, A)[-1])

@@ -138,7 +138,7 @@ class TestTimeSamples:
         lam = k / m
         # scalar trajectory of u'' + lam u = 0 via the shared solver
         problem = OdeProblem(A=lam, f=None, u0=1.0, v0=0.0, T=1.0)
-        grid = alternating_grid(n_steps=12, small=0.5)
+        grid = alternating_grid(n_steps=12, T=1.0, small=0.5)
         traj = solve_newmark_ode(problem, grid)
         # feed the same scalar sequence through the wave-side machinery; nodal
         # values scaled by 1/sqrt(m) turn the discrete H1/L2 norms into the
@@ -264,7 +264,7 @@ class TestSpaceEstimator:
                 p1, p2 = acc.parts
                 assert p1 >= 0 and p2 >= part2_prev
                 part2_prev = p2
-        assert acc.samples == 4 - 1
+        assert part2_prev > 0
 
 
     def test_parts_against_per_triangle_per_edge_oracle(self):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from wavest.fem import (FemSpace, SolveCounter, SolverError, assemble_mass,
-                        assemble_stiffness, quadrature_rule, solve_spd)
+from wavest.fem import (MULTIGRID_MIN_FREE, FemSpace, Multigrid, SolveCounter, SolverError,
+                        assemble_mass, assemble_stiffness, quadrature_rule, solve_spd)
 from wavest.mesh import Mesh, generate_structured
 
 RNG = np.random.default_rng(42)
@@ -211,6 +211,72 @@ class TestSolver:
         x = solve_spd(A, b, tol=1e-10, counter=counter, x0=x0)
         assert counter.iterations > 0
         assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
+
+
+@pytest.fixture(scope="module", params=["structured", "jittered"])
+def large_space(request):
+    """Crisscross n=160 (50,881 free vertices), as is or with each interior vertex moved <= 0.1 h."""
+    mesh = generate_structured(160, "crisscross")
+    if request.param == "jittered":
+        rng = np.random.default_rng(1)
+        verts = mesh.vertices.copy()
+        free = ~mesh.boundary_vertex
+        radius = 0.1 * mesh.h * np.sqrt(rng.uniform(size=free.sum()))
+        angle = rng.uniform(0.0, 2.0 * np.pi, size=free.sum())
+        verts[free] += radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+        mesh = Mesh(vertices=verts, triangles=mesh.triangles, boundary_vertex=mesh.boundary_vertex)
+    return FemSpace(mesh, quadrature_rule(1))
+
+
+def step_matrix(space, tau):
+    return (space.mass_ff + (tau * tau / 4.0) * space.stiffness_ff).tocsr()
+
+
+class TestMultigrid:
+    def test_none_below_the_threshold(self):
+        # the n=100 diagonal mesh of the cost benchmark stays on Jacobi
+        space = FemSpace(generate_structured(100), quadrature_rule(1))
+        assert len(space.free) < MULTIGRID_MIN_FREE
+        assert space.multigrid is None
+        assert space.preconditioner(space.stiffness_ff, "stiffness") is None
+
+    @pytest.mark.parametrize("key", ["stiffness", 1.0 / 16])
+    def test_vcycle_symmetric_and_positive(self, large_space, key):
+        matrix = large_space.stiffness_ff if key == "stiffness" else step_matrix(large_space, key)
+        vcycle = large_space.preconditioner(matrix, key)
+        for _ in range(3):
+            x, y = RNG.normal(size=(2, matrix.shape[0]))
+            bx, by = vcycle(x), vcycle(y)
+            assert abs(bx @ y - x @ by) <= 1e-12 * np.linalg.norm(bx) * np.linalg.norm(y)
+            assert x @ bx > 0 and y @ by > 0
+
+    @pytest.mark.parametrize("key", ["stiffness", 1.0 / 16])
+    def test_agrees_with_jacobi_in_at_most_40_iterations(self, large_space, key):
+        matrix = large_space.stiffness_ff if key == "stiffness" else step_matrix(large_space, key)
+        b = RNG.normal(size=matrix.shape[0])
+        counter = SolveCounter()
+        x = solve_spd(matrix, b, counter=counter,
+                      precond=large_space.preconditioner(matrix, key))
+        jacobi = SolveCounter()
+        x_jacobi = solve_spd(matrix, b, counter=jacobi)
+        assert counter.iterations <= 40 < jacobi.iterations
+        assert np.linalg.norm(b - matrix @ x) <= 1e-10 * np.linalg.norm(b)
+        assert np.linalg.norm(x - x_jacobi) <= 1e-8 * np.linalg.norm(x_jacobi)
+
+    def test_refresh_after_a_tau_change_equals_a_fresh_build(self, large_space):
+        # the stepper refreshes its matrix in place when tau changes
+        space = large_space
+        system = step_matrix(space, 1.0 / 16)
+        b = RNG.normal(size=system.shape[0])
+        before = space.preconditioner(system, 1.0 / 16)
+        tau = 1.0 / 160
+        np.add(space.mass_ff.data, (tau * tau / 4.0) * space.stiffness_ff.data, out=system.data)
+        refreshed = space.preconditioner(system, tau)
+        fresh = Multigrid(space.stiffness_ff, space.mesh.vertices[space.free],
+                          2.0 * space.mesh.h).preconditioner(system, tau)
+        assert not np.array_equal(before(b), refreshed(b))
+        np.testing.assert_array_equal(solve_spd(system, b, precond=refreshed),
+                                      solve_spd(system, b, precond=fresh))
 
 
 class TestProjections:

@@ -74,7 +74,7 @@ class TestGrids:
         assert g.max_step_ratio == pytest.approx(1.0)
 
     def test_alternating_from_n(self):
-        g = alternating_grid(n_steps=180, small=0.1)
+        g = alternating_grid(n_steps=180, T=1.0, small=0.1)
         taustar = 2.0 / (180 * 1.1)
         np.testing.assert_allclose(g.steps[0::2], 0.1 * taustar, rtol=1e-12)
         np.testing.assert_allclose(g.steps[1::2], taustar, rtol=1e-12)
@@ -82,7 +82,7 @@ class TestGrids:
         assert g.max_step_ratio == pytest.approx(10.0, rel=1e-9)
 
     def test_alternating_from_taustar_truncates(self):
-        g = alternating_grid(taustar=0.03, small=0.1)
+        g = alternating_grid(T=1.0, taustar=0.03, small=0.1)
         assert g.points[-1] == 1.0
         assert np.all(g.steps > 0)
         assert g.steps.sum() == pytest.approx(1.0, abs=1e-15)
@@ -113,8 +113,8 @@ class TestGrids:
             build_grid("nope", 1.0)
 
     @pytest.mark.parametrize("make, message", [
-        (lambda: decaying_grid(0.029687284364218212), r"final step 8e-07 .* is 2\.66e-05 "),
-        (lambda: alternating_grid(taustar=0.0660066003300165, small=0.01),
+        (lambda: decaying_grid(0.029687284364218212, 1.0), r"final step 8e-07 .* is 2\.66e-05 "),
+        (lambda: alternating_grid(T=1.0, taustar=0.0660066003300165, small=0.01),
          r"final step 5e-09 .* is 7\.58e-08 "),
     ])
     def test_warns_on_a_sliver_final_step(self, make, message):
@@ -134,9 +134,9 @@ class TestGrids:
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            uniform_grid(0)
+            uniform_grid(0, 1.0)
         with pytest.raises(ValueError):
-            alternating_grid(n_steps=7)
+            alternating_grid(n_steps=7, T=1.0, small=0.1)
         with pytest.raises(ValueError):
             decaying_grid(2.0, 1.0)
 
@@ -209,6 +209,48 @@ class TestManufactured:
             ex, ey = sol.grad_u(t, x, y)
             assert np.array_equal(dudt, sol.dudt(t, x, y)), t
             assert np.array_equal(gx, ex) and np.array_equal(gy, ey), t
+
+    def test_pulse_bit_equal_to_the_former_expressions(self):
+        # f and the bound evaluator compute in four arrays; the former
+        # expressions, kept here as the oracle, allocate their temporaries
+        s = 100.0
+
+        def parts(t, x, y):
+            c = 0.3 + 0.4 * t * t
+            X = x - c
+            Y = y - c
+            return X, Y, np.exp(-s * (X * X + Y * Y))
+
+        def former_f(t, x, y):
+            X, Y, g = parts(t, x, y)
+            cdot = 0.8 * t
+            cddot = 0.8
+            utt = (2.0 * s * cddot * (X + Y) - 4.0 * s * cdot ** 2
+                   + 4.0 * s * s * cdot ** 2 * (X + Y) ** 2) * g
+            lap = (-4.0 * s + 4.0 * s * s * (X * X + Y * Y)) * g
+            return utt - lap
+
+        def former_at(t, x, y):
+            X, Y, g = parts(t, x, y)
+            return 2.0 * s * 0.8 * t * (X + Y) * g, (-2.0 * s * X * g, -2.0 * s * Y * g)
+
+        def bits(a):
+            return np.asarray(a, dtype=float).tobytes()
+
+        sol = gaussian_pulse()
+        space = FemSpace(jittered_crisscross(6))
+        x, y = space.quad_xy[:, :, 0], space.quad_xy[:, :, 1]
+        at = sol.bind(x, y)
+        for t in [k / 16 for k in range(17)] + [0.123456789]:
+            assert bits(sol.f(t, x, y)) == bits(former_f(t, x, y)), t
+            got, want = at(t), former_at(t, x, y)
+            for a, b in ((got[0], want[0]), (got[1][0], want[1][0]), (got[1][1], want[1][1])):
+                assert bits(a) == bits(b), t
+            for px, py in ((0.31, 0.77), (0.3, 0.3), (x[5, 2], y[5, 2])):
+                value = sol.f(t, px, py)
+                assert np.ndim(value) == 0 and bits(value) == bits(former_f(t, px, py)), t
+                got, want = sol.bind(px, py)(t), former_at(t, px, py)
+                assert bits([got[0], *got[1]]) == bits([want[0], *want[1]]), t
 
     def test_solution_names_are_exact(self):
         assert get_solution("gaussian").name == "gaussian"

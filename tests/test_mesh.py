@@ -234,6 +234,12 @@ class TestImport:
         m = generate_structured(2)
         assert m.min_angle == pytest.approx(np.pi / 4, rel=1e-12)
 
+    def test_min_angle_finite_where_squared_sides_overflow(self):
+        # sides 1e154, 1e154 and 1e-10 are finite, their squares are not:
+        # the smallest corner is atan(1e-10 / 1e154)
+        m = import_mesh("3 1\n0 0 1\n1e154 0 1\n0 1e-10 1\n0 1 2\n")
+        assert m.min_angle == pytest.approx(1e-164, rel=1e-12)
+
     def test_triangle_index_out_of_range_rejected(self):
         for bad in ("5", "-4"):
             payload = f"3 1\n0 0 1\n1 0 1\n0 1 1\n0 1 {bad}\n"
@@ -301,3 +307,4 @@ def test_mutated_payload_raises_only_mesh_error(data, pattern):
             return
     assert np.all(np.isfinite(mutant.vertices)) and np.all(mutant.areas > 0)
     assert np.all(np.isfinite(mutant.areas)) and np.all(np.isfinite(mutant.h_K))
+    assert np.isfinite(mutant.min_angle)

@@ -198,7 +198,7 @@ class TestStep:
         k = float(space.stiffness_ff.toarray()[0, 0])
         sol = standing_mode()
         problem = WaveProblem(f=None, grad_u0=sol.initial_data()[0], grad_v0=zero_gradient, T=1.0)
-        grid = alternating_grid(n_steps=20, small=0.01)
+        grid = alternating_grid(n_steps=20, T=1.0, small=0.01)
         states = list(NewmarkWaveSolver(problem, space).run(grid))
         u = np.array([s.u[0] for s in states])
         v = np.array([s.v[0] for s in states])

@@ -75,14 +75,14 @@ class TestSolver:
         assert traj.u[1] == pytest.approx(0.9975 / 1.0025, abs=1e-15)
 
     def test_zero_data_stays_zero(self):
-        grid = alternating_grid(n_steps=20, small=0.1)
+        grid = alternating_grid(n_steps=20, T=1.0, small=0.1)
         traj = solve_newmark_ode(OdeProblem(A=7.0, f=None, u0=0.0, v0=0.0, T=1.0), grid)
         assert np.all(traj.u == 0.0) and np.all(traj.v == 0.0)
 
     def test_exact_for_linear_solutions(self):
         # u = t solves u'' + A u = A t
         A = 5.0
-        grid = alternating_grid(n_steps=30, small=0.2)
+        grid = alternating_grid(n_steps=30, T=1.0, small=0.2)
         problem = OdeProblem(A=A, f=lambda t: A * t, u0=0.0, v0=1.0, T=1.0)
         traj = solve_newmark_ode(problem, grid)
         np.testing.assert_allclose(traj.u, grid.points, rtol=0, atol=1e-12)
@@ -91,7 +91,7 @@ class TestSolver:
     def test_exact_for_quadratic_solutions(self):
         # u = t^2 solves u'' + A u = 2 + A t^2 and the scheme is exact on it
         A = 3.0
-        grid = alternating_grid(n_steps=40, small=0.5)
+        grid = alternating_grid(n_steps=40, T=1.0, small=0.5)
         problem = OdeProblem(A=A, f=lambda t: 2.0 + A * t * t, u0=0.0, v0=0.0, T=1.0)
         traj = solve_newmark_ode(problem, grid)
         np.testing.assert_allclose(traj.u, grid.points ** 2, rtol=1e-12, atol=1e-13)
@@ -100,7 +100,7 @@ class TestSolver:
     def test_two_step_recurrence_residual(self):
         # the marched trajectory satisfies the displacement two-step relation
         A = 50.0
-        grid = alternating_grid(n_steps=30, small=0.1)
+        grid = alternating_grid(n_steps=30, T=1.0, small=0.1)
         problem = OdeProblem(A=A, f=np.cos, u0=0.3, v0=-1.0, T=1.0)
         traj = solve_newmark_ode(problem, grid)
         t, tau = grid.points, grid.steps
@@ -115,7 +115,7 @@ class TestSolver:
     def test_velocity_matches_recovery_formula(self):
         # v_{n+1} = 2 (u_{n+1} - u_n) / tau_n - v_n, recovered step by step
         A = 50.0
-        grid = uniform_grid(64)
+        grid = uniform_grid(64, 1.0)
         problem = OdeProblem(A=A, f=np.sin, u0=1.0, v0=0.5, T=1.0)
         traj = solve_newmark_ode(problem, grid)
         v = traj.v[0]
@@ -134,7 +134,7 @@ class TestSolver:
 
 class TestEnergyError:
     def test_zero_when_coincident(self):
-        grid = uniform_grid(10)
+        grid = uniform_grid(10, 1.0)
         problem = cosine_problem(4.0)
         traj = solve_newmark_ode(problem, grid)
         fake_exact = (lambda t: np.interp(t, grid.points, traj.u),
@@ -143,7 +143,7 @@ class TestEnergyError:
 
     def test_single_node_deviation(self):
         A = 9.0
-        grid = uniform_grid(5)
+        grid = uniform_grid(5, 1.0)
         traj = solve_newmark_ode(OdeProblem(A=A, f=None, u0=0.0, v0=0.0, T=1.0), grid)
         delta = 0.125
         u = traj.u.copy()
@@ -156,7 +156,7 @@ class TestEnergyError:
 
     def test_reference_magnitude_uniform_100(self):
         problem = cosine_problem(100.0)
-        traj = solve_newmark_ode(problem, uniform_grid(100))
+        traj = solve_newmark_ode(problem, uniform_grid(100, 1.0))
         e = ode_energy_error(traj, problem.exact, 100.0).max()
         # coarse-row magnitude of the printed tables (see acceptance notes)
         assert e == pytest.approx(0.085, abs=0.003)
@@ -165,7 +165,7 @@ class TestEnergyError:
 class TestEstimators:
     def test_quadratic_data_gives_zero_estimators(self):
         A = 3.0
-        grid = alternating_grid(n_steps=40, small=0.5)
+        grid = alternating_grid(n_steps=40, T=1.0, small=0.5)
         problem = OdeProblem(A=A, f=lambda t: 2.0 + A * t * t, u0=0.0, v0=0.0, T=1.0)
         traj = solve_newmark_ode(problem, grid)
         fs = problem.f_samples(grid.points)
@@ -174,7 +174,7 @@ class TestEstimators:
 
     def test_cumulative_monotone_nondecreasing(self):
         problem = cosine_problem(100.0)
-        grid = uniform_grid(50)
+        grid = uniform_grid(50, 1.0)
         traj = solve_newmark_ode(problem, grid)
         fs = problem.f_samples(grid.points)
         c3 = eta3_ode_cumulative(traj, fs, 100.0)
@@ -187,7 +187,7 @@ class TestEstimators:
         # frozen against an independent loop evaluation of the sums
         A = 100.0
         problem = cosine_problem(A)
-        grid = alternating_grid(n_steps=20, small=0.1)
+        grid = alternating_grid(n_steps=20, T=1.0, small=0.1)
         traj = solve_newmark_ode(problem, grid)
         fs = problem.f_samples(grid.points)
         t, tau = grid.points, grid.steps
@@ -206,7 +206,7 @@ class TestEstimators:
 
     def test_reference_anchor_uniform_A100(self):
         problem = cosine_problem(100.0)
-        grid = uniform_grid(100)
+        grid = uniform_grid(100, 1.0)
         traj = solve_newmark_ode(problem, grid)
         fs = problem.f_samples(grid.points)
         assert eta3_ode_cumulative(traj, fs, 100.0)[-1] == pytest.approx(0.21, abs=0.01)
@@ -216,7 +216,7 @@ class TestEstimators:
         problem = cosine_problem(100.0)
         vals3, vals5 = [], []
         for n in (100, 1000):
-            traj = solve_newmark_ode(problem, uniform_grid(n))
+            traj = solve_newmark_ode(problem, uniform_grid(n, 1.0))
             fs = problem.f_samples(traj.grid.points)
             vals3.append(eta3_ode_cumulative(traj, fs, 100.0)[-1])
             vals5.append(eta5_ode_cumulative(traj, 100.0)[-1])
@@ -226,7 +226,7 @@ class TestEstimators:
     def test_three_and_five_point_agree_when_resolved(self):
         problem = cosine_problem(100.0)
         n = 10000
-        traj = solve_newmark_ode(problem, uniform_grid(n))
+        traj = solve_newmark_ode(problem, uniform_grid(n, 1.0))
         fs = problem.f_samples(traj.grid.points)
         e3 = eta3_ode_cumulative(traj, fs, 100.0)[-1]
         e5 = eta5_ode_cumulative(traj, 100.0)[-1]
@@ -235,7 +235,7 @@ class TestEstimators:
     def test_rejects_small_n(self):
         problem = cosine_problem(1.0)
         for n, ok3, ok5 in ((1, False, False), (3, True, False), (4, True, True)):
-            traj = solve_newmark_ode(problem, uniform_grid(n))
+            traj = solve_newmark_ode(problem, uniform_grid(n, 1.0))
             fs = problem.f_samples(traj.grid.points)
             for ok, estimate in ((ok3, lambda: eta3_ode_cumulative(traj, fs, 1.0)),
                                  (ok5, lambda: eta5_ode_cumulative(traj, 1.0))):
@@ -247,7 +247,7 @@ class TestEstimators:
 
     def test_sample_layout(self):
         problem = cosine_problem(9.0)
-        grid = uniform_grid(12)
+        grid = uniform_grid(12, 1.0)
         traj = solve_newmark_ode(problem, grid)
         fs = problem.f_samples(grid.points)
         assert len(eta3_ode_samples(traj, fs, 9.0)) == 12
@@ -275,7 +275,7 @@ class TestScalingInvariant:
         problem = cosine_problem(1000.0)
         out = {}
         for n in (1000, 10000):
-            traj = solve_newmark_ode(problem, uniform_grid(n))
+            traj = solve_newmark_ode(problem, uniform_grid(n, 1.0))
             fs = problem.f_samples(traj.grid.points)
             out[n] = (
                 ode_energy_error(traj, problem.exact, 1000.0).max(),
