@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import FemSpace, SolveCounter
+from .fem import FemSpace, SolveCounter, weighted_mass_values
 from .newmark import WaveState
 from .stencils import eta3_increments, eta5_increments, hat_second_diff, second_diff
 
@@ -97,12 +97,16 @@ class SpaceEstimatorAccumulator:
 
     ``jump`` is the operator J, assembled once, from all-vertex values to
     h_E [n . grad u]_E on every interior edge, so the jump sum is ||J u||^2.
+    ``h_mass`` is the mass matrix with each triangle's contribution scaled by
+    h_K^2, so the volume sum is r . (M_h r); it shares the mass matrix's CSR
+    structure and keeps only its own values.
     """
 
     space: FemSpace
     part1_max: float = field(init=False, default=0.0)
     part2_sum: float = field(init=False, default=0.0)
-    jump: sp.csr_matrix = field(init=False, repr=False)  # (interior edges, vertices)
+    jump: sp.csr_matrix = field(init=False, repr=False)    # (interior edges, vertices)
+    h_mass: sp.csr_matrix = field(init=False, repr=False)  # (vertices, vertices)
 
     def __post_init__(self):
         # row E: h_E times the normal components of the hat gradients on the
@@ -119,12 +123,14 @@ class SpaceEstimatorAccumulator:
                                    6 * np.arange(ne + 1, dtype=np.int32)),
                                   shape=(ne, mesh.n_vertices))
         self.jump.sum_duplicates()
+        mass = self.space.mass
+        self.h_mass = sp.csr_matrix((weighted_mass_values(mass, mesh, mesh.h_K ** 2),
+                                     mass.indices, mass.indptr), shape=mass.shape)
 
     def _part(self, residual, u) -> float:
         """sum_K h_K^2 ||residual||_{L2(K)}^2 + ||J u||^2."""
-        vol = np.sum(self.space.mesh.h_K ** 2 * self.space.element_l2_sq(residual))
         ju = self.jump @ u
-        return float(vol + ju @ ju)
+        return float(residual @ (self.h_mass @ residual) + ju @ ju)
 
     def update(self, states, node: NodeDiffs):
         s0, s1, s2 = states

@@ -131,6 +131,28 @@ def assemble_mass(mesh) -> sp.csr_matrix:
     return sp.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
 
 
+def weighted_mass_values(mass, mesh, weights) -> np.ndarray:
+    """Values of the mass matrix with each triangle's contribution scaled by its weight.
+
+    They are laid out on the CSR structure of ``mass`` (``assemble_mass(mesh)``,
+    canonical, so the keys row * n + column of its entries ascend).  The
+    triangles' nine local entries are scattered one at a time, so the
+    transient memory is a few vectors of the triangles' length rather than
+    an assembly's nine triplets per triangle.
+    """
+    n = mass.shape[0]
+    keys = np.repeat(np.arange(n), np.diff(mass.indptr)) * n + mass.indices
+    scale = mesh.areas * weights / 12.0
+    tris = mesh.triangles
+    data = np.zeros(mass.nnz)
+    for a in range(3):
+        for b in range(3):
+            at = np.searchsorted(keys, tris[:, a] * n + tris[:, b])
+            data += np.bincount(at, weights=2.0 * scale if a == b else scale,
+                                minlength=mass.nnz)
+    return data
+
+
 def assemble_stiffness(mesh) -> sp.csr_matrix:
     """Full-vertex stiffness matrix, entries integral(grad phi_i . grad phi_j)."""
     grads, area = _triangle_geometry(mesh)
@@ -150,11 +172,15 @@ def solve_spd(matrix, rhs, tol=1e-10, max_iter=None, counter: Optional[SolveCoun
     ``precond`` maps a residual r to B r for a symmetric positive definite B
     (a ``Multigrid.preconditioner``); by default B is the inverse diagonal
     (Jacobi).  Starts from ``x0`` (zero by default; the caller's array is not
-    changed) and stops when the residual satisfies ||b - A x|| <= tol * ||b||,
-    after 0 iterations if ``x0`` already does.  Deterministic for fixed
+    changed) and stops when the residual satisfies ||b - A x|| <= tol * ||b||
+    (``tol`` a finite positive number, ValueError otherwise), after 0
+    iterations if ``x0`` already does.  Deterministic for fixed
     inputs; raises SolverError with the last residual if max_iter is
-    exhausted.
+    exhausted, or if a search direction p has p . A p <= 0 (the matrix or the
+    preconditioner is not positive definite).
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
     b = np.asarray(rhs, dtype=float)
     n = len(b)
     if max_iter is None:
@@ -185,7 +211,11 @@ def solve_spd(matrix, rhs, tol=1e-10, max_iter=None, counter: Optional[SolveCoun
     rz = float(r @ z)
     for it in range(1, max_iter + 1):
         q = matrix @ p
-        alpha = rz / float(p @ q)
+        pq = float(p @ q)
+        if not pq > 0.0:
+            raise SolverError(f"CG breakdown at iteration {it}: p . A p = {pq:.3e} is not "
+                              "positive", residual=np.linalg.norm(r) / bnorm)
+        alpha = rz / pq
         x += alpha * p
         r -= alpha * q
         res = np.linalg.norm(r)
@@ -322,9 +352,22 @@ class FemSpace:
 
     def assemble_load(self, g: Callable) -> np.ndarray:
         """Load vector b_i ~ integral(g phi_i) over all vertices, by the space's rule."""
-        rule, xy = self.rule, self.quad_xy
-        vals = np.asarray(g(xy[:, :, 0], xy[:, :, 1]), dtype=float)
+        return self.load(g(self.quad_xy[:, :, 0], self.quad_xy[:, :, 1]))
+
+    def load(self, vals) -> np.ndarray:
+        """Load vector of g from its values at the quadrature points, (nt, q)."""
+        rule = self.rule
+        vals = np.asarray(vals, dtype=float)
         return self._scatter(self.area[:, None] * (vals @ (rule.weights[:, None] * rule.points)))
+
+    def gradient_load(self, gx, gy) -> np.ndarray:
+        """integral(grad g . grad phi_i) over all vertices, from grad g at the quadrature points."""
+        gx = np.asarray(gx, dtype=float)
+        gy = np.asarray(gy, dtype=float)
+        # integral over each triangle of grad g . grad phi_b
+        contrib = np.einsum("tq,q,tb,t->tb", gx, self.rule.weights, self.grads[:, :, 0], self.area) \
+            + np.einsum("tq,q,tb,t->tb", gy, self.rule.weights, self.grads[:, :, 1], self.area)
+        return self._scatter(contrib)
 
     def _scatter(self, contrib) -> np.ndarray:
         """Sum per-triangle vertex contributions (nt, 3) into an all-vertex vector."""
@@ -351,13 +394,7 @@ class FemSpace:
         solves the free-vertex stiffness system with rhs integral(grad g .
         grad phi_i).
         """
-        gx_gy = grad_g(self.quad_xy[:, :, 0], self.quad_xy[:, :, 1])
-        gx = np.asarray(gx_gy[0], dtype=float)
-        gy = np.asarray(gx_gy[1], dtype=float)
-        # integral over each triangle of grad g . grad phi_b
-        contrib = np.einsum("tq,q,tb,t->tb", gx, self.rule.weights, self.grads[:, :, 0], self.area) \
-            + np.einsum("tq,q,tb,t->tb", gy, self.rule.weights, self.grads[:, :, 1], self.area)
-        rhs = self._scatter(contrib)
+        rhs = self.gradient_load(*grad_g(self.quad_xy[:, :, 0], self.quad_xy[:, :, 1]))
         return solve_spd(self.stiffness_ff, rhs[self.free], tol=self.tol,
                          precond=self.preconditioner(self.stiffness_ff, "stiffness"))
 
@@ -376,19 +413,3 @@ class FemSpace:
         """H1 seminorm of a P1 function given by its all-vertex coefficients."""
         v = np.asarray(values, dtype=float)
         return float(np.sqrt(max(v @ (self.stiffness @ v), 0.0)))
-
-    # -- elementwise quantities for the space estimator ---------------------
-
-    def element_l2_sq(self, full_values) -> np.ndarray:
-        """Per-triangle integral of the square of a P1 function.
-
-        Exact: for nodal values (a, b, c) the integral is
-        area/6 * (a^2 + b^2 + c^2 + ab + bc + ca).
-        """
-        a, b, c = np.asarray(full_values, dtype=float)[self.mesh.triangles.T]
-        return self.area / 6.0 * ((a * a + b * b + c * c) + (a * b + b * c + c * a))
-
-    def element_gradients(self, full_values) -> np.ndarray:
-        """Constant gradient of a P1 function on each triangle, shape (nt, 2)."""
-        w = np.asarray(full_values, dtype=float)[self.mesh.triangles]
-        return np.einsum("tb,tbd->td", w, self.grads)

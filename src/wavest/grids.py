@@ -135,12 +135,23 @@ def decaying_grid(tau0, T, literal=False):
     return TimeGrid(np.asarray(pts), rule=f"{name}, tau0={tau0:g}")
 
 
+# the settings each grid rule reads; build_grid rejects any other it is given
+RULE_SETTINGS = {"uniform": ("N",), "alt10": ("N", "taustar"), "alt100": ("N", "taustar"),
+                 "decay": ("tau0",), "decay-literal": ("tau0",)}
+
+
 def build_grid(rule, T, N=None, tau0=None, taustar=None):
     """Dispatch by rule name: uniform | alt10 | alt100 | decay | decay-literal.
 
     ``uniform`` needs N; the alternating rules need N or taustar; the
-    decaying rules need tau0.
+    decaying rules need tau0.  A setting the rule does not read is an error.
     """
+    if rule not in RULE_SETTINGS:
+        raise ValueError(f"unknown grid rule: {rule!r}")
+    given = {"N": N, "tau0": tau0, "taustar": taustar}
+    unused = [k for k, v in given.items() if v is not None and k not in RULE_SETTINGS[rule]]
+    if unused:
+        raise ValueError(f"the {rule} grid does not use {' or '.join(unused)}")
     if rule == "uniform":
         if N is None:
             raise ValueError("the uniform grid needs N")
@@ -155,8 +166,6 @@ def build_grid(rule, T, N=None, tau0=None, taustar=None):
             small=small,
             taustar=taustar,
         )
-    if rule in ("decay", "decay-literal"):
-        if tau0 is None:
-            raise ValueError(f"the {rule} grid needs tau0")
-        return decaying_grid(float(tau0), T, literal=rule == "decay-literal")
-    raise ValueError(f"unknown grid rule: {rule!r}")
+    if tau0 is None:
+        raise ValueError(f"the {rule} grid needs tau0")
+    return decaying_grid(float(tau0), T, literal=rule == "decay-literal")

@@ -12,20 +12,33 @@ round-off, and only on [0, 1]: the center reaches the boundary at t = 1.32.
 The second case is the standing eigenmode with wave numbers ``MODE`` =
 (1, 1), which has no forcing.
 
-``bind(x, y)`` fixes the points (a run's quadrature points) and returns
-``t -> (du/dt, (du/dx, du/dy))``, the pair the true energy error needs.  The
-standing mode evaluates its shape and gradient once, when bound; the pulse
-evaluates its exponential once per time for both parts.  Both use the
-helpers of the ``(t, x, y)`` callables in the same order, so the values are
-bit-equal to ``dudt`` and ``grad_u``.  The pulse's forcing and bound
-evaluator compute in place in four arrays of the points' shape, the peak
-memory of a run's per-time evaluations on large meshes.
+The harness measures the true energy error of a state in one of two
+forms, which a solution offers through one of two hooks:
+
+* ``moments(space)``, for the separable standing mode u = c(t) s(x): once per
+  run, with the space's rule, it integrates the moments of r = I s - s, the
+  interpolation error of the shape: b = (r, phi_i), g = (grad r, grad phi_i)
+  on the free vertices, ||r||^2 and |r|^2_H1.  It returns ``state -> e`` with
+  e^2 = dv.M dv + 2 c' dv.b + c'^2 ||r||^2 + du.K du + 2 c du.g + c^2 |r|^2_H1
+  for dv = v - c' I s and du = u - c I s, two matvecs and four dot products
+  per state.  By the rule's exactness on P1 products this is the quadrature
+  of the error; every term has the error's size, so no digits cancel;
+* ``bind(x, y)``, for the pulse: it fixes the points (a run's quadrature
+  points) and returns ``t -> (du/dt, (du/dx, du/dy))``, the values the
+  quadrature integrates against.  It evaluates the exponential once per time
+  for both parts, with the helpers of the ``(t, x, y)`` callables in the
+  same order, so the values are bit-equal to ``dudt`` and ``grad_u``.  The
+  three arrays are new at each call, so the caller may compute in them.
+
+The pulse's forcing and bound evaluator compute in place in four arrays of
+the points' shape, the peak memory of a run's per-time evaluations on large
+meshes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -43,7 +56,8 @@ class ManufacturedSolution:
     grad_u: Callable      # (du/dx, du/dy)(t, x, y)
     grad_dudt: Callable   # gradient of du/dt
     f: Callable           # u_tt - Lap(u)
-    bind: Callable        # bind(x, y) -> (t -> (du/dt, (du/dx, du/dy))) at fixed points
+    bind: Optional[Callable] = None     # bind(x, y) -> (t -> (du/dt, (du/dx, du/dy)))
+    moments: Optional[Callable] = None  # moments(space) -> (state -> energy-norm error)
     zero_forcing: bool = False  # f vanishes identically, so solvers may skip it
 
     def initial_data(self):
@@ -183,20 +197,33 @@ def standing_mode() -> ManufacturedSolution:
     def f(t, x, y):
         return np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
 
-    def bind(x, y):
-        s, g = shape(x, y), grad_shape(x, y)
-        out = [None, None, None]   # allocated by the first call, overwritten by the next
+    def moments(space):
+        x, y = space.quad_xy[:, :, 0], space.quad_xy[:, :, 1]
+        w, area, free, tris = space.rule.weights, space.area, space.free, space.mesh.triangles
+        base = space.full(shape(*space.mesh.vertices[free].T))
+        nodal = base[tris]
+        rv = nodal @ space.rule.points.T - shape(x, y)          # I s - s at the points
+        grad = np.einsum("tb,tbd->td", nodal, space.grads)      # grad I s on each triangle
+        sx, sy = grad_shape(x, y)
+        rx, ry = grad[:, [0]] - sx, grad[:, [1]] - sy
+        b = space.load(rv)[free]                # (I s - s, phi_i)
+        g = space.gradient_load(rx, ry)[free]   # (grad(I s - s), grad phi_i)
+        l2 = ((rv * rv) @ w) @ area             # ||I s - s||^2
+        h1 = ((rx * rx + ry * ry) @ w) @ area   # |I s - s|^2_H1
+        base = base[free]
+        mass, stiffness = space.mass_ff, space.stiffness_ff
 
-        def at(t):
-            a = position(t)
-            out[0] = np.multiply(velocity(t), s, out=out[0])
-            out[1] = np.multiply(a, g[0], out=out[1])
-            out[2] = np.multiply(a, g[1], out=out[2])
-            return out[0], (out[1], out[2])
-        return at
+        def error(state):
+            c, cdot = position(state.t), velocity(state.t)
+            dv = state.v - cdot * base
+            du = state.u - c * base
+            l2_sq = dv @ (mass @ dv) + 2.0 * cdot * (dv @ b) + cdot * cdot * l2
+            h1_sq = du @ (stiffness @ du) + 2.0 * c * (du @ g) + c * c * h1
+            return float(np.sqrt(max(l2_sq + h1_sq, 0.0)))
+        return error
 
     return ManufacturedSolution(name=f"mode({kx},{ky})", u=u, dudt=dudt, grad_u=grad_u,
-                                grad_dudt=grad_dudt, f=f, bind=bind, zero_forcing=True)
+                                grad_dudt=grad_dudt, f=f, moments=moments, zero_forcing=True)
 
 
 def get_solution(name: str) -> ManufacturedSolution:

@@ -54,8 +54,9 @@ class OdeProblem:
     exact: Optional[tuple] = None  # (u(t), u'(t)) callables
 
     def __post_init__(self):
-        if self.A <= 0:
-            raise ValueError("stiffness constant A must be positive")
+        if not 0 < self.A < np.inf:
+            raise ValueError("stiffness constant A must be a finite positive number, "
+                             f"got {self.A!r}")
         if self.T <= 0:
             raise ValueError("final time must be positive")
 

@@ -14,6 +14,8 @@ from wavest.newmark import NewmarkWaveSolver, WaveProblem, WaveState
 from wavest.ode import (OdeProblem, eta3_ode_samples, eta5_ode_samples, solve_newmark_ode)
 from wavest.stencils import initial_weight, step_weight
 
+from oracles import element_l2_sq, jittered_crisscross
+
 RNG = np.random.default_rng(3)
 
 
@@ -249,6 +251,21 @@ class TestSpaceEstimator:
         affine = 1.0 + 2.0 * mesh.vertices[:, 0] - mesh.vertices[:, 1]
         jumps = scaled_jumps(space, affine)
         np.testing.assert_allclose(jumps, 0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("mesh", [lambda: jittered_crisscross(6),
+                                      lambda: generate_structured(56, "crisscross")],
+                             ids=["jittered6", "crisscross56"])
+    def test_weighted_mass_form_against_element_integrals(self, mesh):
+        # M_h keeps only its values and shares the mass matrix's CSR structure
+        space = FemSpace(mesh())
+        h_mass = SpaceEstimatorAccumulator(space).h_mass
+        np.testing.assert_array_equal(h_mass.indices, space.mass.indices)
+        np.testing.assert_array_equal(h_mass.indptr, space.mass.indptr)
+        h_sq = space.mesh.h_K ** 2
+        for _ in range(3):
+            r = RNG.normal(size=space.mesh.n_vertices)
+            oracle = np.sum(h_sq * element_l2_sq(space, r))
+            assert r @ (h_mass @ r) == pytest.approx(oracle, rel=1e-13)
 
     def test_parts_accumulate(self):
         sol = gaussian_pulse()

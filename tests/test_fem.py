@@ -7,6 +7,8 @@ from wavest.fem import (MULTIGRID_MIN_FREE, FemSpace, Multigrid, SolveCounter, S
                         assemble_mass, assemble_stiffness, quadrature_rule, solve_spd)
 from wavest.mesh import Mesh, generate_structured
 
+from oracles import element_gradients
+
 RNG = np.random.default_rng(42)
 
 
@@ -183,6 +185,27 @@ class TestSolver:
             solve_spd(K, np.ones(K.shape[0]), tol=1e-15, max_iter=2)
         assert err.value.residual > 0
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
+    def test_rejects_a_tolerance_that_is_not_finite_positive(self, tol):
+        import scipy.sparse as sp
+        with pytest.raises(ValueError, match="^tol must be a finite positive number, got "):
+            solve_spd(sp.identity(3, format="csr"), np.ones(3), tol=tol)
+
+    def test_stops_on_an_exactly_zero_residual(self):
+        # tol * ||b|| underflows to 0: the exact residual 0 still meets it
+        import scipy.sparse as sp
+        counter = SolveCounter()
+        x = solve_spd(sp.identity(3, format="csr"), np.ones(3), tol=5e-324, counter=counter)
+        np.testing.assert_array_equal(x, 1.0)
+        assert counter.iterations == 1
+
+    def test_indefinite_matrix_raises_solver_error(self):
+        # positive diagonal, but p . A p = -2 on the first search direction
+        import scipy.sparse as sp
+        A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(SolverError, match="p . A p = -2.000e[+]00 is not positive"):
+            solve_spd(A, np.array([1.0, -1.0]))
+
     def test_zero_rhs(self):
         m = generate_structured(2)
         M = assemble_mass(m)
@@ -318,7 +341,7 @@ class TestProjections:
         w = RNG.normal(size=len(space.free))
         full = np.zeros(m.n_vertices)
         full[space.free] = w
-        grads = space.element_gradients(full)
+        grads = element_gradients(space, full)
 
         def grad_fun(x, y):
             # constant per triangle; x, y come in as (nt, q) arrays in
@@ -426,8 +449,9 @@ class TestNorms:
         space = FemSpace(generate_structured(4))
         v = RNG.normal(size=len(space.free))
         u = RNG.normal(size=len(space.free))
-        zero = np.zeros(space.quad_xy.shape[:2])
-        exact = lambda t: (zero, (zero, zero))
+        # the quadrature computes in the bound arrays, so each call hands out new ones
+        zero = lambda: np.zeros(space.quad_xy.shape[:2])
+        exact = lambda t: (zero(), (zero(), zero()))
         state = WaveState(t=0.0, u=u, v=v, f_h=np.zeros(space.mesh.n_vertices),
                           a=np.zeros(len(space.free)))
         expected = np.hypot(space.l2_norm(space.full(v)), space.h1_seminorm(space.full(u)))

@@ -18,24 +18,14 @@ from wavest.mesh import Mesh, generate_structured
 from wavest.newmark import NewmarkWaveSolver
 from wavest.ode import OdeProblem, eta3_ode_samples, solve_newmark_ode
 
+from oracles import bind, element_gradients, jittered_crisscross
+
 RNG = np.random.default_rng(5)
 
 
-def jittered_crisscross(n, seed=7):
-    """Crisscross level n with each interior vertex moved by at most 0.1 h."""
-    base = generate_structured(n, "crisscross")
-    rng = np.random.default_rng(seed)
-    verts = base.vertices.copy()
-    free = ~base.boundary_vertex
-    radius = 0.1 * base.h * np.sqrt(rng.uniform(size=free.sum()))
-    angle = rng.uniform(0.0, 2.0 * np.pi, size=free.sum())
-    verts[free] += radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
-    return Mesh(vertices=verts, triangles=base.triangles, boundary_vertex=base.boundary_vertex)
-
-
 def bound(solution, space):
-    """The solution bound to the space's quadrature points, as the harness binds it."""
-    return solution.bind(space.quad_xy[:, :, 0], space.quad_xy[:, :, 1])
+    """The solution bound to the space's quadrature points, the quadrature's input."""
+    return bind(solution, space.quad_xy[:, :, 0], space.quad_xy[:, :, 1])
 
 
 def einsum_energy_error(space, state, solution):
@@ -45,7 +35,7 @@ def einsum_energy_error(space, state, solution):
     v_h = np.einsum("tb,qb->tq", space.full(state.v)[space.mesh.triangles], space.rule.points)
     dv = v_h - solution.dudt(t, xy[:, :, 0], xy[:, :, 1])
     l2_sq = np.einsum("tq,q,t->", dv * dv, space.rule.weights, space.area)
-    grads = space.element_gradients(space.full(state.u))
+    grads = element_gradients(space, space.full(state.u))
     gx, gy = solution.grad_u(t, xy[:, :, 0], xy[:, :, 1])
     dx = grads[:, 0][:, None] - gx
     dy = grads[:, 1][:, None] - gy
@@ -132,6 +122,18 @@ class TestGrids:
             for n in (14, 28, 56):
                 build_grid("decay", 1.0, tau0=0.12 * np.sqrt(1.0 / n))
 
+    @pytest.mark.parametrize("rule, settings, unused", [
+        ("uniform", {"N": 10, "tau0": 0.1}, "tau0"),
+        ("uniform", {"N": 10, "taustar": 0.1}, "taustar"),
+        ("alt10", {"N": 10, "tau0": 0.1}, "tau0"),
+        ("alt100", {"taustar": 0.1, "tau0": 0.1}, "tau0"),
+        ("decay", {"tau0": 0.1, "N": 10, "taustar": 0.1}, "N or taustar"),
+        ("decay-literal", {"tau0": 0.1, "N": 10}, "N"),
+    ])
+    def test_rejects_settings_the_rule_does_not_use(self, rule, settings, unused):
+        with pytest.raises(ValueError, match=f"^the {rule} grid does not use {unused}$"):
+            build_grid(rule, 1.0, **settings)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             uniform_grid(0, 1.0)
@@ -203,7 +205,7 @@ class TestManufactured:
         sol = make()
         space = FemSpace(jittered_crisscross(6))
         x, y = space.quad_xy[:, :, 0], space.quad_xy[:, :, 1]
-        at = sol.bind(x, y)
+        at = bind(sol, x, y)
         for t in (0.0, 0.37, 1.0):
             dudt, (gx, gy) = at(t)
             ex, ey = sol.grad_u(t, x, y)
@@ -302,7 +304,7 @@ def fresh_array_energy_error(space, state, exact):
     r = space.full(state.v)[space.mesh.triangles] @ rule.points.T
     np.square(np.subtract(r, dudt, out=r), out=r)
     err_sq = (r @ rule.weights) @ area
-    grads = space.element_gradients(space.full(state.u))
+    grads = element_gradients(space, space.full(state.u))
     for d, g in enumerate((gx, gy)):
         np.square(np.subtract(grads[:, d, None], g, out=r), out=r)
         err_sq += (r @ rule.weights) @ area
@@ -429,6 +431,38 @@ class TestWaveExperiment:
             assert oracle > 0
             err = wave_energy_error_at(space, state, exact, ErrorWork(space))
             assert err == pytest.approx(oracle, rel=1e-14)
+
+    @pytest.mark.parametrize("mesh", [lambda: jittered_crisscross(6),
+                                      lambda: generate_structured(56, "crisscross")],
+                             ids=["jittered6", "crisscross56"])
+    @pytest.mark.parametrize("rule", ["alt100", "uniform"])
+    def test_moment_form_against_the_quadrature(self, mesh, rule):
+        # every state of a 200-step run, t = 0 included; near t = 0.35 the
+        # error is about 3e-4 of the solution's energy norm, where a form
+        # expanded about 0 rather than I s loses digits
+        sol = standing_mode()
+        space = FemSpace(mesh())
+        solver = NewmarkWaveSolver(wave_problem_from(sol, 1.0), space)
+        error_at = sol.moments(space)
+        exact, work = bound(sol, space), ErrorWork(space)
+        for state in solver.run(build_grid(rule, 1.0, N=200)):
+            oracle = wave_energy_error_at(space, state, exact, work)
+            assert error_at(state) == pytest.approx(oracle, rel=1e-12), state.t
+
+    @pytest.mark.parametrize("name, quadratures", [("gaussian", 7), ("mode", 0)])
+    def test_true_error_form_follows_the_solution(self, name, quadratures, monkeypatch):
+        # the standing mode's error comes from its moments, the pulse's from
+        # the quadrature at every state
+        from wavest import harness
+
+        calls = []
+        quadrature = harness.wave_energy_error_at
+        monkeypatch.setattr(harness, "wave_energy_error_at",
+                            lambda *a: calls.append(1) or quadrature(*a))
+        cfg = ExperimentConfig(kind="wave", solution=name,
+                               mesh="structured:n=6:pattern=crisscross", grid="uniform", N=6)
+        row, _, _ = run_wave_experiment(cfg)
+        assert len(calls) == quadratures and row["e"] > 0
 
     @pytest.mark.parametrize("make", [gaussian_pulse, standing_mode])
     def test_run_buffers_bit_equal_to_fresh_arrays(self, make):
@@ -599,6 +633,8 @@ class TestCli:
         (["ode", "--grid", "decay"], "the decay grid needs tau0"),
         (["ode", "--grid", "alt100"], "the alt100 grid needs N or taustar"),
         (["wave", "--mesh", "structured:n=2", "--grid", "uniform"], "the uniform grid needs N"),
+        (["ode", "--N", "10", "--tau0", "0.1"], "the uniform grid does not use tau0"),
+        (["ode", "--grid", "decay", "--tau0", "0.1", "--N", "10"], "the decay grid does not use N"),
     ])
     def test_grid_arguments(self, argv, error, capsys):
         from wavest.cli import main
@@ -620,6 +656,25 @@ class TestCli:
             (0 if error is None else 1)
         err = capsys.readouterr().err
         assert err == ("" if error is None else f"wavest: error: {error}\n")
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "0", "inf"])
+    def test_tolerance_must_be_finite_and_positive(self, tol, capsys):
+        from wavest.cli import main
+        assert main(["wave", "--mesh", "structured:n=4", "--tol", tol, "--N", "4"]) == 1
+        assert capsys.readouterr().err == \
+            f"wavest: error: tol must be a finite positive number, got {float(tol)!r}\n"
+
+    @pytest.mark.parametrize("A", ["-5", "0", "nan", "inf"])
+    def test_stiffness_checked_before_use(self, A, capsys):
+        # A is validated before sqrt(A) is taken, so no RuntimeWarning comes first
+        import warnings
+
+        from wavest.cli import main
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["ode", "--A", A, "--N", "10"]) == 1
+        assert capsys.readouterr().err == ("wavest: error: stiffness constant A must be a "
+                                           f"finite positive number, got {float(A)!r}\n")
 
     def test_wave_smoke(self, tmp_path):
         from wavest.cli import main
