@@ -8,15 +8,17 @@ Usage:
 Config files are line-oriented 'key = value'.  Their keys are the fields of
 ``ExperimentConfig``: exactly the flag names (kind, A, N, grid, tau0, taustar,
 mesh, T, tol, out, trace) plus solution (the manufactured solution of a wave
-run: gaussian or mode); any other key is an error.  Every flag given
-overrides the file.  Exit code is 0 on success and 1 with a diagnostic on
-stderr otherwise.
+run: gaussian or mode); any other key is an error, and so is a setting the
+kind does not read (mesh or solution for ode, A for wave, anything but mesh
+and out for bench).  Every flag given overrides the file.  Exit code is 0 on
+success and 1 with a diagnostic on stderr otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 from .harness import (
@@ -49,8 +51,34 @@ def build_parser():
 CASTS = {"A": float, "N": int, "tau0": float, "taustar": float, "T": float, "tol": float}
 
 
+# the settings each kind reads (ode accepts tol, which its runs do not use, so
+# one command-line tail serves every kind)
+SETTINGS_READ = {
+    "ode": {"A", "grid", "N", "tau0", "taustar", "T", "tol", "out", "trace"},
+    "wave": {"mesh", "solution", "grid", "N", "tau0", "taustar", "T", "tol", "out", "trace"},
+    "bench": {"mesh", "out"},
+}
+
+
+def check_settings(config: ExperimentConfig, given):
+    """Reject a setting named in ``given`` that config.kind does not read, and a bad tol.
+
+    ``given`` holds the settings set explicitly (flags and config keys);
+    ``kind`` itself is always read.  ``tol`` must be a finite positive number.
+    """
+    read = SETTINGS_READ.get(config.kind)
+    if read is not None:
+        unread = [f.name for f in dataclasses.fields(config)
+                  if f.name in given and f.name not in read and f.name != "kind"]
+        if unread:
+            raise ValueError(f"the {config.kind} experiment does not use {' or '.join(unread)}")
+    if not 0.0 < config.tol < math.inf:
+        raise ValueError(f"tol must be a finite positive number, got {config.tol!r}")
+
+
 def config_from_args(args) -> ExperimentConfig:
     cfg = ExperimentConfig()
+    given = set()
     if args.config:
         with open(args.config, "r", encoding="ascii") as fh:
             raw = parse_config_file(fh.read())
@@ -59,9 +87,12 @@ def config_from_args(args) -> ExperimentConfig:
             if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
             setattr(cfg, key, CASTS.get(key, str)(value))
+            given.add(key)
     for key, value in vars(args).items():
         if key != "config" and value is not None:
             setattr(cfg, key, value)
+            given.add(key)
+    check_settings(cfg, given)
     return cfg
 
 

@@ -9,9 +9,14 @@ plain coefficient array, on the free vertices (zero trace) or on all of
 them; ``FemSpace.full`` scatters the first kind into the second.
 
 Per-triangle integrals reach the vertices through one ``np.bincount`` over
-the triangles' vertex indices.  A load vector is a single matmul of the
-integrand's quadrature values with the rule's weights times its barycentric
-points, scaled by the triangle areas.
+the triangles' vertex indices.  Work at the quadrature points runs over
+``FemSpace.blocks``, consecutive runs of at most ``QUAD_BLOCK`` triangles, so
+a block's (triangles, points) arrays stay in cache; an integrand ``g(x, y)``
+is therefore called once per block and must be pointwise.  A load vector is,
+per block, one matmul of the integrand's quadrature values with the rule's
+weights times its barycentric points, then scaled by the triangle areas; the
+H1_0 projection's right-hand side is, per block, the rule's weighted sum of
+each gradient component times area times the hat gradients.
 
 Linear systems are solved with preconditioned conjugate gradients, from
 zero or from a given start vector; pass a ``SolveCounter`` to account for
@@ -20,7 +25,8 @@ counters).  The preconditioner is the diagonal (Jacobi), except for the
 free-vertex stiffness and Newmark step systems of spaces with at least
 ``MULTIGRID_MIN_FREE`` free vertices: those take a smoothed-aggregation
 V-cycle (``Multigrid``), whose prolongators a space builds from its
-stiffness matrix at the first solve that needs them.
+stiffness matrix at the first solve that needs them.  The V-cycle runs in
+work vectors allocated once per hierarchy.
 """
 
 from __future__ import annotations
@@ -31,7 +37,9 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
+QUAD_BLOCK = 4096            # triangles per block of the quadrature-point work
 MULTIGRID_MIN_FREE = 10_000  # free vertices from which the stiffness and step solves use Multigrid
 MULTIGRID_COARSEST = 300     # unknowns at or below which aggregation stops (dense inverse)
 
@@ -245,6 +253,19 @@ def _jacobi_weights(matrix):
     return (4.0 / (3.0 * rho)) / d
 
 
+def _matvec(matrix, x, out):
+    """``matrix @ x`` of a CSR matrix into ``out``, by the kernel scipy's product runs.
+
+    scipy's product has no ``out``, so this calls its kernel
+    (``scipy.sparse._sparsetools.csr_matvec``) on a zeroed ``out``, as the
+    product does on a new array: the values are bit-equal to ``matrix @ x``.
+    """
+    out.fill(0.0)
+    _sparsetools.csr_matvec(matrix.shape[0], matrix.shape[1], matrix.indptr, matrix.indices,
+                            matrix.data, x, out)
+    return out
+
+
 class Multigrid:
     """Smoothed-aggregation V-cycle over the free vertices of one space.
 
@@ -262,7 +283,9 @@ class Multigrid:
     the coarsest.  The cycle is symmetric positive definite, a valid CG
     preconditioner.  The coarse operators of one matrix are kept, named by
     ``key``, and rebuilt when the key changes; the build leaves those of the
-    stiffness matrix, under the key 'stiffness'.
+    stiffness matrix, under the key 'stiffness'.  The restrictions P^T are
+    stored as CSR, and every vector of a cycle but its output, which is new
+    at each call, lives in work vectors allocated once per hierarchy.
     """
 
     def __init__(self, stiffness, xy, side):
@@ -284,9 +307,16 @@ class Multigrid:
             a = (prolongator.T @ (a @ prolongator)).tocsr()
             xy = np.column_stack([np.bincount(agg, weights=c) / size for c in xy.T])
             side *= 2.0
+        self._restrictions = [p.T.tocsr() for p in self.prolongators]
         self._key = "stiffness"
         self._levels = levels
         self._coarsest = np.linalg.inv(a.toarray())
+        # per level: a matvec's result, and from level 1 on the residual r and
+        # the correction x (the coarsest level's x is its solve's result)
+        sizes = [p.shape[0] for p in self.prolongators] + [a.shape[0]]
+        self._tmp = [np.empty(n) for n in sizes[:-1]]
+        self._r = [np.empty(n) for n in sizes[1:]]
+        self._x = [np.empty(n) for n in sizes[1:]]
 
     def _galerkin(self, matrix):
         levels = []
@@ -303,17 +333,23 @@ class Multigrid:
             self._galerkin(matrix)
             self._key = key
         levels, coarsest, prolongators = self._levels, self._coarsest, self.prolongators
+        restrictions, tmps, r_work, x_work = self._restrictions, self._tmp, self._r, self._x
 
         def vcycle(r):
-            down = []
-            for (a, weights), prolongator in zip(levels, prolongators):
-                x = weights * r
-                down.append((a, weights, r, x))
-                r = prolongator.T @ (r - a @ x)
-            e = coarsest @ r
-            for (a, weights, r, x), prolongator in zip(reversed(down), reversed(prolongators)):
-                x += prolongator @ e
-                x += weights * (r - a @ x)
+            rs = [r, *r_work]
+            xs = [np.empty(len(r)), *x_work]   # the output B r is a new array
+            for i, ((a, weights), restriction) in enumerate(zip(levels, restrictions)):
+                x, tmp = xs[i], tmps[i]
+                np.multiply(weights, rs[i], out=x)
+                np.subtract(rs[i], _matvec(a, x, tmp), out=tmp)
+                _matvec(restriction, tmp, rs[i + 1])
+            e = np.matmul(coarsest, rs[-1], out=xs[-1])
+            for i in reversed(range(len(levels))):
+                (a, weights), x, tmp = levels[i], xs[i], tmps[i]
+                x += _matvec(prolongators[i], e, tmp)
+                np.subtract(rs[i], _matvec(a, x, tmp), out=tmp)
+                tmp *= weights
+                x += tmp
                 e = x
             return e
         return vcycle
@@ -332,9 +368,12 @@ class FemSpace:
         self.mass_ff = self.mass[self.free][:, self.free].tocsr()
         self.stiffness_ff = self.stiffness[self.free][:, self.free].tocsr()
         self.grads, self.area = _triangle_geometry(mesh)
-        # physical quadrature points per triangle: (nt, q, 2)
+        # physical quadrature points per triangle, (nt, q, 2): a view of one
+        # (2, nt, q) array, so a block's x and y values are contiguous
         p = mesh.vertices[mesh.triangles]
-        self.quad_xy = np.einsum("qb,tbd->tqd", self.rule.points, p)
+        self.quad_xy = np.einsum("qb,tbd->dtq", self.rule.points, p).transpose(1, 2, 0)
+        nt = mesh.n_triangles
+        self.blocks = [slice(lo, min(lo + QUAD_BLOCK, nt)) for lo in range(0, nt, QUAD_BLOCK)]
 
     @cached_property
     def multigrid(self) -> Optional[Multigrid]:
@@ -351,8 +390,18 @@ class FemSpace:
     # -- integration ------------------------------------------------------
 
     def assemble_load(self, g: Callable) -> np.ndarray:
-        """Load vector b_i ~ integral(g phi_i) over all vertices, by the space's rule."""
-        return self.load(g(self.quad_xy[:, :, 0], self.quad_xy[:, :, 1]))
+        """Load vector b_i ~ integral(g phi_i) over all vertices, by the space's rule.
+
+        The pointwise g(x, y) is called once per block of triangles.
+        """
+        rule, xy = self.rule, self.quad_xy
+        weights = rule.weights[:, None] * rule.points
+        per_tri = np.empty((self.mesh.n_triangles, 3))
+        for b in self.blocks:
+            np.matmul(np.asarray(g(xy[b, :, 0], xy[b, :, 1]), dtype=float), weights,
+                      out=per_tri[b])
+        per_tri *= self.area[:, None]
+        return self._scatter(per_tri)
 
     def load(self, vals) -> np.ndarray:
         """Load vector of g from its values at the quadrature points, (nt, q)."""
@@ -362,12 +411,15 @@ class FemSpace:
 
     def gradient_load(self, gx, gy) -> np.ndarray:
         """integral(grad g . grad phi_i) over all vertices, from grad g at the quadrature points."""
-        gx = np.asarray(gx, dtype=float)
-        gy = np.asarray(gy, dtype=float)
-        # integral over each triangle of grad g . grad phi_b
-        contrib = np.einsum("tq,q,tb,t->tb", gx, self.rule.weights, self.grads[:, :, 0], self.area) \
-            + np.einsum("tq,q,tb,t->tb", gy, self.rule.weights, self.grads[:, :, 1], self.area)
+        contrib = np.empty((self.mesh.n_triangles, 3))
+        self._gradient_contrib(gx, gy, slice(None), out=contrib)
         return self._scatter(contrib)
+
+    def _gradient_contrib(self, gx, gy, b, out):
+        """integral(grad g . grad phi) over each triangle of the slice b, into ``out``, (len, 3)."""
+        w, area, grads = self.rule.weights, self.area[b], self.grads[b]
+        np.multiply(((np.asarray(gx, dtype=float) @ w) * area)[:, None], grads[:, :, 0], out=out)
+        out += ((np.asarray(gy, dtype=float) @ w) * area)[:, None] * grads[:, :, 1]
 
     def _scatter(self, contrib) -> np.ndarray:
         """Sum per-triangle vertex contributions (nt, 3) into an all-vertex vector."""
@@ -390,11 +442,15 @@ class FemSpace:
     def h1_project(self, grad_g: Callable) -> np.ndarray:
         """H1_0-orthogonal projection from the gradient of the target, on the free vertices.
 
-        grad_g(x, y) returns the two gradient components; the projection
-        solves the free-vertex stiffness system with rhs integral(grad g .
-        grad phi_i).
+        grad_g(x, y) returns the two gradient components pointwise and is
+        called once per block of triangles; the projection solves the
+        free-vertex stiffness system with rhs integral(grad g . grad phi_i).
         """
-        rhs = self.gradient_load(*grad_g(self.quad_xy[:, :, 0], self.quad_xy[:, :, 1]))
+        xy = self.quad_xy
+        contrib = np.empty((self.mesh.n_triangles, 3))
+        for b in self.blocks:
+            self._gradient_contrib(*grad_g(xy[b, :, 0], xy[b, :, 1]), b, out=contrib[b])
+        rhs = self._scatter(contrib)
         return solve_spd(self.stiffness_ff, rhs[self.free], tol=self.tol,
                          precond=self.preconditioner(self.stiffness_ff, "stiffness"))
 

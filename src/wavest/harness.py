@@ -6,6 +6,10 @@ row takes its totals from its trace's last entries.  Outputs are plain CSV
 with fixed headers and 6-significant-digit decimals so repeated runs of the
 same configuration are byte-identical.
 
+The true error of a solution without moments is a quadrature over the
+blocks of ``FemSpace.blocks``, against the solution bound once per run to
+each block's points.
+
 The cost benchmark's settings are module constants: ``BENCH_STEPS`` timed
 nodes after ``BENCH_WARMUP`` untimed ones, steps of ``BENCH_TAU``, and the
 best of ``BENCH_REPEATS`` evaluations per node.
@@ -200,35 +204,42 @@ class ErrorWork:
         nt = space.mesh.n_triangles
         self.full = np.zeros(space.mesh.n_vertices)  # all-vertex coefficients, zero on the boundary
         self.nodal = np.empty((nt, 3))               # coefficients at each triangle's vertices
-        self.per_tri = np.empty(nt)                  # a gradient component, then an integral
+        self.grad = np.empty((2, nt))                # the gradient of u_h on each triangle
+        self.per_tri = np.empty((3, nt))             # integrals of the velocity, x and y terms
+        self.at_points = np.ascontiguousarray(space.rule.points.T)  # nodal values -> point values
 
 
 def wave_energy_error_at(space: FemSpace, state, exact, work: ErrorWork) -> float:
     """Energy-norm error of one state against the exact solution (quadrature).
 
-    ``exact`` is a solution bound to ``space.quad_xy`` (``ManufacturedSolution.bind``):
-    it maps t to du/dt and (du/dx, du/dy) at the quadrature points, in arrays
-    that are this function's until the next call: each squared residual is
-    computed in one of them.  ``work`` holds the buffers of a run.
+    ``exact`` holds the solution bound to each block of ``space.blocks``
+    (``ManufacturedSolution.bind`` of the block's quadrature points): each
+    maps t to du/dt and (du/dx, du/dy) there, in arrays that are this
+    function's until the evaluator's next call: each squared residual is
+    computed in one of them.  The per-triangle integrals fill ``work``'s rows
+    block by block; the sums over all triangles come last.
     """
-    dudt, (gx, gy) = exact(state.t)
-    rule, area, tris = space.rule, space.area, space.mesh.triangles
+    rule, area, tris, grads = space.rule, space.area, space.mesh.triangles, space.grads
     work.full[space.free] = state.u
     np.take(work.full, tris, out=work.nodal)
-    h1_terms = []
-    for d, g in enumerate((gx, gy)):
-        # component d of the constant gradient on each triangle
-        grad = np.einsum("tb,tb->t", work.nodal, space.grads[:, :, d], out=work.per_tri)
-        np.square(np.subtract(grad[:, None], g, out=g), out=g)
-        h1_terms.append(np.matmul(g, rule.weights, out=work.per_tri) @ area)
-    # P1 values at the quadrature points, in the freed gx: nodal values times
-    # the barycentric coordinates of the rule
+    for d in range(2):   # component d of the constant gradient on each triangle
+        np.einsum("tb,tb->t", work.nodal, grads[:, :, d], out=work.grad[d])
     work.full[space.free] = state.v
-    r = np.matmul(np.take(work.full, tris, out=work.nodal), rule.points.T, out=gx)
-    np.square(np.subtract(r, dudt, out=r), out=r)
-    err_sq = np.matmul(r, rule.weights, out=work.per_tri) @ area
-    for term in h1_terms:   # velocity term first, as the tests' fresh-array oracle sums
-        err_sq += term
+    np.take(work.full, tris, out=work.nodal)
+    velocity, *h1_rows = work.per_tri
+    for b, at in zip(space.blocks, exact):
+        dudt, gxy = at(state.t)
+        for g, grad, row in zip(gxy, work.grad, h1_rows):
+            np.square(np.subtract(grad[b, None], g, out=g), out=g)
+            np.matmul(g, rule.weights, out=row[b])
+        # P1 values at the quadrature points, in the freed x component: nodal
+        # values times the barycentric coordinates of the rule
+        r = np.matmul(work.nodal[b], work.at_points, out=gxy[0])
+        np.square(np.subtract(r, dudt, out=r), out=r)
+        np.matmul(r, rule.weights, out=velocity[b])
+    err_sq = velocity @ area
+    for row in h1_rows:   # velocity term first, as the tests' fresh-array oracle sums
+        err_sq += row @ area
     return float(np.sqrt(err_sq))
 
 
@@ -237,11 +248,12 @@ def true_error_form(solution: ManufacturedSolution, space: FemSpace):
 
     A separable solution brings its moments (``ManufacturedSolution.moments``);
     any other is integrated by quadrature (``wave_energy_error_at``) against
-    the solution bound to the space's quadrature points.
+    the solution bound, block by block, to the space's quadrature points.
     """
     if solution.moments is not None:
         return solution.moments(space)
-    exact = solution.bind(space.quad_xy[:, :, 0], space.quad_xy[:, :, 1])
+    xy = space.quad_xy
+    exact = [solution.bind(xy[b, :, 0], xy[b, :, 1]) for b in space.blocks]
     work = ErrorWork(space)
     return lambda state: wave_energy_error_at(space, state, exact, work)
 

@@ -23,16 +23,20 @@ forms, which a solution offers through one of two hooks:
   for dv = v - c' I s and du = u - c I s, two matvecs and four dot products
   per state.  By the rule's exactness on P1 products this is the quadrature
   of the error; every term has the error's size, so no digits cancel;
-* ``bind(x, y)``, for the pulse: it fixes the points (a run's quadrature
-  points) and returns ``t -> (du/dt, (du/dx, du/dy))``, the values the
-  quadrature integrates against.  It evaluates the exponential once per time
-  for both parts, with the helpers of the ``(t, x, y)`` callables in the
-  same order, so the values are bit-equal to ``dudt`` and ``grad_u``.  The
-  three arrays are new at each call, so the caller may compute in them.
+* ``bind(x, y)``, for the pulse: it fixes the points (one block of a run's
+  quadrature points) and returns ``t -> (du/dt, (du/dx, du/dy))``, the
+  values the quadrature integrates against.  It evaluates the exponential
+  once per time for both parts, with the helpers of the ``(t, x, y)``
+  callables in the same order, so the values are bit-equal to ``dudt`` and
+  ``grad_u``.  The three arrays are new at each call, so the caller may
+  compute in them.
 
-The pulse's forcing and bound evaluator compute in place in four arrays of
-the points' shape, the peak memory of a run's per-time evaluations on large
-meshes.
+Every callable is pointwise: the package evaluates it on one block of at
+most ``fem.QUAD_BLOCK`` triangles' quadrature points at a time, and the
+blocks' values are those of one call on all the points.  The pulse's forcing
+and bound evaluator compute in place in four arrays of the points' shape, so
+a run's per-time evaluations hold four arrays of one block, which stay in
+cache.
 """
 
 from __future__ import annotations

@@ -33,3 +33,18 @@ def eta5_solves(monkeypatch):
     for module in (estimators, harness):
         monkeypatch.setattr(module, "eta5_step", counted)
     return per_call
+
+
+@pytest.fixture(params=[5, 0, -1, -31], ids=["fewer", "exactly", "one-more", "many"])
+def blocked_mesh(request, monkeypatch):
+    """A jittered 36-triangle mesh, with ``fem.QUAD_BLOCK`` patched to 41, 36, 35 or 5.
+
+    Spaces built on it take the patched blocks: fewer triangles than one
+    block, exactly one block, one block and one triangle, and eight blocks.
+    """
+    from oracles import jittered_crisscross
+    from wavest import fem
+
+    mesh = jittered_crisscross(3)
+    monkeypatch.setattr(fem, "QUAD_BLOCK", mesh.n_triangles + request.param)
+    return mesh

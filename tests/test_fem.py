@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from wavest import fem
 from wavest.fem import (MULTIGRID_MIN_FREE, FemSpace, Multigrid, SolveCounter, SolverError,
                         assemble_mass, assemble_stiffness, quadrature_rule, solve_spd)
+from wavest.manufactured import gaussian_pulse
 from wavest.mesh import Mesh, generate_structured
 
-from oracles import element_gradients
+from oracles import (allocating_vcycle, element_gradients, one_shot_gradient_load,
+                     one_shot_load)
 
 RNG = np.random.default_rng(42)
 
@@ -153,6 +156,47 @@ class TestLoads:
         assert np.abs(b - oracle).max() < 1e-10
 
 
+class TestBlocks:
+    """Quadrature-point work by blocks of at most QUAD_BLOCK triangles, bit-equal to one shot."""
+
+    PULSE = gaussian_pulse()
+    LOADS = [lambda x, y: TestBlocks.PULSE.f(0.37, x, y), lambda x, y: np.sin(3.0 * x) * y]
+
+    def test_blocks_cover_the_triangles_in_order(self, blocked_mesh):
+        space = FemSpace(blocked_mesh)
+        bounds = [(b.start, b.stop) for b in space.blocks]
+        assert bounds[0][0] == 0 and bounds[-1][1] == blocked_mesh.n_triangles
+        assert all(stop == start for (_, stop), (start, _) in zip(bounds, bounds[1:]))
+        assert all(0 < stop - start <= fem.QUAD_BLOCK for start, stop in bounds)
+
+    @pytest.mark.parametrize("g", LOADS, ids=["pulse-forcing", "smooth"])
+    def test_load_bit_equal_to_one_shot(self, blocked_mesh, g):
+        space = FemSpace(blocked_mesh)
+        np.testing.assert_array_equal(space.assemble_load(g), one_shot_load(space, g))
+
+    def test_h1_right_hand_side_bit_equal_to_one_shot(self, blocked_mesh, monkeypatch):
+        space = FemSpace(blocked_mesh)
+        rhs = []
+        solve = fem.solve_spd
+        monkeypatch.setattr(fem, "solve_spd", lambda m, b, **k: rhs.append(b) or solve(m, b, **k))
+        for grad_g in (lambda x, y: self.PULSE.grad_u(0.2, x, y),
+                       lambda x, y: self.PULSE.grad_dudt(0.2, x, y)):
+            space.h1_project(grad_g)
+            oracle = one_shot_gradient_load(space, grad_g)[space.free]
+            np.testing.assert_array_equal(rhs.pop(), oracle)
+
+    def test_load_passes_g_at_most_a_block(self):
+        # a mesh just over one block of the unpatched constant: g sees every
+        # triangle's points once, in order, never more than QUAD_BLOCK triangles at a time
+        n = int(np.ceil(np.sqrt(fem.QUAD_BLOCK / 4.0))) + 1
+        space = FemSpace(generate_structured(n, "crisscross"))
+        assert space.mesh.n_triangles > fem.QUAD_BLOCK
+        seen = []
+        space.assemble_load(lambda x, y: seen.append(x) or np.ones_like(x))
+        assert len(seen) == 2 and all(len(x) <= fem.QUAD_BLOCK for x in seen)
+        np.testing.assert_array_equal(np.concatenate(seen), space.quad_xy[:, :, 0])
+
+
 class TestSolver:
     def test_diagonal_system_one_iteration(self):
         import scipy.sparse as sp
@@ -285,6 +329,20 @@ class TestMultigrid:
         assert counter.iterations <= 40 < jacobi.iterations
         assert np.linalg.norm(b - matrix @ x) <= 1e-10 * np.linalg.norm(b)
         assert np.linalg.norm(x - x_jacobi) <= 1e-8 * np.linalg.norm(x_jacobi)
+
+    @pytest.mark.parametrize("key", ["stiffness", 1.0 / 16])
+    def test_vcycle_bit_equal_to_the_allocating_cycle(self, large_space, key):
+        # the work vectors change where the cycle computes, not what: each
+        # output is new, and the caller's residual is left as it was
+        matrix = large_space.stiffness_ff if key == "stiffness" else step_matrix(large_space, key)
+        vcycle = large_space.preconditioner(matrix, key)
+        oracle = allocating_vcycle(large_space.multigrid.prolongators, matrix)
+        x, y = RNG.normal(size=(2, matrix.shape[0]))
+        x_before = x.copy()
+        bx, by = vcycle(x), vcycle(y)
+        np.testing.assert_array_equal(x, x_before)
+        np.testing.assert_array_equal(bx, oracle(x))
+        np.testing.assert_array_equal(by, oracle(y))
 
     def test_refresh_after_a_tau_change_equals_a_fresh_build(self, large_space):
         # the stepper refreshes its matrix in place when tau changes
@@ -450,8 +508,10 @@ class TestNorms:
         v = RNG.normal(size=len(space.free))
         u = RNG.normal(size=len(space.free))
         # the quadrature computes in the bound arrays, so each call hands out new ones
-        zero = lambda: np.zeros(space.quad_xy.shape[:2])
-        exact = lambda t: (zero(), (zero(), zero()))
+        def zero_on(b):
+            zero = lambda: np.zeros(space.quad_xy[b].shape[:2])
+            return lambda t: (zero(), (zero(), zero()))
+        exact = [zero_on(b) for b in space.blocks]
         state = WaveState(t=0.0, u=u, v=v, f_h=np.zeros(space.mesh.n_vertices),
                           a=np.zeros(len(space.free)))
         expected = np.hypot(space.l2_norm(space.full(v)), space.h1_seminorm(space.full(u)))

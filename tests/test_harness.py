@@ -18,14 +18,15 @@ from wavest.mesh import Mesh, generate_structured
 from wavest.newmark import NewmarkWaveSolver
 from wavest.ode import OdeProblem, eta3_ode_samples, solve_newmark_ode
 
-from oracles import bind, element_gradients, jittered_crisscross
+from oracles import bind, element_gradients, jittered_crisscross, one_shot_energy_error
 
 RNG = np.random.default_rng(5)
 
 
 def bound(solution, space):
-    """The solution bound to the space's quadrature points, the quadrature's input."""
-    return bind(solution, space.quad_xy[:, :, 0], space.quad_xy[:, :, 1])
+    """The solution bound to each block's quadrature points, the quadrature's input."""
+    xy = space.quad_xy
+    return [bind(solution, xy[b, :, 0], xy[b, :, 1]) for b in space.blocks]
 
 
 def einsum_energy_error(space, state, solution):
@@ -432,6 +433,20 @@ class TestWaveExperiment:
             err = wave_energy_error_at(space, state, exact, ErrorWork(space))
             assert err == pytest.approx(oracle, rel=1e-14)
 
+    @pytest.mark.parametrize("make", [gaussian_pulse, standing_mode])
+    def test_blocked_quadrature_bit_equal_to_one_shot(self, make, blocked_mesh):
+        sol = make()
+        space = FemSpace(blocked_mesh)
+        solver = NewmarkWaveSolver(wave_problem_from(sol, 1.0), space)
+        x, y = space.quad_xy[:, :, 0], space.quad_xy[:, :, 1]
+        exact, work = bound(sol, space), ErrorWork(space)
+        state = solver.initial_state()
+        for tau in (0.05, 0.2, 0.03):
+            state = solver.step(state, tau)
+            oracle = one_shot_energy_error(space, state, bind(sol, x, y))
+            assert oracle > 0
+            assert wave_energy_error_at(space, state, exact, work) == oracle, state.t
+
     @pytest.mark.parametrize("mesh", [lambda: jittered_crisscross(6),
                                       lambda: generate_structured(56, "crisscross")],
                              ids=["jittered6", "crisscross56"])
@@ -663,6 +678,42 @@ class TestCli:
         assert main(["wave", "--mesh", "structured:n=4", "--tol", tol, "--N", "4"]) == 1
         assert capsys.readouterr().err == \
             f"wavest: error: tol must be a finite positive number, got {float(tol)!r}\n"
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "0", "inf"])
+    def test_scalar_model_checks_the_tolerance_too(self, tol, capsys):
+        from wavest.cli import main
+        assert main(["ode", "--N", "10", "--tol", tol]) == 1
+        assert capsys.readouterr().err == \
+            f"wavest: error: tol must be a finite positive number, got {float(tol)!r}\n"
+
+    def test_scalar_model_accepts_a_tolerance(self, capsys):
+        # one command-line tail (--tol 1e-13) serves every kind
+        from wavest.cli import main
+        assert main(["ode", "--N", "10", "--tol", "1e-13"]) == 0
+        assert main(["ode", "--N", "10"]) == 0
+        tight, default = capsys.readouterr().out.split(",".join(ODE_COLUMNS) + "\n")[1:]
+        assert tight == default
+
+    @pytest.mark.parametrize("argv, config, error", [
+        (["ode", "--N", "10", "--tol", "-1", "--mesh", "structured:n=3"], "",
+         "the ode experiment does not use mesh"),
+        (["--N", "10"], "kind = ode\nsolution = mode\n",
+         "the ode experiment does not use solution"),
+        (["wave", "--A", "5", "--mesh", "structured:n=3", "--N", "4"], "",
+         "the wave experiment does not use A"),
+        (["bench", "--mesh", "structured:n=3", "--tol", "1e-13"], "",
+         "the bench experiment does not use tol"),
+        (["--mesh", "structured:n=3", "--T", "2"], "kind = bench\nN = 4\ngrid = alt10\n",
+         "the bench experiment does not use grid or N or T"),
+    ])
+    def test_a_setting_the_kind_does_not_read_fails(self, argv, config, error, tmp_path, capsys):
+        from wavest.cli import main
+        if config:
+            cfgfile = tmp_path / "run.cfg"
+            cfgfile.write_text(config)
+            argv = ["--config", str(cfgfile), *argv]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"wavest: error: {error}\n"
 
     @pytest.mark.parametrize("A", ["-5", "0", "nan", "inf"])
     def test_stiffness_checked_before_use(self, A, capsys):
