@@ -370,9 +370,12 @@ class FemSpace:
         self.grads, self.area = _triangle_geometry(mesh)
         # physical quadrature points per triangle, (nt, q, 2): a view of one
         # (2, nt, q) array, so a block's x and y values are contiguous
-        p = mesh.vertices[mesh.triangles]
-        self.quad_xy = np.einsum("qb,tbd->dtq", self.rule.points, p).transpose(1, 2, 0)
         nt = mesh.n_triangles
+        corners = mesh.vertices[mesh.triangles].transpose(2, 0, 1)[..., None]   # (2, nt, 3, 1)
+        xy = np.zeros((2, nt, len(self.rule.points)))
+        for b, column in enumerate(self.rule.points.T):   # the barycentric columns
+            xy += corners[:, :, b] * column
+        self.quad_xy = xy.transpose(1, 2, 0)
         self.blocks = [slice(lo, min(lo + QUAD_BLOCK, nt)) for lo in range(0, nt, QUAD_BLOCK)]
 
     @cached_property

@@ -31,6 +31,8 @@ class TimeGrid:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 1 or len(pts) < 2:
             raise ValueError("a time grid needs at least two points")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("time points must be finite")
         if pts[0] != 0.0:
             raise ValueError("time grids start at t = 0")
         steps = np.diff(pts)
@@ -64,11 +66,16 @@ class TimeGrid:
         return float(max(r.max(), (1.0 / r).max()))
 
 
+def _check_positive(name, value):
+    """Reject a grid setting that is not a finite positive number (NaN included)."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+
+
 def uniform_grid(n_steps, T):
     if n_steps < 1:
         raise ValueError("need at least one step")
-    if T <= 0:
-        raise ValueError("final time must be positive")
+    _check_positive("T", T)
     return TimeGrid(np.linspace(0.0, T, n_steps + 1), rule=f"uniform(N={n_steps})")
 
 
@@ -79,8 +86,7 @@ def alternating_grid(T, small, n_steps=None, taustar=None):
     exactly on T) or ``taustar`` may be given.  With ``taustar`` given, steps
     are emitted until T is reached and the last step is truncated.
     """
-    if T <= 0:
-        raise ValueError("final time must be positive")
+    _check_positive("T", T)
     if not 0 < small <= 1:
         raise ValueError("small-step fraction must lie in (0, 1]")
     if (n_steps is None) == (taustar is None):
@@ -93,8 +99,7 @@ def alternating_grid(T, small, n_steps=None, taustar=None):
         steps[0::2] = small * taustar
         steps[1::2] = taustar
     else:
-        if taustar <= 0:
-            raise ValueError("taustar must be positive")
+        _check_positive("taustar", taustar)
         steps_list = []
         t = 0.0
         k = 0
@@ -118,7 +123,9 @@ def decaying_grid(tau0, T, literal=False):
     is truncated so the grid lands exactly on T.  Pass ``literal=True`` for the
     uncapped variant.
     """
-    if tau0 <= 0 or tau0 >= T:
+    _check_positive("T", T)
+    _check_positive("tau0", tau0)
+    if tau0 >= T:
         raise ValueError("tau0 must lie in (0, T)")
     pts = [0.0, tau0]
     while pts[-1] < T:

@@ -76,21 +76,17 @@ def parse_mesh_spec(spec: str):
             raise ValueError("file mesh spec needs a path")
         return read_mesh(rest)
     if head == "structured":
-        n = None
-        pattern = "diagonal"
-        for part in rest.split(":"):
-            if not part:
-                continue
+        options = {}
+        for part in filter(None, rest.split(":")):
             key, _, value = part.partition("=")
-            if key == "n":
-                n = int(value)
-            elif key == "pattern":
-                pattern = value
-            else:
+            if key not in ("n", "pattern"):
                 raise ValueError(f"unknown mesh option {key!r}")
-        if n is None:
+            if key in options:
+                raise ValueError(f"mesh option {key!r} given twice")
+            options[key] = value
+        if "n" not in options:
             raise ValueError("structured mesh spec needs n=K")
-        return generate_structured(n, pattern)
+        return generate_structured(int(options["n"]), options.get("pattern", "diagonal"))
     raise ValueError(f"unknown mesh spec {spec!r}")
 
 
@@ -103,8 +99,10 @@ def parse_config_file(text: str) -> dict:
             continue
         if "=" not in line:
             raise ValueError(f"config line {ln}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ValueError(f"config line {ln}: {key!r} given twice")
+        out[key] = value
     return out
 
 

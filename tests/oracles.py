@@ -4,15 +4,27 @@ The package computes these quantities in other forms: the space
 estimator's volume term as the quadratic form of the h_K^2-weighted mass
 matrix, and the standing mode's true error by its moments.  The closed
 forms here are the references.  The one-shot forms of the quadrature-point
-work (every triangle in one array) and the V-cycle that allocates each
-vector are the references of the package's blocked and buffered forms,
-which must be bit-equal to them.
+work (every triangle in one array), the einsum that maps the rule to every
+triangle, and the V-cycle that allocates each vector are the references of
+the package's blocked, broadcast and buffered forms, which must be
+bit-equal to them.
+
+The paper's lemma machinery lives here too, built on the package's own
+stencils: the step-weighted average ``bar_average``, the 5-point estimator's
+``fourth_diff`` (the composition of ``second_diff`` and
+``hat_second_diff`` the estimators apply), the alpha/beta coefficients
+(``lemma_coefficients``) linking staggered differences of averages to
+plain second differences, and the quadratic-in-time reconstruction.  The
+acceptance gate checks the lemma identities against them.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from wavest.manufactured import MODE
 from wavest.mesh import Mesh, generate_structured
+from wavest.stencils import hat_second_diff, hat_times, second_diff
 
 
 def jittered_crisscross(n, seed=7):
@@ -69,6 +81,12 @@ def mode_bind(x, y):
 def bind(solution, x, y):
     """A solution bound to fixed points: the pulse's own ``bind``, the mode's ``mode_bind``."""
     return solution.bind(x, y) if solution.bind is not None else mode_bind(x, y)
+
+
+def einsum_quad_xy(space):
+    """Physical quadrature points per triangle, (nt, q, 2), by one einsum over the corners."""
+    p = space.mesh.vertices[space.mesh.triangles]
+    return np.einsum("qb,tbd->dtq", space.rule.points, p).transpose(1, 2, 0)
 
 
 def _scatter(space, per_tri):
@@ -141,3 +159,132 @@ def allocating_vcycle(prolongators, matrix):
             e = x
         return e
     return vcycle
+
+
+def bar_average(w, tau):
+    """Step-weighted three-point average.
+
+    Returns (tau1*(w2 + w1) + tau0*(w1 + w0)) / (4*(tau0 + tau1)/2).  For
+    constant data this is the identity; on a uniform grid it reduces to
+    (w2 + 2*w1 + w0)/4.  For affine data it equals the value at the staggered
+    time (t2 + t0)/2.
+    """
+    if len(w) != 3 or len(tau) != 2:
+        raise ValueError("bar_average needs 3 values and 2 steps")
+    tau0, tau1 = tau
+    if np.any(tau0 <= 0) or np.any(tau1 <= 0):
+        raise ValueError("steps must be positive")
+    return (tau1 * (w[2] + w[1]) + tau0 * (w[1] + w[0])) / (2.0 * (tau0 + tau1))
+
+
+def fourth_diff(w, t):
+    """Fourth difference over 5 consecutive values.
+
+    Composes the staggered second difference with the plain one: the three
+    second differences of ``w`` are treated as values at the staggered times
+    of the window.  On a uniform grid this is (w4 - 4 w3 + 6 w2 - 4 w1 + w0)
+    / tau^4 centered at the middle node; on non-uniform grids it is defined
+    by the composition (and is not, in general, consistent with the fourth
+    derivative).
+    """
+    if len(w) != 5 or len(t) != 5:
+        raise ValueError("fourth_diff needs 5 values and 5 time points")
+    t = np.asarray(t, dtype=float)
+    tau = np.diff(t)
+    d2 = [second_diff(w[k:k + 3], tau[k:k + 2]) for k in range(3)]
+    return hat_second_diff(d2, hat_times(t))
+
+
+@dataclass(frozen=True)
+class LemmaCoefficients:
+    """Coefficients linking staggered and plain second differences.
+
+    For any 5-window the identity
+
+        hat_second_diff(bar_average(w)) = sum_k alpha[k] * second_diff_k(w)
+
+    holds, and for windows (w, s) coupled by the trapezoidal relation
+    (w[n+1]-w[n])/tau[n] = (s[n]+s[n+1])/2 one additionally has
+
+        sum_k alpha[k] d2_k w = sum_alpha * d2_n w - tau_n * sum_k beta[k] d2_k s.
+    """
+
+    alpha: np.ndarray  # 3 coefficients, for k = n-2, n-1, n
+    beta: np.ndarray   # 3 coefficients, same indexing
+    sum_alpha: float
+
+
+def _two_sided_linear(t, k):
+    """Values at nodes ``t`` of the piecewise-linear function that equals 1 at
+    t[k], is affine left of t[k] with slope 1/tau[k-1], and affine right of
+    t[k] with slope -1/tau[k]."""
+    t = np.asarray(t, dtype=float)
+    vals = np.empty_like(t)
+    left = t < t[k]
+    vals[left] = (t[left] - t[k - 1]) / (t[k] - t[k - 1])
+    vals[~left] = (t[k + 1] - t[~left]) / (t[k + 1] - t[k])
+    return vals
+
+
+def lemma_coefficients(tau):
+    """Build the alpha and beta coefficient triples from 4 consecutive steps.
+
+    The construction evaluates both sides of the defining identities on a
+    basis of two-sided linear functions; each basis function isolates one
+    coefficient because its plain second differences vanish at the other two
+    interior nodes.  On a uniform grid alpha = (1/4, 1/2, 1/4).
+    """
+    tau = np.asarray(tau, dtype=float)
+    if len(tau) != 4:
+        raise ValueError("lemma_coefficients needs 4 steps")
+    if np.any(tau <= 0):
+        raise ValueError("steps must be positive")
+    # local window times t_{n-3} .. t_{n+1}, with the target node at index 3
+    t = np.concatenate(([0.0], np.cumsum(tau)))
+    that = hat_times(t)  # staggered times for interior nodes 1..3
+
+    def d2(w, k):
+        # plain second difference at interior node k in {1, 2, 3}
+        return second_diff(w[k - 1:k + 2], tau[k - 1:k + 1])
+
+    def hat_d2_bar(w):
+        bars = [bar_average(w[k - 1:k + 2], tau[k - 1:k + 1]) for k in (1, 2, 3)]
+        return hat_second_diff(bars, that)
+
+    def d1(w, k):
+        # central first difference at interior node k
+        return (w[k + 1] - w[k - 1]) / (tau[k] + tau[k - 1])
+
+    alpha = np.empty(3)
+    for j, k in enumerate((1, 2, 3)):
+        phi = _two_sided_linear(t, k)
+        alpha[j] = hat_d2_bar(phi) / d2(phi, k)
+    sum_alpha = float(alpha.sum())
+
+    beta = np.empty(3)
+    for j, k in enumerate((1, 2, 3)):
+        phi = _two_sided_linear(t, k)
+        lhs = sum(alpha[i] * d1(phi, ki) for i, ki in enumerate((1, 2, 3)))
+        beta[j] = (sum_alpha * d1(phi, 3) - lhs) / (tau[3] * d2(phi, k))
+    return LemmaCoefficients(alpha=alpha, beta=beta, sum_alpha=sum_alpha)
+
+
+def quadratic_reconstruction(times, values):
+    """Quadratic-in-time interpolant of three states.
+
+    Returns an evaluator ``p(t)`` built in Lagrange form; it reproduces the
+    three nodal states exactly and is exact for data sampled from any
+    quadratic polynomial.  Values may be floats or arrays.
+    """
+    t0, t1, t2 = (float(s) for s in times)
+    if t0 == t1 or t1 == t2 or t0 == t2:
+        raise ValueError("reconstruction times must be distinct")
+    w0, w1, w2 = values
+
+    def evaluate(t):
+        l0 = (t - t1) * (t - t2) / ((t0 - t1) * (t0 - t2))
+        l1 = (t - t0) * (t - t2) / ((t1 - t0) * (t1 - t2))
+        l2 = (t - t0) * (t - t1) / ((t2 - t0) * (t2 - t1))
+        return l0 * w0 + l1 * w1 + l2 * w2
+
+    return evaluate

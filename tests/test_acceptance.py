@@ -35,11 +35,10 @@ from wavest.mesh import Mesh, generate_structured
 from wavest.newmark import NewmarkWaveSolver
 from wavest.ode import (OdeProblem, eta3_ode_cumulative, eta5_ode_cumulative,
                         solve_newmark_ode)
-from wavest.stencils import (bar_average, fourth_diff, hat_second_diff,
-                             hat_times, lemma_coefficients,
-                             quadratic_reconstruction, second_diff)
+from wavest.stencils import hat_second_diff, hat_times, second_diff
 
-from oracles import element_gradients
+from oracles import (bar_average, element_gradients, fourth_diff, lemma_coefficients,
+                     quadratic_reconstruction)
 
 # --------------------------------------------------------------------------
 # published table values: (A, N): "eta_T eta_T_hat e ei_T ei_T_hat"

@@ -9,8 +9,8 @@ from wavest.fem import (MULTIGRID_MIN_FREE, FemSpace, Multigrid, SolveCounter, S
 from wavest.manufactured import gaussian_pulse
 from wavest.mesh import Mesh, generate_structured
 
-from oracles import (allocating_vcycle, element_gradients, one_shot_gradient_load,
-                     one_shot_load)
+from oracles import (allocating_vcycle, einsum_quad_xy, element_gradients,
+                     jittered_crisscross, one_shot_gradient_load, one_shot_load)
 
 RNG = np.random.default_rng(42)
 
@@ -68,6 +68,17 @@ class TestQuadrature:
                 exact = factorial(p) * factorial(q) / factorial(p + q + 2)
                 got = space.assemble_load(lambda x, y: x ** p * y ** q).sum()
                 assert got == pytest.approx(exact, rel=1e-13), (p, q)
+
+    @pytest.mark.parametrize("mesh", [
+        generate_structured(3, "diagonal"), generate_structured(14, "crisscross"),
+        generate_structured(56, "diagonal"), jittered_crisscross(14, seed=1),
+        jittered_crisscross(56, seed=7)],
+        ids=["diagonal-3", "crisscross-14", "diagonal-56", "jittered-14", "jittered-56"])
+    def test_points_bit_equal_to_einsum(self, mesh):
+        space = FemSpace(mesh)
+        np.testing.assert_array_equal(space.quad_xy, einsum_quad_xy(space))
+        # a view of one (2, nt, q) array: a block's x and y values are contiguous
+        assert space.quad_xy.transpose(2, 0, 1).flags.c_contiguous
 
 
 class TestAssembly:

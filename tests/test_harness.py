@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wavest.fem import FemSpace
-from wavest.grids import alternating_grid, build_grid, decaying_grid, uniform_grid
+from wavest.grids import TimeGrid, alternating_grid, build_grid, decaying_grid, uniform_grid
 from wavest.harness import (BENCH_COLUMNS, BENCH_REPEATS, BENCH_STEPS, BENCH_WARMUP,
                             ODE_COLUMNS, TRACE_COLUMNS, WAVE_COLUMNS,
                             ErrorWork, ExperimentConfig, benchmark_estimators,
@@ -134,6 +134,25 @@ class TestGrids:
     def test_rejects_settings_the_rule_does_not_use(self, rule, settings, unused):
         with pytest.raises(ValueError, match=f"^the {rule} grid does not use {unused}$"):
             build_grid(rule, 1.0, **settings)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("rule, settings, bad", [
+        ("uniform", {"N": 10}, "T"),
+        ("alt10", {"N": 4}, "T"),
+        ("decay", {"tau0": 0.1}, "T"),   # T = inf: the decaying rule's loop would never end
+        ("alt10", {"taustar": None}, "taustar"),
+        ("decay", {"tau0": None}, "tau0"),
+    ], ids=["uniform-T", "alt10-T", "decay-T", "alt10-taustar", "decay-tau0"])
+    def test_rejects_a_setting_that_is_not_finite(self, rule, settings, bad, value):
+        settings = {k: value if k == bad else v for k, v in settings.items()}
+        T = value if bad == "T" else 1.0
+        with pytest.raises(ValueError, match=f"^{bad} must be a finite positive number, got"):
+            build_grid(rule, T, **settings)
+
+    @pytest.mark.parametrize("points", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf]])
+    def test_time_grid_rejects_points_that_are_not_finite(self, points):
+        with pytest.raises(ValueError, match="^time points must be finite$"):
+            TimeGrid(points)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -594,6 +613,14 @@ class TestConfigParsing:
     def test_rejects_malformed_line(self):
         with pytest.raises(ValueError):
             parse_config_file("kind ode\n")
+
+    def test_rejects_a_key_given_twice(self):
+        with pytest.raises(ValueError, match="^config line 3: 'N' given twice$"):
+            parse_config_file("N = 10\nkind = ode\nN = 20\n")
+
+    def test_mesh_spec_rejects_an_option_given_twice(self):
+        with pytest.raises(ValueError, match="^mesh option 'n' given twice$"):
+            parse_mesh_spec("structured:n=2:n=3")
 
     def test_mesh_spec(self):
         m = parse_mesh_spec("structured:n=3:pattern=crisscross")

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from wavest.stencils import (LemmaCoefficients, bar_average, eta3_increments,
-                             eta5_increments, fourth_diff, hat_second_diff, hat_times,
-                             lemma_coefficients, quadratic_reconstruction, second_diff)
+from wavest.stencils import (eta3_increments, eta5_increments, hat_second_diff, hat_times,
+                             second_diff)
+
+from oracles import (LemmaCoefficients, bar_average, fourth_diff, lemma_coefficients,
+                     quadratic_reconstruction)
 
 RNG = np.random.default_rng(20240817)
 
