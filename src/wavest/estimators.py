@@ -15,18 +15,24 @@ Each payload is sqrt(a^2 + b^2) of its two norm terms, the energy-norm form
 of the scalar model's payloads.  The time weights, the initial slab and the
 running sums are shared with the scalar model (``stencils.eta3_increments``/
 ``eta5_increments``): the accumulator here only collects payloads.
+
+The jump operator is built from the mesh's interior-edge index arrays: the
+edges' lengths and normals are computed there and not kept, and J stores
+exactly the 4 non-zeros of each row.  The estimator window keeps the full
+second differences of its newest node only; the two older nodes keep what
+the 5-point estimator reads of them, d2 u and the staggered time.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import FemSpace, SolveCounter, weighted_mass_values
+from .fem import QUAD_BLOCK, FemSpace, SolveCounter, weighted_mass_values
 from .newmark import WaveState
 from .stencils import eta3_increments, eta5_increments, hat_second_diff, second_diff
 
@@ -38,15 +44,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NodeDiffs:
-    """Second differences in time at one interior node t_k, shared by all three estimators."""
+    """Second differences in time at one interior node t_k, shared by all three estimators.
+
+    In the estimator window's two older nodes ``d2v`` and ``d2f`` are None.
+    """
 
     that: float       # staggered time (t_{k+1} + t_{k-1}) / 2
     tau_prev: float   # tau_{k-1} = t_k - t_{k-1}
     tau: float        # tau_k = t_{k+1} - t_k
-    d2u: np.ndarray   # free vertices
-    d2v: np.ndarray   # all vertices (zero on the boundary)
-    d2f: np.ndarray   # all vertices
-    d2v_h1: float     # |d2_k v|_H1
+    d2u: np.ndarray             # free vertices
+    d2v: Optional[np.ndarray]   # all vertices (zero on the boundary)
+    d2f: Optional[np.ndarray]   # all vertices
+    d2v_h1: float               # |d2_k v|_H1
 
 
 def node_diffs(space: FemSpace, states) -> NodeDiffs:
@@ -54,10 +63,10 @@ def node_diffs(space: FemSpace, states) -> NodeDiffs:
     s0, s1, s2 = states
     tau = (s1.t - s0.t, s2.t - s1.t)
     d2u = second_diff([s.u for s in states], tau)
-    d2v = space.full(second_diff([s.v for s in states], tau))
+    d2v = second_diff([s.v for s in states], tau)
     d2f = second_diff([s.f_h for s in states], tau)
     return NodeDiffs(that=0.5 * (s2.t + s0.t), tau_prev=tau[0], tau=tau[1], d2u=d2u,
-                     d2v=d2v, d2f=d2f, d2v_h1=space.h1_seminorm(d2v))
+                     d2v=space.full(d2v), d2f=d2f, d2v_h1=space.h1_seminorm(d2v))
 
 
 def eta3_step(space: FemSpace, node: NodeDiffs, counter: Optional[SolveCounter] = None) -> float:
@@ -84,6 +93,18 @@ def eta5_step(space: FemSpace, nodes) -> float:
 # -- edge jumps and the space estimator --------------------------------------
 
 
+def scaled_edge_normals(mesh) -> np.ndarray:
+    """h_E times the unit normal of each interior edge, oriented from left to right triangle."""
+    verts, ev, et = mesh.vertices, mesh.edge_vertices, mesh.edge_tris
+    vec = verts[ev[:, 1]] - verts[ev[:, 0]]
+    length = np.linalg.norm(vec, axis=1)
+    normal = np.column_stack([vec[:, 1], -vec[:, 0]]) / length[:, None]
+    centroids = verts[mesh.triangles].mean(axis=1)
+    normal[np.sum(normal * (centroids[et[:, 1]] - centroids[et[:, 0]]), axis=1) < 0] *= -1.0
+    normal *= length[:, None]
+    return normal
+
+
 @dataclass
 class SpaceEstimatorAccumulator:
     """Online accumulation of the two space-estimator parts over interior nodes.
@@ -96,10 +117,11 @@ class SpaceEstimatorAccumulator:
     of v, central differences of f and of u.
 
     ``jump`` is the operator J, assembled once, from all-vertex values to
-    h_E [n . grad u]_E on every interior edge, so the jump sum is ||J u||^2.
-    ``h_mass`` is the mass matrix with each triangle's contribution scaled by
-    h_K^2, so the volume sum is r . (M_h r); it shares the mass matrix's CSR
-    structure and keeps only its own values.
+    h_E [n . grad u]_E on every interior edge, so the jump sum is ||J u||^2;
+    each row holds its 4 non-zeros in ascending column order.  ``h_mass`` is
+    the mass matrix with each triangle's contribution scaled by h_K^2, so the
+    volume sum is r . (M_h r); it shares the mass matrix's CSR structure and
+    keeps only its own values.
     """
 
     space: FemSpace
@@ -111,18 +133,25 @@ class SpaceEstimatorAccumulator:
     def __post_init__(self):
         # row E: h_E times the normal components of the hat gradients on the
         # left triangle minus those on the right; the two shared vertices
-        # merge, leaving 4 non-zeros per row
-        mesh = self.space.mesh
-        grads = self.space.grads
-        left, right = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
-        normal = (mesh.edge_normals * mesh.edge_lengths[:, None])[:, :, None]
-        data = np.concatenate([grads[left] @ normal, -(grads[right] @ normal)], axis=1)
-        indices = np.concatenate([mesh.triangles[left], mesh.triangles[right]], axis=1)
-        ne = len(left)
-        self.jump = sp.csr_matrix((data.ravel(), indices.ravel().astype(np.int32),
-                                   6 * np.arange(ne + 1, dtype=np.int32)),
+        # merge, leaving 4 non-zeros per row.  Built QUAD_BLOCK edges at a
+        # time into buffers of exactly 4 entries per row.
+        mesh, grads, tris = self.space.mesh, self.space.grads, self.space.mesh.triangles
+        normals = scaled_edge_normals(mesh)[:, :, None]
+        ne = len(normals)
+        data, indices = np.empty(4 * ne), np.empty(4 * ne, dtype=np.int32)
+        for lo in range(0, ne, QUAD_BLOCK):
+            edges = slice(lo, min(lo + QUAD_BLOCK, ne))
+            left, right = mesh.edge_tris[edges].T
+            normal = normals[edges]
+            rows = sp.csr_matrix(
+                (np.concatenate([grads[left] @ normal, -(grads[right] @ normal)], axis=1).ravel(),
+                 np.concatenate([tris[left], tris[right]], axis=1).ravel().astype(np.int32),
+                 np.arange(0, 6 * len(left) + 1, 6, dtype=np.int32)),
+                shape=(len(left), mesh.n_vertices))
+            rows.sum_duplicates()
+            data[4 * lo:4 * edges.stop], indices[4 * lo:4 * edges.stop] = rows.data, rows.indices
+        self.jump = sp.csr_matrix((data, indices, np.arange(0, 4 * ne + 1, 4, dtype=np.int32)),
                                   shape=(ne, mesh.n_vertices))
-        self.jump.sum_duplicates()
         mass = self.space.mass
         self.h_mass = sp.csr_matrix((weighted_mass_values(mass, mesh, mesh.h_K ** 2),
                                      mass.indices, mass.indptr), shape=mass.shape)
@@ -159,8 +188,9 @@ class WaveEstimatorAccumulator:
     Keeps the state times, each time estimator's payloads and the space
     estimator's running parts; ``increments`` weights the payloads as the
     scalar model does.  Retains the last 3 states and the second differences
-    of the last 3 interior nodes, each computed once.  States must come in
-    time order: the second differences reject a non-positive step.
+    of the last 3 interior nodes, each computed once; of the two older
+    nodes only what ``eta5_step`` reads is kept.  States must come in time
+    order: the second differences reject a non-positive step.
     """
 
     def __init__(self, space: FemSpace):
@@ -185,6 +215,7 @@ class WaveEstimatorAccumulator:
         self.space_acc.update(states, node)
         if len(self.nodes) == 3:
             self.eta5_payloads.append(eta5_step(self.space, self.nodes))
+        self.nodes[-1] = replace(node, d2v=None, d2f=None)
 
     def increments(self):
         """Per-step increments of the 3-point (k = 0..N-1) and 5-point (k = 3..N-1) estimators."""

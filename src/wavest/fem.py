@@ -1,12 +1,16 @@
 """P1 finite element kernels on triangulations.
 
-Matrices are assembled over the full vertex set as scipy CSR; homogeneous
-Dirichlet conditions are imposed by restriction to the free (non-boundary)
-vertices, which keeps every system symmetric positive definite.  ``FemSpace``
-bundles a mesh with its assembled operators, quadrature geometry and the
-index bookkeeping the time steppers and estimators need.  A P1 function is a
-plain coefficient array, on the free vertices (zero trace) or on all of
-them; ``FemSpace.full`` scatters the first kind into the second.
+``assemble_mass``/``assemble_stiffness`` assemble over the full vertex set
+as scipy CSR; homogeneous Dirichlet conditions are imposed by restriction to
+the free (non-boundary) vertices, which keeps every system symmetric
+positive definite.  ``FemSpace`` bundles a mesh with its operators,
+quadrature geometry and the index bookkeeping the time steppers and
+estimators need.  It keeps the full-vertex mass matrix (loads, L2
+projections and norms of all-vertex functions) but only the free-vertex
+stiffness; the free-vertex mass and stiffness share one ``indices``/
+``indptr`` pair, which the Newmark step matrix shares too.  A P1 function
+is a plain coefficient array, on the free vertices (zero trace) or on all
+of them; ``FemSpace.full`` scatters the first kind into the second.
 
 Per-triangle integrals reach the vertices through one ``np.bincount`` over
 the triangles' vertex indices.  Work at the quadrature points runs over
@@ -128,15 +132,18 @@ def _triangle_geometry(mesh):
     return grads, area
 
 
+def _coo_indices(mesh):
+    """Row and column indices of the nine local entries of every triangle, int32."""
+    tris = mesh.triangles.astype(np.int32)
+    return np.repeat(tris, 3, axis=1).ravel(), np.tile(tris, 3).ravel()
+
+
 def assemble_mass(mesh) -> sp.csr_matrix:
     """Full-vertex mass matrix, entries integral(phi_i phi_j)."""
     local = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 12.0
-    nt = mesh.n_triangles
-    data = (local[None, :, :] * mesh.areas[:, None, None]).reshape(nt, 9)
-    rows = np.repeat(mesh.triangles, 3, axis=1).reshape(nt, 9)
-    cols = np.tile(mesh.triangles, 3).reshape(nt, 9)
+    data = (local[None, :, :] * mesh.areas[:, None, None]).ravel()
     n = mesh.n_vertices
-    return sp.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
+    return sp.coo_matrix((data, _coo_indices(mesh)), shape=(n, n)).tocsr()
 
 
 def weighted_mass_values(mass, mesh, weights) -> np.ndarray:
@@ -164,13 +171,9 @@ def weighted_mass_values(mass, mesh, weights) -> np.ndarray:
 def assemble_stiffness(mesh) -> sp.csr_matrix:
     """Full-vertex stiffness matrix, entries integral(grad phi_i . grad phi_j)."""
     grads, area = _triangle_geometry(mesh)
-    nt = mesh.n_triangles
-    local = np.einsum("tid,tjd,t->tij", grads, grads, area)
-    rows = np.repeat(mesh.triangles, 3, axis=1).reshape(nt, 9)
-    cols = np.tile(mesh.triangles, 3).reshape(nt, 9)
+    data = np.einsum("tid,tjd,t->tij", grads, grads, area).ravel()
     n = mesh.n_vertices
-    return sp.coo_matrix((local.reshape(nt, 9).ravel(), (rows.ravel(), cols.ravel())),
-                         shape=(n, n)).tocsr()
+    return sp.coo_matrix((data, _coo_indices(mesh)), shape=(n, n)).tocsr()
 
 
 def solve_spd(matrix, rhs, tol=1e-10, max_iter=None, counter: Optional[SolveCounter] = None,
@@ -364,9 +367,14 @@ class FemSpace:
         self.tol = tol
         self.free = mesh.free_vertices
         self.mass = assemble_mass(mesh)
-        self.stiffness = assemble_stiffness(mesh)
         self.mass_ff = self.mass[self.free][:, self.free].tocsr()
-        self.stiffness_ff = self.stiffness[self.free][:, self.free].tocsr()
+        mass_ff, stiffness_ff = self.mass_ff, assemble_stiffness(mesh)[self.free][:, self.free]
+        if not (np.array_equal(mass_ff.indptr, stiffness_ff.indptr)
+                and np.array_equal(mass_ff.indices, stiffness_ff.indices)):
+            raise ValueError("mass and stiffness matrices must share one sparsity pattern")
+        # one pair of index arrays for both
+        stiffness_ff.indices, stiffness_ff.indptr = mass_ff.indices, mass_ff.indptr
+        self.stiffness_ff = stiffness_ff
         self.grads, self.area = _triangle_geometry(mesh)
         # physical quadrature points per triangle, (nt, q, 2): a view of one
         # (2, nt, q) array, so a block's x and y values are contiguous
@@ -469,6 +477,10 @@ class FemSpace:
         return float(np.sqrt(max(v @ (self.mass @ v), 0.0)))
 
     def h1_seminorm(self, values) -> float:
-        """H1 seminorm of a P1 function given by its all-vertex coefficients."""
+        """H1 seminorm of a P1 function given by its free-vertex coefficients (zero trace).
+
+        The product runs over all vertices, boundary zeros included, so it
+        sums the terms of the all-vertex form v . (K v) in the same order.
+        """
         v = np.asarray(values, dtype=float)
-        return float(np.sqrt(max(v @ (self.stiffness @ v), 0.0)))
+        return float(np.sqrt(max(self.full(v) @ self.full(self.stiffness_ff @ v), 0.0)))

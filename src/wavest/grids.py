@@ -1,7 +1,9 @@
 """Time grid construction: uniform, alternating, and decaying step rules.
 
 The decaying rule caps its step multiplier 1/sqrt(t_n) at ``DECAY_CAP``
-(the literal rule does not cap it).
+(the literal rule does not cap it).  Before building, each rule bounds its
+step count from its settings and rejects a grid that could take more than
+``MAX_STEPS`` steps.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ SLIVER_RATIO = 1e-3
 
 # largest step multiplier of the capped decaying rule
 DECAY_CAP = 10.0
+
+# most steps a grid rule builds (the table and benchmark grids take at most 19,800)
+MAX_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -72,10 +77,18 @@ def _check_positive(name, value):
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
+def _check_size(rule, bound):
+    """Reject a grid whose step count, at most ``bound``, may exceed MAX_STEPS."""
+    if not bound <= MAX_STEPS:
+        raise ValueError(f"the {rule} grid takes up to {bound:.7g} steps, "
+                         f"more than MAX_STEPS = {MAX_STEPS}")
+
+
 def uniform_grid(n_steps, T):
     if n_steps < 1:
         raise ValueError("need at least one step")
     _check_positive("T", T)
+    _check_size("uniform", n_steps)
     return TimeGrid(np.linspace(0.0, T, n_steps + 1), rule=f"uniform(N={n_steps})")
 
 
@@ -94,12 +107,15 @@ def alternating_grid(T, small, n_steps=None, taustar=None):
     if n_steps is not None:
         if n_steps % 2 != 0 or n_steps < 2:
             raise ValueError("alternating grids need an even step count")
+        _check_size("alternating", n_steps)
         taustar = 2.0 * T / (n_steps * (1.0 + small))
         steps = np.empty(n_steps)
         steps[0::2] = small * taustar
         steps[1::2] = taustar
     else:
         _check_positive("taustar", taustar)
+        # each pair of steps but the last advances (1 + small) taustar
+        _check_size("alternating", 2.0 * T / ((1.0 + small) * taustar) + 2.0)
         steps_list = []
         t = 0.0
         k = 0
@@ -127,6 +143,10 @@ def decaying_grid(tau0, T, literal=False):
     _check_positive("tau0", tau0)
     if tau0 >= T:
         raise ValueError("tau0 must lie in (0, T)")
+    # after t1 = tau0 every step but the last is at least tau0 times the
+    # multiplier at T
+    least = T ** -0.5 if literal else min(DECAY_CAP, T ** -0.5)
+    _check_size("decay-literal" if literal else "decay", 2.0 + (T - tau0) / (tau0 * least))
     pts = [0.0, tau0]
     while pts[-1] < T:
         t = pts[-1]

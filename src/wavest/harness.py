@@ -26,7 +26,7 @@ import numpy as np
 
 from . import ode
 from .estimators import WaveEstimatorAccumulator, eta3_step, eta5_step, node_diffs
-from .fem import FemSpace, SolveCounter, quadrature_rule
+from .fem import QUAD_BLOCK, FemSpace, SolveCounter, quadrature_rule
 from .grids import TimeGrid, build_grid
 from .manufactured import ManufacturedSolution, get_solution
 from .mesh import generate_structured, read_mesh
@@ -196,14 +196,20 @@ def _check_boundary_trace(solution: ManufacturedSolution, mesh, times):
 
 
 class ErrorWork:
-    """Buffers of the true-error quadrature, reused for every state of a run."""
+    """Buffers of the true-error quadrature, reused for every state of a run.
+
+    ``nodal`` and ``grad`` hold one block of ``FemSpace.blocks``; ``per_tri``
+    holds every triangle, so the sums over all of them come last.
+    """
 
     def __init__(self, space: FemSpace):
-        nt = space.mesh.n_triangles
-        self.full = np.zeros(space.mesh.n_vertices)  # all-vertex coefficients, zero on the boundary
-        self.nodal = np.empty((nt, 3))               # coefficients at each triangle's vertices
-        self.grad = np.empty((2, nt))                # the gradient of u_h on each triangle
-        self.per_tri = np.empty((3, nt))             # integrals of the velocity, x and y terms
+        nv, nt = space.mesh.n_vertices, space.mesh.n_triangles
+        rows = min(QUAD_BLOCK, nt)
+        self.u = np.zeros(nv)              # all-vertex coefficients of u_h, zero on the boundary
+        self.v = np.zeros(nv)              # and of v_h
+        self.nodal = np.empty((rows, 3))   # coefficients at each triangle's vertices
+        self.grad = np.empty((2, rows))    # the gradient of u_h on each triangle
+        self.per_tri = np.empty((3, nt))   # integrals of the velocity, x and y terms
         self.at_points = np.ascontiguousarray(space.rule.points.T)  # nodal values -> point values
 
 
@@ -218,21 +224,22 @@ def wave_energy_error_at(space: FemSpace, state, exact, work: ErrorWork) -> floa
     block by block; the sums over all triangles come last.
     """
     rule, area, tris, grads = space.rule, space.area, space.mesh.triangles, space.grads
-    work.full[space.free] = state.u
-    np.take(work.full, tris, out=work.nodal)
-    for d in range(2):   # component d of the constant gradient on each triangle
-        np.einsum("tb,tb->t", work.nodal, grads[:, :, d], out=work.grad[d])
-    work.full[space.free] = state.v
-    np.take(work.full, tris, out=work.nodal)
+    work.u[space.free] = state.u
+    work.v[space.free] = state.v
     velocity, *h1_rows = work.per_tri
     for b, at in zip(space.blocks, exact):
+        rows = b.stop - b.start
+        nodal, grad = work.nodal[:rows], work.grad[:, :rows]
+        np.take(work.u, tris[b], out=nodal)
+        for d in range(2):   # component d of the constant gradient on each triangle
+            np.einsum("tb,tb->t", nodal, grads[b, :, d], out=grad[d])
         dudt, gxy = at(state.t)
-        for g, grad, row in zip(gxy, work.grad, h1_rows):
-            np.square(np.subtract(grad[b, None], g, out=g), out=g)
+        for g, grad_d, row in zip(gxy, grad, h1_rows):
+            np.square(np.subtract(grad_d[:, None], g, out=g), out=g)
             np.matmul(g, rule.weights, out=row[b])
         # P1 values at the quadrature points, in the freed x component: nodal
         # values times the barycentric coordinates of the rule
-        r = np.matmul(work.nodal[b], work.at_points, out=gxy[0])
+        r = np.matmul(np.take(work.v, tris[b], out=nodal), work.at_points, out=gxy[0])
         np.square(np.subtract(r, dudt, out=r), out=r)
         np.matmul(r, rule.weights, out=velocity[b])
     err_sq = velocity @ area

@@ -1,8 +1,8 @@
 """Conforming 2D triangulations with interior-edge adjacency.
 
-Meshes are immutable after construction.  Interior edges are stored as
-parallel arrays (endpoints, adjacent triangles, lengths, unit normals) so the
-jump terms of the space estimator vectorise.
+Meshes are immutable after construction.  Interior edges are stored as two
+parallel int32 index arrays (endpoints, adjacent triangles); the space
+estimator's jump operator derives the edges' lengths and normals from them.
 
 Text format (one mesh per payload):
     line 1:        nv nt
@@ -29,11 +29,9 @@ class Mesh:
     vertices: np.ndarray        # (nv, 2)
     triangles: np.ndarray       # (nt, 3) CCW
     boundary_vertex: np.ndarray  # (nv,) bool
-    # interior edge arrays, filled in __post_init__
-    edge_vertices: np.ndarray = field(init=False)   # (ne, 2)
+    # interior edge arrays, int32, filled in __post_init__
+    edge_vertices: np.ndarray = field(init=False)   # (ne, 2) lower, higher
     edge_tris: np.ndarray = field(init=False)       # (ne, 2) left, right
-    edge_lengths: np.ndarray = field(init=False)    # (ne,)
-    edge_normals: np.ndarray = field(init=False)    # (ne, 2) oriented left -> right
     h_K: np.ndarray = field(init=False)             # (nt,) longest edge per triangle
     areas: np.ndarray = field(init=False)           # (nt,)
     min_angle: float = field(init=False)
@@ -77,18 +75,8 @@ class Mesh:
         object.__setattr__(self, "h_K", lengths.reshape(3, -1).max(axis=0))
 
         ev, et = build_edges(verts, tris)
-        vec = verts[ev[:, 1]] - verts[ev[:, 0]]
-        elen = np.linalg.norm(vec, axis=1)
-        # normal perpendicular to the edge, oriented from left_tri to right_tri
-        normal = np.column_stack([vec[:, 1], -vec[:, 0]]) / elen[:, None]
-        centroids = verts[tris].mean(axis=1)
-        to_right = centroids[et[:, 1]] - centroids[et[:, 0]]
-        flip = np.sum(normal * to_right, axis=1) < 0
-        normal[flip] *= -1.0
-        object.__setattr__(self, "edge_vertices", ev)
-        object.__setattr__(self, "edge_tris", et)
-        object.__setattr__(self, "edge_lengths", elen)
-        object.__setattr__(self, "edge_normals", normal)
+        object.__setattr__(self, "edge_vertices", ev.astype(np.int32))
+        object.__setattr__(self, "edge_tris", et.astype(np.int32))
 
         # Euler relation for simply connected domains: V - E + F = 1; of the
         # 3F triangle sides, each interior edge holds two, a boundary edge one

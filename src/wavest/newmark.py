@@ -20,7 +20,7 @@ grids with step ratio 100 too.
 Per step one SPD system with matrix (M + tau^2/4 K) is solved by CG,
 started from a_n and preconditioned by ``FemSpace.preconditioner``: Jacobi,
 or on large spaces the multigrid V-cycle.  One such matrix is kept per
-stepper: M and K share a sparsity pattern, so a change of tau recomputes its
+stepper, on the index arrays M and K share, so a change of tau recomputes its
 values in place; the V-cycle's coarse operators are then rebuilt from its
 tau-independent prolongators, and nothing else is.
 
@@ -51,8 +51,8 @@ class WaveProblem:
     T: float
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError("final time must be positive")
+        if not 0 < self.T < np.inf:
+            raise ValueError(f"final time T must be a finite positive number, got {self.T!r}")
 
 
 @dataclass(frozen=True)
@@ -101,10 +101,10 @@ class NewmarkWaveSolver:
         space = self.space
         mass, stiffness = space.mass_ff, space.stiffness_ff
         if self._system is None:
-            if not (np.array_equal(mass.indptr, stiffness.indptr)
-                    and np.array_equal(mass.indices, stiffness.indices)):
+            if mass.indptr is not stiffness.indptr or mass.indices is not stiffness.indices:
                 raise ValueError("mass and stiffness matrices must share one sparsity pattern")
             self._system = mass.copy()
+            self._system.indices, self._system.indptr = mass.indices, mass.indptr
         if self._system_tau != tau:
             np.add(mass.data, (tau * tau / 4.0) * stiffness.data, out=self._system.data)
             self._system_tau = tau

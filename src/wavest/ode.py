@@ -57,8 +57,8 @@ class OdeProblem:
         if not 0 < self.A < np.inf:
             raise ValueError("stiffness constant A must be a finite positive number, "
                              f"got {self.A!r}")
-        if self.T <= 0:
-            raise ValueError("final time must be positive")
+        if not 0 < self.T < np.inf:
+            raise ValueError(f"final time T must be a finite positive number, got {self.T!r}")
 
     def f_samples(self, t):
         t = np.asarray(t, dtype=float)

@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from wavest.fem import FemSpace
+from wavest import grids, harness
+from wavest.fem import QUAD_BLOCK, FemSpace
 from wavest.grids import TimeGrid, alternating_grid, build_grid, decaying_grid, uniform_grid
 from wavest.harness import (BENCH_COLUMNS, BENCH_REPEATS, BENCH_STEPS, BENCH_WARMUP,
                             ODE_COLUMNS, TRACE_COLUMNS, WAVE_COLUMNS,
@@ -148,6 +149,38 @@ class TestGrids:
         T = value if bad == "T" else 1.0
         with pytest.raises(ValueError, match=f"^{bad} must be a finite positive number, got"):
             build_grid(rule, T, **settings)
+
+    @pytest.mark.parametrize("make, steps", [
+        (lambda: uniform_grid(10 ** 10, 1.0), r"1e\+10"),
+        (lambda: alternating_grid(T=1.0, small=0.1, n_steps=2 * 10 ** 7), r"2e\+07"),
+        (lambda: alternating_grid(T=1.0, small=0.01, taustar=1e-9), r"1\.980198e\+09"),
+        (lambda: decaying_grid(1e-9, 1.0), r"1e\+09"),
+        (lambda: decaying_grid(1e-9, 1.0, literal=True), r"1e\+09"),
+    ], ids=["uniform", "alt-N", "alt-taustar", "decay", "decay-literal"])
+    def test_rejects_a_grid_above_max_steps(self, make, steps):
+        # the rule bounds its step count before building anything, so a call
+        # that would build for minutes fails at once
+        with pytest.raises(ValueError, match=rf"grid takes up to {steps} steps, "
+                                             r"more than MAX_STEPS = 1000000$"):
+            make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: uniform_grid(100, 1.0),
+        lambda: alternating_grid(T=1.0, small=0.1, n_steps=180),
+        lambda: alternating_grid(T=1.0, small=0.1, taustar=0.03),
+        lambda: alternating_grid(T=2.0, small=0.01, taustar=0.05),
+        lambda: decaying_grid(0.01, 1.0),
+        lambda: decaying_grid(0.005, 1.0, literal=True),
+        lambda: decaying_grid(0.01, 4.0),   # multipliers below 1 after t = 1
+    ], ids=["uniform", "alt-N", "alt-taustar", "alt100-taustar", "decay", "decay-literal",
+            "decay-T4"])
+    def test_step_bound_covers_the_grid(self, make, monkeypatch):
+        # each rule's bound is at least the steps it builds: with MAX_STEPS
+        # one below that count, the rule refuses
+        steps = make().n_steps
+        monkeypatch.setattr(grids, "MAX_STEPS", steps - 1)
+        with pytest.raises(ValueError, match="more than MAX_STEPS"):
+            make()
 
     @pytest.mark.parametrize("points", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf]])
     def test_time_grid_rejects_points_that_are_not_finite(self, points):
@@ -579,6 +612,66 @@ def refine_mesh_with_prolongation(mesh):
     prolong = sp.coo_matrix((vals, (rows, cols)),
                             shape=(len(verts), mesh.n_vertices)).tocsr()
     return fine, prolong
+
+
+class TestMemoryGuard:
+    """What a wave run keeps resident and allocates, per mesh vertex."""
+
+    # tracemalloc's peak over the run below, in bytes per vertex: about 5 %
+    # above the 1,349 B this layout takes (the layout before it, with a
+    # full-vertex stiffness, six-slot jump rows, whole-mesh error buffers
+    # and full older window nodes, took 1,784 B)
+    PEAK_BYTES_PER_VERTEX = 1416
+
+    def test_peak_and_resident_layout(self, monkeypatch):
+        import tracemalloc
+
+        solvers, works = [], []
+
+        class Solver(NewmarkWaveSolver):
+            def __init__(self, *args):
+                super().__init__(*args)
+                solvers.append(self)
+
+        class Work(ErrorWork):
+            def __init__(self, *args):
+                super().__init__(*args)
+                works.append(self)
+
+        monkeypatch.setattr(harness, "NewmarkWaveSolver", Solver)
+        monkeypatch.setattr(harness, "ErrorWork", Work)
+        cfg = ExperimentConfig(kind="wave", mesh="structured:n=8:pattern=crisscross",
+                               solution="gaussian", grid="uniform", N=4)
+        run_wave_experiment(cfg)   # first calls (lazy imports, caches) stay out of the count
+        cfg.mesh = "structured:n=64:pattern=crisscross"
+        tracemalloc.start()
+        try:
+            _, _, acc = run_wave_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        space, solver, work = acc.space, solvers[-1], works[-1]
+        assert peak / space.mesh.n_vertices < self.PEAK_BYTES_PER_VERTEX
+
+        # no full-vertex stiffness; one free-vertex pattern for M, K and the step matrix
+        assert not hasattr(space, "stiffness")
+        for matrix in (space.stiffness_ff, solver._system):
+            assert matrix.indices is space.mass_ff.indices
+            assert matrix.indptr is space.mass_ff.indptr
+
+        # J: 4 entries per row, in buffers of exactly that size
+        jump = acc.space_acc.jump
+        rows = jump.shape[0]
+        assert jump.nnz == 4 * rows
+        for values in (jump.data, jump.indices):
+            owner = values if values.base is None else values.base
+            assert owner.nbytes == 4 * rows * values.itemsize
+
+        # the true error's gradient buffers hold one block of triangles
+        block = min(QUAD_BLOCK, space.mesh.n_triangles)
+        assert space.mesh.n_triangles > QUAD_BLOCK
+        assert work.nodal.shape == (block, 3)
+        assert work.grad.shape == (2, block)
 
 
 class TestCsv:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavest.estimators import scaled_edge_normals
 from wavest.mesh import (Mesh, MeshError, build_edges, format_mesh,
                          generate_structured, import_mesh)
 
@@ -112,8 +113,9 @@ class TestVectorisedAgainstLoops:
         verts, tris, boundary = loop_structured(n, pattern)
         ev, et = loop_edges(tris)
         for got, want in ((m.vertices, verts), (m.triangles, tris),
-                          (m.boundary_vertex, boundary), (m.edge_vertices, ev),
-                          (m.edge_tris, et)):
+                          (m.boundary_vertex, boundary),
+                          (m.edge_vertices, ev.astype(np.int32)),
+                          (m.edge_tris, et.astype(np.int32))):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
 
@@ -143,8 +145,11 @@ class TestEdges:
             assert set(m.triangles[left]) & set(m.triangles[right]) == set(endpoints)
 
     def test_normals_unit(self):
+        # the jump operator's normals, scaled by the edge lengths, are unit normals
         m = generate_structured(4, "crisscross")
-        np.testing.assert_allclose(np.linalg.norm(m.edge_normals, axis=1), 1.0,
+        lengths = np.linalg.norm(np.subtract(*m.vertices[m.edge_vertices.T]), axis=1)
+        normals = scaled_edge_normals(m) / lengths[:, None]
+        np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0,
                                    atol=1e-14)
 
     def test_orientation_independence(self):

@@ -131,6 +131,12 @@ class TestSolver:
         with pytest.raises(ValueError):
             TimeGrid(np.array([0.0, 0.5, 0.5]))
 
+    @pytest.mark.parametrize("T", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_a_final_time_that_is_not_finite(self, T):
+        with pytest.raises(ValueError, match=f"^final time T must be a finite positive number, "
+                                             f"got {T!r}$"):
+            OdeProblem(A=1.0, f=None, u0=0.0, v0=0.0, T=T)
+
 
 class TestEnergyError:
     def test_zero_when_coincident(self):
