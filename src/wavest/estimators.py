@@ -21,18 +21,23 @@ edges' lengths and normals are computed there and not kept, and J stores
 exactly the 4 non-zeros of each row.  The estimator window keeps the full
 second differences of its newest node only; the two older nodes keep what
 the 5-point estimator reads of them, d2 u and the staggered time.
+
+A problem without forcing carries no projection of f (``WaveState.f_h`` is
+None): its nodes have no d2 f, and the 3-point residual and the space
+estimator's volume residuals skip the forcing terms, which would be zeros.
+J and the weighted mass matrix are built through ``fem.sparse``, so this
+module imports no scipy of its own.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
-from .fem import QUAD_BLOCK, FemSpace, SolveCounter, weighted_mass_values
+from .fem import QUAD_BLOCK, FemSpace, SolveCounter, sparse, weighted_mass_values
 from .newmark import WaveState
 from .stencils import eta3_increments, eta5_increments, hat_second_diff, second_diff
 
@@ -46,7 +51,8 @@ __all__ = [
 class NodeDiffs:
     """Second differences in time at one interior node t_k, shared by all three estimators.
 
-    In the estimator window's two older nodes ``d2v`` and ``d2f`` are None.
+    In the estimator window's two older nodes ``d2v`` and ``d2f`` are None,
+    and ``d2f`` is None at every node of a problem without forcing.
     """
 
     that: float       # staggered time (t_{k+1} + t_{k-1}) / 2
@@ -59,12 +65,12 @@ class NodeDiffs:
 
 
 def node_diffs(space: FemSpace, states) -> NodeDiffs:
-    """Second differences of u, v and f_h over three consecutive states, and |d2 v|_H1."""
+    """Second differences of u, v and f_h (none without forcing) over three states, and |d2 v|_H1."""
     s0, s1, s2 = states
     tau = (s1.t - s0.t, s2.t - s1.t)
     d2u = second_diff([s.u for s in states], tau)
     d2v = second_diff([s.v for s in states], tau)
-    d2f = second_diff([s.f_h for s in states], tau)
+    d2f = None if s1.f_h is None else second_diff([s.f_h for s in states], tau)
     return NodeDiffs(that=0.5 * (s2.t + s0.t), tau_prev=tau[0], tau=tau[1], d2u=d2u,
                      d2v=space.full(d2v), d2f=d2f, d2v_h1=space.h1_seminorm(d2v))
 
@@ -74,8 +80,8 @@ def eta3_step(space: FemSpace, node: NodeDiffs, counter: Optional[SolveCounter] 
 
     Performs exactly one mass solve (for the discrete Laplacian of d2_k u).
     """
-    z = space.apply_discrete_laplacian(node.d2u, counter=counter)
-    resid = node.d2f - space.full(z)
+    z = space.full(space.apply_discrete_laplacian(node.d2u, counter=counter))
+    resid = z if node.d2f is None else node.d2f - z   # the norm of -z is that of z
     return float(np.hypot(node.d2v_h1, space.l2_norm(resid)))
 
 
@@ -127,14 +133,15 @@ class SpaceEstimatorAccumulator:
     space: FemSpace
     part1_max: float = field(init=False, default=0.0)
     part2_sum: float = field(init=False, default=0.0)
-    jump: sp.csr_matrix = field(init=False, repr=False)    # (interior edges, vertices)
-    h_mass: sp.csr_matrix = field(init=False, repr=False)  # (vertices, vertices)
+    jump: Any = field(init=False, repr=False)    # CSR, (interior edges, vertices)
+    h_mass: Any = field(init=False, repr=False)  # CSR, (vertices, vertices)
 
     def __post_init__(self):
         # row E: h_E times the normal components of the hat gradients on the
         # left triangle minus those on the right; the two shared vertices
         # merge, leaving 4 non-zeros per row.  Built QUAD_BLOCK edges at a
         # time into buffers of exactly 4 entries per row.
+        sp = sparse()
         mesh, grads, tris = self.space.mesh, self.space.grads, self.space.mesh.triangles
         normals = scaled_edge_normals(mesh)[:, :, None]
         ne = len(normals)
@@ -166,11 +173,11 @@ class SpaceEstimatorAccumulator:
         full = self.space.full
         central = node.tau_prev + node.tau
         v_c = full((s2.v - s0.v) / central)
-        p1 = self._part(v_c - s1.f_h, full(s1.u))
+        forced = s1.f_h is not None
+        p1 = self._part(v_c - s1.f_h if forced else v_c, full(s1.u))
         self.part1_max = max(self.part1_max, np.sqrt(p1))
-        f_c = (s2.f_h - s0.f_h) / central
         u_c = full((s2.u - s0.u) / central)
-        p2 = self._part(node.d2v - f_c, u_c)
+        p2 = self._part(node.d2v - (s2.f_h - s0.f_h) / central if forced else node.d2v, u_c)
         self.part2_sum += node.tau * np.sqrt(p2)
 
     @property

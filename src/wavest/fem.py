@@ -31,6 +31,12 @@ free-vertex stiffness and Newmark step systems of spaces with at least
 V-cycle (``Multigrid``), whose prolongators a space builds from its
 stiffness matrix at the first solve that needs them.  The V-cycle runs in
 work vectors allocated once per hierarchy.
+
+``scipy.sparse`` is imported by ``sparse()`` at the first sparse build
+(assembly, a V-cycle hierarchy, the estimators' operators), the package's
+only import of scipy.  The scalar model builds no sparse matrix, so its runs
+load numpy and nothing heavier, and importing this module (or looking up
+``FemSpace`` on a module that imported it) loads no scipy.
 """
 
 from __future__ import annotations
@@ -40,12 +46,17 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
 QUAD_BLOCK = 4096            # triangles per block of the quadrature-point work
 MULTIGRID_MIN_FREE = 10_000  # free vertices from which the stiffness and step solves use Multigrid
 MULTIGRID_COARSEST = 300     # unknowns at or below which aggregation stops (dense inverse)
+
+
+def sparse():
+    """The ``scipy.sparse`` module, imported at the first call (the package's one scipy import)."""
+    import scipy.sparse
+
+    return scipy.sparse
 
 
 class SolverError(RuntimeError):
@@ -138,12 +149,12 @@ def _coo_indices(mesh):
     return np.repeat(tris, 3, axis=1).ravel(), np.tile(tris, 3).ravel()
 
 
-def assemble_mass(mesh) -> sp.csr_matrix:
-    """Full-vertex mass matrix, entries integral(phi_i phi_j)."""
+def assemble_mass(mesh):
+    """Full-vertex mass matrix (CSR), entries integral(phi_i phi_j)."""
     local = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 12.0
     data = (local[None, :, :] * mesh.areas[:, None, None]).ravel()
     n = mesh.n_vertices
-    return sp.coo_matrix((data, _coo_indices(mesh)), shape=(n, n)).tocsr()
+    return sparse().coo_matrix((data, _coo_indices(mesh)), shape=(n, n)).tocsr()
 
 
 def weighted_mass_values(mass, mesh, weights) -> np.ndarray:
@@ -168,12 +179,12 @@ def weighted_mass_values(mass, mesh, weights) -> np.ndarray:
     return data
 
 
-def assemble_stiffness(mesh) -> sp.csr_matrix:
-    """Full-vertex stiffness matrix, entries integral(grad phi_i . grad phi_j)."""
+def assemble_stiffness(mesh):
+    """Full-vertex stiffness matrix (CSR), entries integral(grad phi_i . grad phi_j)."""
     grads, area = _triangle_geometry(mesh)
     data = np.einsum("tid,tjd,t->tij", grads, grads, area).ravel()
     n = mesh.n_vertices
-    return sp.coo_matrix((data, _coo_indices(mesh)), shape=(n, n)).tocsr()
+    return sparse().coo_matrix((data, _coo_indices(mesh)), shape=(n, n)).tocsr()
 
 
 def solve_spd(matrix, rhs, tol=1e-10, max_iter=None, counter: Optional[SolveCounter] = None,
@@ -256,19 +267,6 @@ def _jacobi_weights(matrix):
     return (4.0 / (3.0 * rho)) / d
 
 
-def _matvec(matrix, x, out):
-    """``matrix @ x`` of a CSR matrix into ``out``, by the kernel scipy's product runs.
-
-    scipy's product has no ``out``, so this calls its kernel
-    (``scipy.sparse._sparsetools.csr_matvec``) on a zeroed ``out``, as the
-    product does on a new array: the values are bit-equal to ``matrix @ x``.
-    """
-    out.fill(0.0)
-    _sparsetools.csr_matvec(matrix.shape[0], matrix.shape[1], matrix.indptr, matrix.indices,
-                            matrix.data, x, out)
-    return out
-
-
 class Multigrid:
     """Smoothed-aggregation V-cycle over the free vertices of one space.
 
@@ -285,13 +283,17 @@ class Multigrid:
     Galerkin operators P^T A P on the coarse levels and a dense inverse on
     the coarsest.  The cycle is symmetric positive definite, a valid CG
     preconditioner.  The coarse operators of one matrix are kept, named by
-    ``key``, and rebuilt when the key changes; the build leaves those of the
-    stiffness matrix, under the key 'stiffness'.  The restrictions P^T are
-    stored as CSR, and every vector of a cycle but its output, which is new
-    at each call, lives in work vectors allocated once per hierarchy.
+    ``key``, and rebuilt when the key changes, the old ones dropped first;
+    the build leaves those of the stiffness matrix, under the key
+    'stiffness'.  The restrictions P^T are stored as CSR, and every vector
+    of a cycle but its output, which is new at each call, lives in work
+    vectors allocated once per hierarchy.
     """
 
     def __init__(self, stiffness, xy, side):
+        sp = sparse()
+        # the kernel of scipy's CSR product, bound once (see _matvec)
+        self._csr_matvec = sp._sparsetools.csr_matvec
         self.prolongators = []
         levels = []
         a = stiffness
@@ -321,7 +323,21 @@ class Multigrid:
         self._r = [np.empty(n) for n in sizes[1:]]
         self._x = [np.empty(n) for n in sizes[1:]]
 
+    def _matvec(self, matrix, x, out):
+        """``matrix @ x`` of a CSR matrix into ``out``, by the kernel scipy's product runs.
+
+        scipy's product has no ``out``, so this calls its kernel
+        (``scipy.sparse._sparsetools.csr_matvec``) on a zeroed ``out``, as the
+        product does on a new array: the values are bit-equal to ``matrix @ x``.
+        """
+        out.fill(0.0)
+        self._csr_matvec(matrix.shape[0], matrix.shape[1], matrix.indptr, matrix.indices,
+                         matrix.data, x, out)
+        return out
+
     def _galerkin(self, matrix):
+        # the old operators go first, so they are never alive beside the new ones
+        self._key = self._levels = self._coarsest = None
         levels = []
         a = matrix
         for prolongator in self.prolongators:
@@ -337,6 +353,7 @@ class Multigrid:
             self._key = key
         levels, coarsest, prolongators = self._levels, self._coarsest, self.prolongators
         restrictions, tmps, r_work, x_work = self._restrictions, self._tmp, self._r, self._x
+        matvec = self._matvec
 
         def vcycle(r):
             rs = [r, *r_work]
@@ -344,13 +361,13 @@ class Multigrid:
             for i, ((a, weights), restriction) in enumerate(zip(levels, restrictions)):
                 x, tmp = xs[i], tmps[i]
                 np.multiply(weights, rs[i], out=x)
-                np.subtract(rs[i], _matvec(a, x, tmp), out=tmp)
-                _matvec(restriction, tmp, rs[i + 1])
+                np.subtract(rs[i], matvec(a, x, tmp), out=tmp)
+                matvec(restriction, tmp, rs[i + 1])
             e = np.matmul(coarsest, rs[-1], out=xs[-1])
             for i in reversed(range(len(levels))):
                 (a, weights), x, tmp = levels[i], xs[i], tmps[i]
-                x += _matvec(prolongators[i], e, tmp)
-                np.subtract(rs[i], _matvec(a, x, tmp), out=tmp)
+                x += matvec(prolongators[i], e, tmp)
+                np.subtract(rs[i], matvec(a, x, tmp), out=tmp)
                 tmp *= weights
                 x += tmp
                 e = x

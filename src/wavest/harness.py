@@ -13,6 +13,14 @@ each block's points.
 The cost benchmark's settings are module constants: ``BENCH_STEPS`` timed
 nodes after ``BENCH_WARMUP`` untimed ones, steps of ``BENCH_TAU``, and the
 best of ``BENCH_REPEATS`` evaluations per node.
+
+The drivers call ``parse_mesh_spec``, ``FemSpace``, ``build_grid``,
+``get_solution``, ``generate_structured``/``read_mesh`` and
+``wave_energy_error_at`` through this module's globals, so
+``perfbench/run.py`` and its tracer time them by assigning wrappers to
+these plain module attributes.  Importing this module, or looking those
+names up, loads numpy but no scipy: ``fem.sparse`` imports ``scipy.sparse``
+at the first sparse build, which only a wave or bench run makes.
 """
 
 from __future__ import annotations
@@ -64,8 +72,11 @@ class ExperimentConfig:
     trace: Optional[str] = None
 
     def build_grid(self) -> TimeGrid:
-        return build_grid(self.grid, self.T, N=self.N, tau0=self.tau0,
-                          taustar=self.taustar)
+        """The run's time grid; one of fewer than 4 steps fails here, before any mesh is built."""
+        grid = build_grid(self.grid, self.T, N=self.N, tau0=self.tau0, taustar=self.taustar)
+        if grid.n_steps < 4:
+            raise ValueError("the 5-point estimator needs at least 4 steps")
+        return grid
 
 
 def parse_mesh_spec(spec: str):

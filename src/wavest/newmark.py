@@ -27,7 +27,8 @@ tau-independent prolongators, and nothing else is.
 Initial data enter through H1_0-orthogonal projections of u0 and v0; the
 forcing enters through its L2 projections at the grid times, which are kept
 on the state because both time estimators consume them.  A problem without
-forcing (f = None) carries zero projections and evaluates no forcing.
+forcing (f = None) carries no projection (``WaveState.f_h`` is None): it
+evaluates no forcing and its steps form no loads.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ class WaveState:
     t: float
     u: np.ndarray
     v: np.ndarray
-    f_h: np.ndarray   # L2 projection of f(t)
+    f_h: Optional[np.ndarray]   # L2 projection of f(t); None without forcing
     a: np.ndarray     # acceleration, M a = F - K u
 
 
@@ -77,10 +78,11 @@ class NewmarkWaveSolver:
 
     # -- data projection ----------------------------------------------------
 
-    def project_forcing(self, t) -> np.ndarray:
+    def project_forcing(self, t) -> Optional[np.ndarray]:
+        """The L2 projection of f(t) on all vertices; None without forcing."""
         f = self.problem.f
         if f is None:
-            return np.zeros(self.space.mesh.n_vertices)
+            return None
         return self.space.l2_project(lambda x, y: f(t, x, y))
 
     def initial_state(self) -> WaveState:
@@ -88,12 +90,17 @@ class NewmarkWaveSolver:
         u0 = space.h1_project(self.problem.grad_u0)
         v0 = space.h1_project(self.problem.grad_v0)
         f0 = self.project_forcing(0.0)
-        a0 = solve_spd(space.mass_ff, self._load(f0) - space.stiffness_ff @ u0, tol=space.tol)
+        a0 = solve_spd(space.mass_ff, self._rhs(f0, space.stiffness_ff @ u0), tol=space.tol)
         return WaveState(t=0.0, u=u0, v=v0, f_h=f0, a=a0)
 
-    def _load(self, f_h):
-        """Forcing loads (f, phi_i) on the free vertices, from an L2 projection of f."""
-        return (self.space.mass @ f_h)[self.space.free]
+    def _rhs(self, f_h, ku):
+        """Forcing loads (f, phi_i) less ``ku`` on the free vertices, from an L2 projection of f.
+
+        Without forcing (``f_h`` None) this is 0 - ku, in place.
+        """
+        if f_h is None:
+            return np.subtract(0.0, ku, out=ku)
+        return (self.space.mass @ f_h)[self.space.free] - ku
 
     # -- stepping -------------------------------------------------------------
 
@@ -119,7 +126,7 @@ class NewmarkWaveSolver:
         f_new = self.project_forcing(t_new)
         u, v, a = state.u, state.v, state.a
         predictor = u + tau * v + (tau * tau / 4.0) * a   # u_new less its a_new term
-        rhs = self._load(f_new) - space.stiffness_ff @ predictor
+        rhs = self._rhs(f_new, space.stiffness_ff @ predictor)
         system = self._system_matrix(tau)
         a_new = solve_spd(system, rhs, tol=space.tol, x0=a,
                           precond=space.preconditioner(system, tau))

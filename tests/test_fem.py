@@ -371,6 +371,31 @@ class TestMultigrid:
                                       solve_spd(system, b, precond=fresh))
 
 
+    def test_old_coarse_operators_freed_before_a_rebuild(self, monkeypatch):
+        # a new key drops the old Galerkin operators before the new ones are
+        # built, so the two sets are never alive together
+        import weakref
+
+        from wavest import fem
+
+        space = FemSpace(generate_structured(40, "crisscross"), quadrature_rule(1))
+        multigrid = Multigrid(space.stiffness_ff, space.mesh.vertices[space.free],
+                              2.0 * space.mesh.h)
+        assert len(multigrid._levels) >= 2
+        old = weakref.ref(multigrid._levels[1][0])
+        alive_during_build = []
+        jacobi_weights = fem._jacobi_weights
+
+        def spy(matrix):
+            alive_during_build.append(old() is not None)
+            return jacobi_weights(matrix)
+
+        monkeypatch.setattr(fem, "_jacobi_weights", spy)
+        multigrid.preconditioner(step_matrix(space, 1.0 / 16), 1.0 / 16)
+        assert alive_during_build == [False] * len(multigrid.prolongators)
+        assert old() is None
+
+
 class TestProjections:
     def test_l2_projection_of_constant(self):
         space = FemSpace(generate_structured(3))

@@ -780,6 +780,31 @@ class TestCli:
         else:
             assert err == f"wavest: error: {error}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["wave", "--mesh", "structured:n=100:pattern=crisscross", "--grid", "uniform", "--N", "3"],
+        ["wave", "--mesh", "structured:n=100:pattern=crisscross", "--grid", "decay",
+         "--tau0", "0.9"],
+        ["ode", "--N", "3"],
+    ], ids=["wave-uniform-3", "wave-decay-2", "ode-uniform-3"])
+    def test_fewer_than_4_steps_fail_before_the_mesh(self, argv, monkeypatch, capsys):
+        # the step count is checked as soon as the grid is built: no mesh, no space
+        from wavest.cli import main
+
+        def never(*_args, **_kwargs):
+            raise AssertionError("built after a grid of fewer than 4 steps")
+
+        for name in ("parse_mesh_spec", "FemSpace"):
+            monkeypatch.setattr(harness, name, never)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == \
+            "wavest: error: the 5-point estimator needs at least 4 steps\n"
+
+    def test_four_steps_suffice(self, capsys):
+        from wavest.cli import main
+        assert main(["ode", "--N", "4"]) == 0
+        assert main(["wave", "--mesh", "structured:n=3", "--N", "4"]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("T, error", [
         ("1", None),
         ("2", "manufactured solution 'gaussian' reaches |u| = 0.999 on the boundary at "

@@ -51,7 +51,7 @@ class TestInitialState:
         s0 = solver.initial_state()
         assert np.all(s0.u == 0.0)
         assert np.all(s0.v == 0.0)
-        assert np.all(s0.f_h == 0.0)
+        assert s0.f_h is None   # no forcing, no projection
         assert np.all(s0.a == 0.0)
 
     def test_initial_acceleration_solves_the_mass_system(self):
