@@ -1,7 +1,7 @@
 """Trapezoidal-Newmark wave solvers with a posteriori space-time error estimators.
 
 Modules (import them directly; the package itself defines no names):
-    ode          scalar model problem u'' + A u = f with both time estimators
+    ode          scalar model problem u'' + A u = 0 with both time estimators
     mesh         2D triangulations with interior-edge adjacency
     fem          P1 assembly, projections, CG solves, norms
     newmark      time integration of the semi-discrete wave equation

@@ -8,6 +8,9 @@ Text format (one mesh per payload):
     line 1:        nv nt
     next nv lines: x y b          (b = 1 for boundary vertices, else 0)
     next nt lines: i j k          (zero-based vertex indices)
+
+The flags must name the topological boundary, the endpoints of the sides
+that only one triangle owns; a mesh whose flags differ is rejected.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ class Mesh:
             raise MeshError("triangle side length overflows: coordinates too large")
         object.__setattr__(self, "h_K", lengths.reshape(3, -1).max(axis=0))
 
-        ev, et = build_edges(verts, tris)
+        ev, et, on_boundary = build_edges(verts, tris)
         object.__setattr__(self, "edge_vertices", ev.astype(np.int32))
         object.__setattr__(self, "edge_tris", et.astype(np.int32))
 
@@ -84,6 +87,11 @@ class Mesh:
         euler = len(verts) - n_all_edges + len(tris)
         if euler != 1:
             raise MeshError(f"Euler characteristic V-E+F = {euler}, expected 1")
+        # the scheme imposes u = 0 on the flagged vertices: other flags solve another problem
+        wrong = np.flatnonzero(on_boundary != bnd)
+        if len(wrong):
+            raise MeshError(f"{len(wrong)} boundary flag(s) disagree with the mesh's boundary, "
+                            f"at vertices {wrong[:10].tolist()}{' ...' if len(wrong) > 10 else ''}")
 
         # the corner between sides k and k - 1 has sine 2 area / (their product),
         # divided one side at a time so no quotient overflows; a triangle's
@@ -111,12 +119,13 @@ class Mesh:
 
 
 def build_edges(vertices, triangles):
-    """Interior-edge arrays (endpoints, adjacent triangle pair) of a triangulation.
+    """Interior-edge arrays (endpoints, adjacent triangle pair) and boundary vertices.
 
     Edges are ordered by (lower, higher) endpoint and each triangle pair by
-    index.  Rejects non-manifold input (an edge shared by more than two
-    triangles).  The result is independent of the per-triangle vertex
-    ordering.
+    index.  The boundary vertices, a mask over all vertices, are the
+    endpoints of the sides that only one triangle owns.  Rejects non-manifold
+    input (an edge shared by more than two triangles).  The result is
+    independent of the per-triangle vertex ordering.
     """
     tris = np.asarray(triangles, dtype=np.int64)
     nv = len(vertices)
@@ -133,10 +142,14 @@ def build_edges(vertices, triangles):
         bad = key[first[np.argmax(counts)]]
         raise MeshError(f"non-manifold edge {(int(bad // nv), int(bad % nv))} "
                         f"shared by {counts.max()} triangles")
+    single = key[first[counts == 1]]
+    on_boundary = np.zeros(nv, dtype=bool)
+    on_boundary[single // nv] = True
+    on_boundary[single % nv] = True
     first = first[counts == 2]
     ev = np.column_stack([key[first] // nv, key[first] % nv])
     et = np.sort(np.column_stack([owner[first], owner[first + 1]]), axis=1)
-    return ev, et
+    return ev, et, on_boundary
 
 
 def generate_structured(n, pattern="diagonal"):

@@ -1,6 +1,15 @@
 """Shared fixtures and the hypothesis profiles."""
 
-import pytest
+import os
+
+# One BLAS/OpenMP thread, set before numpy loads (as perfbench/run.py does):
+# criterion 9 times eta5's small dot products against eta3, and a second BLAS
+# thread waiting for a core that another process keeps busy can make eta5
+# read 20-50 times its usual cost.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import pytest  # noqa: E402
 from hypothesis import settings
 
 # CI runs with --hypothesis-profile=ci: the same examples on every run and no

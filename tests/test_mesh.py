@@ -129,7 +129,8 @@ class TestVectorisedAgainstLoops:
         shift = np.asarray(data.draw(st.lists(st.integers(0, 2), min_size=nt, max_size=nt)))
         cols = (np.arange(3)[None, :] + shift[:, None]) % 3
         tris = np.take_along_axis(m.triangles[perm], cols, axis=1)
-        ev, et = build_edges(m.vertices, tris)
+        ev, et, on_boundary = build_edges(m.vertices, tris)
+        np.testing.assert_array_equal(on_boundary, m.boundary_vertex)
         # map the triangle indices back through the permutation
         relabelled = {(tuple(e), tuple(sorted(perm[t]))) for e, t in zip(ev, et)}
         original = {(tuple(e), tuple(t)) for e, t in zip(m.edge_vertices, m.edge_tris)}
@@ -156,8 +157,8 @@ class TestEdges:
         m = generate_structured(2)
         tris = m.triangles.copy()
         tris[3] = tris[3][[1, 0, 2]]  # flip one triangle before building
-        ev1, _ = build_edges(m.vertices, m.triangles)
-        ev2, _ = build_edges(m.vertices, tris)
+        ev1 = build_edges(m.vertices, m.triangles)[0]
+        ev2 = build_edges(m.vertices, tris)[0]
         as_set = lambda ev: {tuple(sorted(e)) for e in ev}
         assert as_set(ev1) == as_set(ev2)
 
@@ -234,6 +235,24 @@ class TestImport:
 """
         with pytest.raises(MeshError, match="dangling"):
             import_mesh(payload)
+
+    def test_boundary_vertex_flagged_interior_rejected(self):
+        # vertex 5 of the n=4 diagonal mesh lies at (0.25, 0), on the boundary
+        lines = format_mesh(generate_structured(4)).splitlines()
+        assert lines[1 + 5] == "0.25 0.0 1"
+        lines[1 + 5] = "0.25 0.0 0"
+        with pytest.raises(MeshError, match=r"^1 boundary flag\(s\) disagree with the mesh's "
+                                            r"boundary, at vertices \[5\]$"):
+            import_mesh("\n".join(lines))
+
+    def test_interior_vertices_flagged_boundary_rejected(self):
+        # all 16 interior vertices of the n=5 mesh flagged 1; the first ten are named
+        m = generate_structured(5)
+        interior = np.flatnonzero(~m.boundary_vertex)
+        with pytest.raises(MeshError, match=rf"^16 boundary flag\(s\) .* at vertices "
+                                            rf"\[{', '.join(map(str, interior[:10]))}\] \.\.\.$"):
+            Mesh(vertices=m.vertices, triangles=m.triangles,
+                 boundary_vertex=np.ones(m.n_vertices, bool))
 
     def test_min_angle_metadata(self):
         m = generate_structured(2)

@@ -1,8 +1,10 @@
-"""Wave integrator: scheme equivalence, conservation, eigenmode accuracy, the scalar model as its 1x1 case."""
+"""Wave integrator: scheme equivalence, conservation, eigenmode accuracy, the scalar model
+(unforced and forced) as its 1x1 case."""
 
 import numpy as np
 import pytest
 
+from wavest.estimators import WaveEstimatorAccumulator
 from wavest.fem import FemSpace, SolveCounter, quadrature_rule, solve_spd
 from wavest.grids import TimeGrid, alternating_grid, uniform_grid
 from wavest.manufactured import gaussian_pulse, standing_mode
@@ -26,6 +28,16 @@ def zero_gradient(x, y):
 
 def zero_problem(T=1.0):
     return WaveProblem(f=None, grad_u0=zero_gradient, grad_v0=zero_gradient, T=T)
+
+
+def gradient_field(space, w):
+    """(d/dx, d/dy) of the P1 function with free-vertex values w, as initial data take it."""
+    grads = element_gradients(space, space.full(w))
+
+    def grad(x, y):
+        return (np.broadcast_to(grads[:, [0]], x.shape),
+                np.broadcast_to(grads[:, [1]], x.shape))
+    return grad
 
 
 def loads(space, state):
@@ -66,13 +78,8 @@ class TestInitialState:
     def test_idempotent_on_p1_data(self):
         space = FemSpace(generate_structured(4), tol=1e-12)
         w = RNG.normal(size=len(space.free))
-        grads = element_gradients(space, space.full(w))
-
-        def grad_fun(x, y):
-            return (np.broadcast_to(grads[:, [0]], x.shape),
-                    np.broadcast_to(grads[:, [1]], x.shape))
-
-        problem = WaveProblem(f=None, grad_u0=grad_fun, grad_v0=zero_gradient, T=1.0)
+        problem = WaveProblem(f=None, grad_u0=gradient_field(space, w), grad_v0=zero_gradient,
+                              T=1.0)
         s0 = NewmarkWaveSolver(problem, space).initial_state()
         np.testing.assert_allclose(s0.u, w, atol=1e-9)
 
@@ -205,7 +212,7 @@ class TestStep:
         u = np.array([s.u[0] for s in states])
         v = np.array([s.v[0] for s in states])
         assert u[0] != 0.0
-        traj = solve_newmark_ode(OdeProblem(A=k / m, f=None, u0=u[0], v0=v[0], T=1.0), grid)
+        traj = solve_newmark_ode(OdeProblem(A=k / m, u0=u[0], v0=v[0]), grid)
         np.testing.assert_allclose(u, traj.u, rtol=1e-12)
         np.testing.assert_allclose(v, traj.v, rtol=1e-12)
 
@@ -224,13 +231,8 @@ class TestStep:
         # cos(sqrt(lam) t) w exactly, so the time error is isolated
         space = FemSpace(generate_structured(6), tol=1e-13)
         w, lam = discrete_eigenpair(space)
-        grads = element_gradients(space, space.full(w))
-
-        def grad_fun(x, y):
-            return (np.broadcast_to(grads[:, [0]], x.shape),
-                    np.broadcast_to(grads[:, [1]], x.shape))
-
-        problem = WaveProblem(f=None, grad_u0=grad_fun, grad_v0=zero_gradient, T=1.0)
+        problem = WaveProblem(f=None, grad_u0=gradient_field(space, w), grad_v0=zero_gradient,
+                              T=1.0)
         errs = []
         for n_steps in (25, 50, 100):
             solver = NewmarkWaveSolver(problem, space)
@@ -246,6 +248,64 @@ class TestStep:
                                  space.h1_seminorm(state.u - u_ref)))
         rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         np.testing.assert_allclose(rates, 2.0, atol=0.05)
+
+
+def centre_hat(x, y):
+    """The hat of the centre vertex (1/2, 1/2) of ``generate_structured(2)``."""
+    return np.maximum(0.0, 1.0 - 2.0 * np.maximum.reduce([np.abs(x - 0.5), np.abs(y - 0.5),
+                                                          np.abs(x - y)]))
+
+
+class TestForcedScalarCase:
+    """The forced scalar model u'' + A u = g as the stepper's 1x1 case.
+
+    ``generate_structured(2)`` has one free vertex, the centre, with mass m
+    and stiffness k.  A forcing g(t) phi_c has the L2 projection g(t) e_c,
+    so u_h = u(t) phi_c solves the semi-discrete problem whenever u solves
+    u'' + (k/m) u = g.  The scheme is exact on u = t and u = t^2, and both
+    time estimators vanish there, up to rounding.
+    """
+
+    # name -> (u, u', g given A = k/m, whether v(0) = phi_c, the alternating grid)
+    CASES = {
+        "linear": (lambda t: t, lambda t: np.ones_like(t), lambda A, t: A * t, True, (30, 0.2)),
+        "quadratic": (lambda t: t * t, lambda t: 2.0 * t, lambda A, t: 2.0 + A * t * t, False,
+                      (40, 0.5)),
+    }
+
+    def run(self, case):
+        space = FemSpace(generate_structured(2))
+        assert len(space.free) == 1
+        A = float(space.stiffness_ff.toarray()[0, 0] / space.mass_ff.toarray()[0, 0])
+        u, du, g, moving, (n_steps, small) = self.CASES[case]
+        grad_v0 = gradient_field(space, np.ones(1)) if moving else zero_gradient
+        problem = WaveProblem(f=lambda t, x, y: g(A, t) * centre_hat(x, y),
+                              grad_u0=zero_gradient, grad_v0=grad_v0, T=1.0)
+        grid = alternating_grid(n_steps=n_steps, T=1.0, small=small)
+        acc = WaveEstimatorAccumulator(space)
+        states = []
+        for state in NewmarkWaveSolver(problem, space).run(grid):
+            acc.push(state)
+            states.append(state)
+        t = grid.points
+        return (u(t), du(t), np.array([s.u[0] for s in states]),
+                np.array([s.v[0] for s in states]), acc.increments())
+
+    def test_linear_solution_is_exact(self):
+        u, du, u_h, v_h, _ = self.run("linear")
+        np.testing.assert_allclose(u_h, u, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(v_h, du, rtol=0, atol=1e-12)
+
+    def test_quadratic_solution_is_exact(self):
+        u, du, u_h, v_h, _ = self.run("quadratic")
+        np.testing.assert_allclose(u_h, u, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(v_h, du, rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("case", ["linear", "quadratic"])
+    def test_exact_solution_gives_zero_estimators(self, case):
+        *_, (inc3, inc5) = self.run(case)
+        assert inc3.sum() <= 1e-10
+        assert inc5.sum() <= 1e-10
 
 
 class TestRun:
