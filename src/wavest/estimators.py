@@ -16,16 +16,17 @@ of the scalar model's payloads.  The time weights, the initial slab and the
 running sums are shared with the scalar model (``stencils.eta3_increments``/
 ``eta5_increments``): the accumulator here only collects payloads.
 
-The jump operator is built from the mesh's interior-edge index arrays: the
-edges' lengths and normals are computed there and not kept, and J stores
-exactly the 4 non-zeros of each row.  The estimator window keeps the full
-second differences of its newest node only; the two older nodes keep what
-the 5-point estimator reads of them, d2 u and the staggered time.
+The jump operator is built from the mesh's interior-edge index arrays: each
+edge's h_E-scaled normal is its edge vector turned by 90 degrees, in no
+particular orientation (J u is read only squared), and J stores exactly the
+4 non-zeros of each row.  The estimator window keeps the full second
+differences of its newest node only; the two older nodes keep what the
+5-point estimator reads of them, d2 u and the staggered time.
 
 A problem without forcing carries no projection of f (``WaveState.f_h`` is
 None): its nodes have no d2 f, and the 3-point residual and the space
 estimator's volume residuals skip the forcing terms, which would be zeros.
-J and the weighted mass matrix are built through ``fem.sparse``, so this
+J is built through ``fem.sparse`` and M_h by ``fem.assemble_mass``, so this
 module imports no scipy of its own.
 """
 
@@ -37,7 +38,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .fem import QUAD_BLOCK, FemSpace, SolveCounter, sparse, weighted_mass_values
+from .fem import QUAD_BLOCK, FemSpace, SolveCounter, assemble_mass, share_pattern, sparse
 from .newmark import WaveState
 from .stencils import eta3_increments, eta5_increments, hat_second_diff, second_diff
 
@@ -100,15 +101,14 @@ def eta5_step(space: FemSpace, nodes) -> float:
 
 
 def scaled_edge_normals(mesh) -> np.ndarray:
-    """h_E times the unit normal of each interior edge, oriented from left to right triangle."""
-    verts, ev, et = mesh.vertices, mesh.edge_vertices, mesh.edge_tris
+    """h_E times a unit normal of each interior edge: the edge vector turned by 90 degrees.
+
+    Its sign is that of the edge's vertex order; the estimator reads the
+    jumps only squared, so no edge needs orienting.
+    """
+    verts, ev = mesh.vertices, mesh.edge_vertices
     vec = verts[ev[:, 1]] - verts[ev[:, 0]]
-    length = np.linalg.norm(vec, axis=1)
-    normal = np.column_stack([vec[:, 1], -vec[:, 0]]) / length[:, None]
-    centroids = verts[mesh.triangles].mean(axis=1)
-    normal[np.sum(normal * (centroids[et[:, 1]] - centroids[et[:, 0]]), axis=1) < 0] *= -1.0
-    normal *= length[:, None]
-    return normal
+    return np.column_stack([vec[:, 1], -vec[:, 0]])
 
 
 @dataclass
@@ -125,9 +125,10 @@ class SpaceEstimatorAccumulator:
     ``jump`` is the operator J, assembled once, from all-vertex values to
     h_E [n . grad u]_E on every interior edge, so the jump sum is ||J u||^2;
     each row holds its 4 non-zeros in ascending column order.  ``h_mass`` is
-    the mass matrix with each triangle's contribution scaled by h_K^2, so the
-    volume sum is r . (M_h r); it shares the mass matrix's CSR structure and
-    keeps only its own values.
+    M_h = ``assemble_mass(mesh, h_K^2)``, the mass matrix with each
+    triangle's contribution scaled by h_K^2, so the volume sum is
+    r . (M_h r); it shares the mass matrix's index arrays and keeps only its
+    own values.
     """
 
     space: FemSpace
@@ -159,9 +160,7 @@ class SpaceEstimatorAccumulator:
             data[4 * lo:4 * edges.stop], indices[4 * lo:4 * edges.stop] = rows.data, rows.indices
         self.jump = sp.csr_matrix((data, indices, np.arange(0, 4 * ne + 1, 4, dtype=np.int32)),
                                   shape=(ne, mesh.n_vertices))
-        mass = self.space.mass
-        self.h_mass = sp.csr_matrix((weighted_mass_values(mass, mesh, mesh.h_K ** 2),
-                                     mass.indices, mass.indptr), shape=mass.shape)
+        self.h_mass = share_pattern(assemble_mass(mesh, mesh.h_K ** 2), self.space.mass)
 
     def _part(self, residual, u) -> float:
         """sum_K h_K^2 ||residual||_{L2(K)}^2 + ||J u||^2."""

@@ -1,16 +1,18 @@
 """P1 finite element kernels on triangulations.
 
-``assemble_mass``/``assemble_stiffness`` assemble over the full vertex set
-as scipy CSR; homogeneous Dirichlet conditions are imposed by restriction to
-the free (non-boundary) vertices, which keeps every system symmetric
-positive definite.  ``FemSpace`` bundles a mesh with its operators,
-quadrature geometry and the index bookkeeping the time steppers and
-estimators need.  It keeps the full-vertex mass matrix (loads, L2
-projections and norms of all-vertex functions) but only the free-vertex
-stiffness; the free-vertex mass and stiffness share one ``indices``/
-``indptr`` pair, which the Newmark step matrix shares too.  A P1 function
-is a plain coefficient array, on the free vertices (zero trace) or on all
-of them; ``FemSpace.full`` scatters the first kind into the second.
+``assemble_mass`` (with per-triangle weights: the mass matrix and the space
+estimator's h_K^2-weighted M_h are one assembly) and ``assemble_stiffness``
+(from the mesh's hat gradients) assemble over the full vertex set as scipy
+CSR; homogeneous Dirichlet conditions are imposed by restriction to the
+free (non-boundary) vertices, which keeps every system symmetric positive
+definite.  ``FemSpace`` bundles a mesh with its operators, quadrature
+geometry and the index bookkeeping the time steppers and estimators need.
+It keeps the full-vertex mass matrix (loads, L2 projections and norms of
+all-vertex functions) but only the free-vertex stiffness; the free-vertex
+mass and stiffness share one ``indices``/``indptr`` pair, which the Newmark
+step matrix shares too.  A P1 function is a plain coefficient array, on
+the free vertices (zero trace) or on all of them; ``FemSpace.full``
+scatters the first kind into the second.
 
 Per-triangle integrals reach the vertices through one ``np.bincount`` over
 the triangles' vertex indices.  Work at the quadrature points runs over
@@ -121,70 +123,40 @@ def quadrature_rule(degree) -> QuadratureRule:
     raise ValueError("available rules: degree 1, 2 and 5")
 
 
-def _triangle_geometry(mesh):
-    """Per-triangle P1 gradient coefficients and areas.
+def assemble_mass(mesh, weights=1.0):
+    """Full-vertex mass matrix (CSR, sorted), entries integral(w phi_i phi_j).
 
-    grads[t, i] is the constant gradient of the hat function of local vertex i
-    on triangle t.
+    ``weights`` holds w, a positive constant per triangle (or one for all).
+    The P1 local mass is (area / 12)(1 1^T + I), so with T the
+    triangle-vertex incidence (three ones per row) and w area / 12 on the
+    diagonal of D the matrix is T^T D T + diag(T^T D 1).
     """
-    verts = mesh.vertices
-    tris = mesh.triangles
-    p = verts[tris]                        # (nt, 3, 2)
-    e0 = p[:, 2] - p[:, 1]
-    e1 = p[:, 0] - p[:, 2]
-    e2 = p[:, 1] - p[:, 0]
-    area = mesh.areas
-    grads = np.empty((len(tris), 3, 2))
-    # rotate edge vectors by 90 degrees; gradient of hat_i is perp of opposite edge
-    for i, e in enumerate((e0, e1, e2)):
-        grads[:, i, 0] = -e[:, 1]
-        grads[:, i, 1] = e[:, 0]
-    grads /= (2.0 * area)[:, None, None]
-    return grads, area
+    sp, nt = sparse(), mesh.n_triangles
+    scale = weights * mesh.areas / 12.0
+    rows = (mesh.triangles.ravel().astype(np.int32), np.arange(0, 3 * nt + 1, 3, dtype=np.int32))
+    incidence = sp.csr_matrix((np.ones(3 * nt), *rows), shape=(nt, mesh.n_vertices))
+    weighted = sp.csr_matrix((np.repeat(scale, 3), *rows), shape=incidence.shape)
+    mass = (incidence.T @ weighted + sp.diags(incidence.T @ scale)).tocsr()
+    mass.sort_indices()
+    return mass
 
 
-def _coo_indices(mesh):
-    """Row and column indices of the nine local entries of every triangle, int32."""
-    tris = mesh.triangles.astype(np.int32)
-    return np.repeat(tris, 3, axis=1).ravel(), np.tile(tris, 3).ravel()
-
-
-def assemble_mass(mesh):
-    """Full-vertex mass matrix (CSR), entries integral(phi_i phi_j)."""
-    local = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 12.0
-    data = (local[None, :, :] * mesh.areas[:, None, None]).ravel()
-    n = mesh.n_vertices
-    return sparse().coo_matrix((data, _coo_indices(mesh)), shape=(n, n)).tocsr()
-
-
-def weighted_mass_values(mass, mesh, weights) -> np.ndarray:
-    """Values of the mass matrix with each triangle's contribution scaled by its weight.
-
-    They are laid out on the CSR structure of ``mass`` (``assemble_mass(mesh)``,
-    canonical, so the keys row * n + column of its entries ascend).  The
-    triangles' nine local entries are scattered one at a time, so the
-    transient memory is a few vectors of the triangles' length rather than
-    an assembly's nine triplets per triangle.
-    """
-    n = mass.shape[0]
-    keys = np.repeat(np.arange(n), np.diff(mass.indptr)) * n + mass.indices
-    scale = mesh.areas * weights / 12.0
-    tris = mesh.triangles
-    data = np.zeros(mass.nnz)
-    for a in range(3):
-        for b in range(3):
-            at = np.searchsorted(keys, tris[:, a] * n + tris[:, b])
-            data += np.bincount(at, weights=2.0 * scale if a == b else scale,
-                                minlength=mass.nnz)
-    return data
+def share_pattern(matrix, like):
+    """Give the CSR ``matrix`` the index arrays of ``like``, whose sparsity pattern it must have."""
+    if not (np.array_equal(matrix.indptr, like.indptr)
+            and np.array_equal(matrix.indices, like.indices)):
+        raise ValueError("the two matrices must share one sparsity pattern")
+    matrix.indices, matrix.indptr = like.indices, like.indptr
+    return matrix
 
 
 def assemble_stiffness(mesh):
     """Full-vertex stiffness matrix (CSR), entries integral(grad phi_i . grad phi_j)."""
-    grads, area = _triangle_geometry(mesh)
-    data = np.einsum("tid,tjd,t->tij", grads, grads, area).ravel()
+    grads, tris = mesh.grads, mesh.triangles.astype(np.int32)
+    data = np.einsum("tid,tjd,t->tij", grads, grads, mesh.areas).ravel()
+    indices = np.repeat(tris, 3, axis=1).ravel(), np.tile(tris, 3).ravel()
     n = mesh.n_vertices
-    return sparse().coo_matrix((data, _coo_indices(mesh)), shape=(n, n)).tocsr()
+    return sparse().coo_matrix((data, indices), shape=(n, n)).tocsr()
 
 
 def solve_spd(matrix, rhs, tol=1e-10, max_iter=None, counter: Optional[SolveCounter] = None,
@@ -385,14 +357,10 @@ class FemSpace:
         self.free = mesh.free_vertices
         self.mass = assemble_mass(mesh)
         self.mass_ff = self.mass[self.free][:, self.free].tocsr()
-        mass_ff, stiffness_ff = self.mass_ff, assemble_stiffness(mesh)[self.free][:, self.free]
-        if not (np.array_equal(mass_ff.indptr, stiffness_ff.indptr)
-                and np.array_equal(mass_ff.indices, stiffness_ff.indices)):
-            raise ValueError("mass and stiffness matrices must share one sparsity pattern")
-        # one pair of index arrays for both
-        stiffness_ff.indices, stiffness_ff.indptr = mass_ff.indices, mass_ff.indptr
-        self.stiffness_ff = stiffness_ff
-        self.grads, self.area = _triangle_geometry(mesh)
+        # one pair of index arrays for the free-vertex mass and stiffness
+        self.stiffness_ff = share_pattern(
+            assemble_stiffness(mesh)[self.free][:, self.free], self.mass_ff)
+        self.grads, self.area = mesh.grads, mesh.areas
         # physical quadrature points per triangle, (nt, q, 2): a view of one
         # (2, nt, q) array, so a block's x and y values are contiguous
         nt = mesh.n_triangles

@@ -1,8 +1,9 @@
 """Conforming 2D triangulations with interior-edge adjacency.
 
-Meshes are immutable after construction.  Interior edges are stored as two
-parallel int32 index arrays (endpoints, adjacent triangles); the space
-estimator's jump operator derives the edges' lengths and normals from them.
+Meshes are immutable; each triangle's area, h_K and P1 hat gradients are
+computed once, at construction.  Interior edges are stored as two parallel
+int32 index arrays (endpoints, adjacent triangles); the space estimator's
+jump operator derives the edges' normals from them.
 
 Text format (one mesh per payload):
     line 1:        nv nt
@@ -37,6 +38,7 @@ class Mesh:
     edge_tris: np.ndarray = field(init=False)       # (ne, 2) left, right
     h_K: np.ndarray = field(init=False)             # (nt,) longest edge per triangle
     areas: np.ndarray = field(init=False)           # (nt,)
+    grads: np.ndarray = field(init=False)           # (nt, 3, 2) P1 hat gradients
     min_angle: float = field(init=False)
 
     def __post_init__(self):
@@ -76,6 +78,14 @@ class Mesh:
         if not np.all(np.isfinite(lengths)):
             raise MeshError("triangle side length overflows: coordinates too large")
         object.__setattr__(self, "h_K", lengths.reshape(3, -1).max(axis=0))
+        # grads[t, i]: the constant gradient of the hat of local vertex i on
+        # triangle t, the side a -> b opposite i turned by 90 degrees, over 2 area
+        grads = np.empty((len(tris), 3, 2))
+        for i, (a, b) in enumerate(((p1, p2), (p2, p0), (p0, p1))):
+            np.subtract(a[:, 1], b[:, 1], out=grads[:, i, 0])
+            np.subtract(b[:, 0], a[:, 0], out=grads[:, i, 1])
+        grads /= (2.0 * signed)[:, None, None]
+        object.__setattr__(self, "grads", grads)
 
         ev, et, on_boundary = build_edges(verts, tris)
         object.__setattr__(self, "edge_vertices", ev.astype(np.int32))

@@ -9,7 +9,7 @@ from wavest.fem import (MULTIGRID_MIN_FREE, FemSpace, Multigrid, SolveCounter, S
 from wavest.manufactured import gaussian_pulse
 from wavest.mesh import Mesh, generate_structured
 
-from oracles import (allocating_vcycle, einsum_quad_xy, element_gradients,
+from oracles import (allocating_vcycle, einsum_quad_xy, element_gradients, element_l2_sq,
                      jittered_crisscross, one_shot_gradient_load, one_shot_load)
 
 RNG = np.random.default_rng(42)
@@ -101,6 +101,27 @@ class TestAssembly:
         M = assemble_mass(m)
         c = 2.5 * np.ones(m.n_vertices)
         assert c @ (M @ c) == pytest.approx(2.5 ** 2 * 1.0, rel=1e-13)
+
+    def test_weighted_mass_against_element_integrals(self):
+        # per-triangle weights scale each triangle's local mass: the quadratic
+        # form is the weighted sum of the exact element integrals of r^2
+        m = jittered_crisscross(6)
+        space = FemSpace(m)
+        w = RNG.uniform(0.1, 10.0, size=m.n_triangles)
+        M_w, M = assemble_mass(m, w), assemble_mass(m)
+        np.testing.assert_array_equal(M_w.indptr, M.indptr)
+        np.testing.assert_array_equal(M_w.indices, M.indices)
+        assert M_w.has_sorted_indices
+        for _ in range(3):
+            r = RNG.normal(size=m.n_vertices)
+            assert r @ (M_w @ r) == pytest.approx(np.sum(w * element_l2_sq(space, r)), rel=1e-13)
+
+    def test_space_takes_the_meshs_hat_gradients(self):
+        # computed once per mesh: the stiffness assembly and the space read one array
+        m = generate_structured(3, "crisscross")
+        space = FemSpace(m)
+        assert space.grads is m.grads and space.area is m.areas
+        np.testing.assert_allclose(m.grads.sum(axis=1), 0.0, atol=1e-13)
 
     def test_stiffness_rows_sum_to_zero(self):
         m = generate_structured(3)

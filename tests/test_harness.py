@@ -674,6 +674,21 @@ class TestMemoryGuard:
         assert work.grad.shape == (2, block)
 
 
+    def test_boundary_trace_checked_in_chunks(self):
+        # a long grid's times are checked a chunk at a time: one (times,
+        # boundary vertices) array of 20,001 x 64 would take 10 MB alone
+        import tracemalloc
+
+        mesh = generate_structured(16)
+        tracemalloc.start()
+        try:
+            harness._check_boundary_trace(gaussian_pulse(), mesh, np.linspace(0.0, 1.0, 20_001))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
 class TestCsv:
     def test_deterministic_emission(self):
         cfg = ExperimentConfig(kind="ode", A=100.0, N=100, grid="uniform")
@@ -816,6 +831,31 @@ class TestCli:
             (0 if error is None else 1)
         err = capsys.readouterr().err
         assert err == ("" if error is None else f"wavest: error: {error}\n")
+
+    def test_boundary_trace_checked_between_grid_times(self, capsys):
+        # the pulse reaches the boundary near t = 1.32, which a 4-step grid
+        # on [0, 2] steps over (at t = 1.5 its trace is back under the bound)
+        from wavest.cli import main
+        assert main(["wave", "--mesh", "structured:n=3", "--N", "4", "--T", "2"]) == 1
+        assert capsys.readouterr().err == (
+            "wavest: error: manufactured solution 'gaussian' reaches |u| = 1 on the "
+            "boundary at t = 1.322, above the bound 0.001 of the homogeneous Dirichlet condition\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["wave", "--mesh", "structured:n=1", "--N", "4"],
+        ["bench", "--mesh", "structured:n=1"],
+    ], ids=["wave", "bench"])
+    def test_mesh_without_interior_vertex_rejected(self, argv, monkeypatch, capsys):
+        # its discrete space is {0}: refused before a space is built
+        from wavest.cli import main
+
+        def never(*_args, **_kwargs):
+            raise AssertionError("a space built on a mesh without interior vertices")
+
+        monkeypatch.setattr(harness, "FemSpace", never)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == ("wavest: error: the mesh has no interior vertex, "
+                                           "so its discrete space is {0}\n")
 
     @pytest.mark.parametrize("tol", ["-1", "nan", "0", "inf"])
     def test_tolerance_must_be_finite_and_positive(self, tol, capsys):
