@@ -15,14 +15,19 @@ the free vertices (zero trace) or on all of them; ``FemSpace.full``
 scatters the first kind into the second.
 
 Per-triangle integrals reach the vertices through one ``np.bincount`` over
-the triangles' vertex indices.  Work at the quadrature points runs over
-``FemSpace.blocks``, consecutive runs of at most ``QUAD_BLOCK`` triangles, so
-a block's (triangles, points) arrays stay in cache; an integrand ``g(x, y)``
-is therefore called once per block and must be pointwise.  A load vector is,
+the triangles' vertex indices (``FemSpace.scatter``).  Work at the
+quadrature points runs over ``FemSpace.blocks``, consecutive runs of at most
+``QUAD_BLOCK`` triangles, so a block's (triangles, points) arrays stay in
+cache; an integrand ``g(x, y)`` is therefore called once per block and must
+be pointwise.  The space stores no quadrature points: ``block_points``
+derives a block's x and y at each call, by a gather of its corner
+coordinates and matrix products, into two block-sized buffers the space
+owns, so the arrays it returns hold until its next call.  A load vector is,
 per block, one matmul of the integrand's quadrature values with the rule's
-weights times its barycentric points, then scaled by the triangle areas; the
-H1_0 projection's right-hand side is, per block, the rule's weighted sum of
-each gradient component times area times the hat gradients.
+weights times its barycentric points, then scaled by the triangle areas
+(``load_rows``); the H1_0 projection's right-hand side is, per block, the
+rule's weighted sum of each gradient component times area times the hat
+gradients (``gradient_rows``).
 
 Linear systems are solved with preconditioned conjugate gradients, from
 zero or from a given start vector; pass a ``SolveCounter`` to account for
@@ -32,7 +37,8 @@ free-vertex stiffness and Newmark step systems of spaces with at least
 ``MULTIGRID_MIN_FREE`` free vertices: those take a smoothed-aggregation
 V-cycle (``Multigrid``), whose prolongators a space builds from its
 stiffness matrix at the first solve that needs them.  The V-cycle runs in
-work vectors allocated once per hierarchy.
+work vectors allocated once per hierarchy.  The space keeps the Jacobi
+diagonals of M and M_ff, so its mass solves extract no diagonal.
 
 ``scipy.sparse`` is imported by ``sparse()`` at the first sparse build
 (assembly, a V-cycle hierarchy, the estimators' operators), the package's
@@ -160,18 +166,19 @@ def assemble_stiffness(mesh):
 
 
 def solve_spd(matrix, rhs, tol=1e-10, max_iter=None, counter: Optional[SolveCounter] = None,
-              x0=None, precond: Optional[Callable] = None):
+              x0=None, precond: Optional[Callable] = None, diagonal=None):
     """Preconditioned conjugate gradients for SPD systems.
 
     ``precond`` maps a residual r to B r for a symmetric positive definite B
     (a ``Multigrid.preconditioner``); by default B is the inverse diagonal
-    (Jacobi).  Starts from ``x0`` (zero by default; the caller's array is not
-    changed) and stops when the residual satisfies ||b - A x|| <= tol * ||b||
-    (``tol`` a finite positive number, ValueError otherwise), after 0
-    iterations if ``x0`` already does.  Deterministic for fixed
-    inputs; raises SolverError with the last residual if max_iter is
-    exhausted, or if a search direction p has p . A p <= 0 (the matrix or the
-    preconditioner is not positive definite).
+    (Jacobi): ``diagonal``, which callers that keep the matrix's diagonal
+    pass, or else the matrix's own, checked positive.  Starts from ``x0``
+    (zero by default; the caller's array is not changed) and stops when the
+    residual satisfies ||b - A x|| <= tol * ||b|| (``tol`` a finite positive
+    number, ValueError otherwise), after 0 iterations if ``x0`` already does.
+    Deterministic for fixed inputs; raises SolverError with the last
+    residual if max_iter is exhausted, or if a search direction p has
+    p . A p <= 0 (the matrix or the preconditioner is not positive definite).
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be a finite positive number, got {tol!r}")
@@ -184,10 +191,13 @@ def solve_spd(matrix, rhs, tol=1e-10, max_iter=None, counter: Optional[SolveCoun
         if counter is not None:
             counter.record(0)
         return np.zeros(n)
-    d = matrix.diagonal()
-    if np.any(d <= 0):
-        raise SolverError("matrix diagonal is not positive", residual=np.inf)
     if precond is None:
+        d = diagonal
+        if d is None:
+            d = matrix.diagonal()
+            if np.any(d <= 0):
+                raise SolverError("matrix diagonal is not positive", residual=np.inf)
+
         def precond(r):
             return r / d
     if x0 is None:
@@ -361,15 +371,23 @@ class FemSpace:
         self.stiffness_ff = share_pattern(
             assemble_stiffness(mesh)[self.free][:, self.free], self.mass_ff)
         self.grads, self.area = mesh.grads, mesh.areas
-        # physical quadrature points per triangle, (nt, q, 2): a view of one
-        # (2, nt, q) array, so a block's x and y values are contiguous
-        nt = mesh.n_triangles
-        corners = mesh.vertices[mesh.triangles].transpose(2, 0, 1)[..., None]   # (2, nt, 3, 1)
-        xy = np.zeros((2, nt, len(self.rule.points)))
-        for b, column in enumerate(self.rule.points.T):   # the barycentric columns
-            xy += corners[:, :, b] * column
-        self.quad_xy = xy.transpose(1, 2, 0)
+        # the Jacobi diagonals of the mass solves (loads' L2 projections, the
+        # initial acceleration, the auxiliary solves)
+        self.mass_diagonal = self.mass.diagonal()
+        self.mass_ff_diagonal = self.mass_ff.diagonal()
+        nt, q = mesh.n_triangles, len(self.rule.points)
         self.blocks = [slice(lo, min(lo + QUAD_BLOCK, nt)) for lo in range(0, nt, QUAD_BLOCK)]
+        # block_points' inputs and buffers: the vertex coordinates one axis at
+        # a time, factor i (column i of the barycentric points as row i of a
+        # zero (3, q) matrix), and a block's corners, one product and the points
+        self._coords = np.ascontiguousarray(mesh.vertices.T)
+        self._factors = np.zeros((3, 3, q))
+        for i, column in enumerate(self.rule.points.T):
+            self._factors[i, i] = column
+        rows = min(QUAD_BLOCK, nt)
+        self._corners = np.empty((rows, 3))
+        self._product = np.empty((rows, q))
+        self._points = np.empty((2, rows, q))
 
     @cached_property
     def multigrid(self) -> Optional[Multigrid]:
@@ -385,39 +403,52 @@ class FemSpace:
 
     # -- integration ------------------------------------------------------
 
+    def block_points(self, b):
+        """x and y of the quadrature points of the triangles in the block b, (rows, q) each.
+
+        Per axis, the block's corner coordinates c (gathered) times each of
+        the three factors, one matrix product each, summed in order: a factor
+        has one non-zero row, so every product entry is the rounded c_i p_i
+        plus exact zeros, whatever order or fused multiply-adds the product
+        uses, and a point is c_0 p_0 + c_1 p_1 + c_2 p_2 summed left to
+        right.  The two arrays are buffers of the space: they hold this
+        block's points until the next call.
+        """
+        rows = b.stop - b.start
+        corners, product = self._corners[:rows], self._product[:rows]
+        points = self._points[:, :rows]
+        first, *rest = self._factors
+        for coord, out in zip(self._coords, points):
+            # mode="clip": the mesh's indices are in range, and a raising take buffers its output
+            np.take(coord, self.mesh.triangles[b], out=corners, mode="clip")
+            np.matmul(corners, first, out=out)
+            for factor in rest:
+                out += np.matmul(corners, factor, out=product)
+        return points[0], points[1]
+
     def assemble_load(self, g: Callable) -> np.ndarray:
         """Load vector b_i ~ integral(g phi_i) over all vertices, by the space's rule.
 
         The pointwise g(x, y) is called once per block of triangles.
         """
-        rule, xy = self.rule, self.quad_xy
-        weights = rule.weights[:, None] * rule.points
         per_tri = np.empty((self.mesh.n_triangles, 3))
         for b in self.blocks:
-            np.matmul(np.asarray(g(xy[b, :, 0], xy[b, :, 1]), dtype=float), weights,
-                      out=per_tri[b])
-        per_tri *= self.area[:, None]
-        return self._scatter(per_tri)
+            self.load_rows(g(*self.block_points(b)), b, out=per_tri[b])
+        return self.scatter(per_tri)
 
-    def load(self, vals) -> np.ndarray:
-        """Load vector of g from its values at the quadrature points, (nt, q)."""
+    def load_rows(self, vals, b, out):
+        """integral(g phi) over each triangle of the block b from g at its points, into ``out``."""
         rule = self.rule
-        vals = np.asarray(vals, dtype=float)
-        return self._scatter(self.area[:, None] * (vals @ (rule.weights[:, None] * rule.points)))
+        np.matmul(np.asarray(vals, dtype=float), rule.weights[:, None] * rule.points, out=out)
+        out *= self.area[b, None]
 
-    def gradient_load(self, gx, gy) -> np.ndarray:
-        """integral(grad g . grad phi_i) over all vertices, from grad g at the quadrature points."""
-        contrib = np.empty((self.mesh.n_triangles, 3))
-        self._gradient_contrib(gx, gy, slice(None), out=contrib)
-        return self._scatter(contrib)
-
-    def _gradient_contrib(self, gx, gy, b, out):
-        """integral(grad g . grad phi) over each triangle of the slice b, into ``out``, (len, 3)."""
+    def gradient_rows(self, gx, gy, b, out):
+        """integral(grad g . grad phi) over each triangle of the block b, into ``out``, (len, 3)."""
         w, area, grads = self.rule.weights, self.area[b], self.grads[b]
         np.multiply(((np.asarray(gx, dtype=float) @ w) * area)[:, None], grads[:, :, 0], out=out)
         out += ((np.asarray(gy, dtype=float) @ w) * area)[:, None] * grads[:, :, 1]
 
-    def _scatter(self, contrib) -> np.ndarray:
+    def scatter(self, contrib) -> np.ndarray:
         """Sum per-triangle vertex contributions (nt, 3) into an all-vertex vector."""
         return np.bincount(self.mesh.triangles.ravel(), weights=contrib.ravel(),
                            minlength=self.mesh.n_vertices)
@@ -433,7 +464,7 @@ class FemSpace:
     def l2_project(self, g: Callable) -> np.ndarray:
         """L2 projection onto the full P1 space (no boundary condition), on all vertices."""
         b = self.assemble_load(g)
-        return solve_spd(self.mass, b, tol=self.tol)
+        return solve_spd(self.mass, b, tol=self.tol, diagonal=self.mass_diagonal)
 
     def h1_project(self, grad_g: Callable) -> np.ndarray:
         """H1_0-orthogonal projection from the gradient of the target, on the free vertices.
@@ -442,17 +473,17 @@ class FemSpace:
         called once per block of triangles; the projection solves the
         free-vertex stiffness system with rhs integral(grad g . grad phi_i).
         """
-        xy = self.quad_xy
         contrib = np.empty((self.mesh.n_triangles, 3))
         for b in self.blocks:
-            self._gradient_contrib(*grad_g(xy[b, :, 0], xy[b, :, 1]), b, out=contrib[b])
-        rhs = self._scatter(contrib)
+            self.gradient_rows(*grad_g(*self.block_points(b)), b, out=contrib[b])
+        rhs = self.scatter(contrib)
         return solve_spd(self.stiffness_ff, rhs[self.free], tol=self.tol,
                          precond=self.preconditioner(self.stiffness_ff, "stiffness"))
 
     def apply_discrete_laplacian(self, w, counter=None) -> np.ndarray:
         """z in V_h with (z, phi) = (grad w, grad phi) for all phi in V_h; free vertices."""
-        return solve_spd(self.mass_ff, self.stiffness_ff @ w, tol=self.tol, counter=counter)
+        return solve_spd(self.mass_ff, self.stiffness_ff @ w, tol=self.tol, counter=counter,
+                         diagonal=self.mass_ff_diagonal)
 
     # -- norms --------------------------------------------------------------
 

@@ -7,8 +7,9 @@ with fixed headers and 6-significant-digit decimals so repeated runs of the
 same configuration are byte-identical.
 
 The true error of a solution without moments is a quadrature over the
-blocks of ``FemSpace.blocks``, against the solution bound once per run to
-each block's points.
+blocks of ``FemSpace.blocks``, against the solution bound per block and time
+to the block's points, which ``FemSpace.block_points`` derives at each call:
+no run stores the points of every triangle.
 
 The cost benchmark's settings are module constants: ``BENCH_STEPS`` timed
 nodes after ``BENCH_WARMUP`` untimed ones, steps of ``BENCH_TAU``, and the
@@ -245,33 +246,35 @@ class ErrorWork:
         self.at_points = np.ascontiguousarray(space.rule.points.T)  # nodal values -> point values
 
 
-def wave_energy_error_at(space: FemSpace, state, exact, work: ErrorWork) -> float:
+def wave_energy_error_at(space: FemSpace, state, bind, work: ErrorWork) -> float:
     """Energy-norm error of one state against the exact solution (quadrature).
 
-    ``exact`` holds the solution bound to each block of ``space.blocks``
-    (``ManufacturedSolution.bind`` of the block's quadrature points): each
-    maps t to du/dt and (du/dx, du/dy) there, in arrays that are this
-    function's until the evaluator's next call: each squared residual is
-    computed in one of them.  The per-triangle integrals fill ``work``'s rows
-    block by block; the sums over all triangles come last.
+    ``bind`` is the solution's ``ManufacturedSolution.bind``, called once per
+    block of ``space.blocks`` on the block's quadrature points
+    (``FemSpace.block_points``); the bound evaluator maps t to du/dt and
+    (du/dx, du/dy) there, in arrays that are this function's: each squared
+    residual is computed in one of them.  The per-triangle integrals fill
+    ``work``'s rows block by block; the sums over all triangles come last.
     """
     rule, area, tris, grads = space.rule, space.area, space.mesh.triangles, space.grads
     work.u[space.free] = state.u
     work.v[space.free] = state.v
     velocity, *h1_rows = work.per_tri
-    for b, at in zip(space.blocks, exact):
+    for b in space.blocks:
         rows = b.stop - b.start
         nodal, grad = work.nodal[:rows], work.grad[:, :rows]
-        np.take(work.u, tris[b], out=nodal)
+        # mode="clip": the mesh's indices are in range, and a raising take buffers its output
+        np.take(work.u, tris[b], out=nodal, mode="clip")
         for d in range(2):   # component d of the constant gradient on each triangle
             np.einsum("tb,tb->t", nodal, grads[b, :, d], out=grad[d])
-        dudt, gxy = at(state.t)
+        dudt, gxy = bind(*space.block_points(b))(state.t)
         for g, grad_d, row in zip(gxy, grad, h1_rows):
             np.square(np.subtract(grad_d[:, None], g, out=g), out=g)
             np.matmul(g, rule.weights, out=row[b])
         # P1 values at the quadrature points, in the freed x component: nodal
         # values times the barycentric coordinates of the rule
-        r = np.matmul(np.take(work.v, tris[b], out=nodal), work.at_points, out=gxy[0])
+        r = np.matmul(np.take(work.v, tris[b], out=nodal, mode="clip"), work.at_points,
+                      out=gxy[0])
         np.square(np.subtract(r, dudt, out=r), out=r)
         np.matmul(r, rule.weights, out=velocity[b])
     err_sq = velocity @ area
@@ -285,14 +288,13 @@ def true_error_form(solution: ManufacturedSolution, space: FemSpace):
 
     A separable solution brings its moments (``ManufacturedSolution.moments``);
     any other is integrated by quadrature (``wave_energy_error_at``) against
-    the solution bound, block by block, to the space's quadrature points.
+    the solution bound, block by block and time by time, to the space's
+    quadrature points.
     """
     if solution.moments is not None:
         return solution.moments(space)
-    xy = space.quad_xy
-    exact = [solution.bind(xy[b, :, 0], xy[b, :, 1]) for b in space.blocks]
     work = ErrorWork(space)
-    return lambda state: wave_energy_error_at(space, state, exact, work)
+    return lambda state: wave_energy_error_at(space, state, solution.bind, work)
 
 
 def run_wave_experiment(config: ExperimentConfig):

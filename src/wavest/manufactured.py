@@ -23,20 +23,22 @@ forms, which a solution offers through one of two hooks:
   for dv = v - c' I s and du = u - c I s, two matvecs and four dot products
   per state.  By the rule's exactness on P1 products this is the quadrature
   of the error; every term has the error's size, so no digits cancel;
-* ``bind(x, y)``, for the pulse: it fixes the points (one block of a run's
-  quadrature points) and returns ``t -> (du/dt, (du/dx, du/dy))``, the
-  values the quadrature integrates against.  It evaluates the exponential
-  once per time for both parts, with the helpers of the ``(t, x, y)``
-  callables in the same order, so the values are bit-equal to ``dudt`` and
-  ``grad_u``.  The three arrays are new at each call, so the caller may
-  compute in them.
+* ``bind(x, y)``, for the pulse: it fixes the points and returns
+  ``t -> (du/dt, (du/dx, du/dy))``, the values the quadrature integrates
+  against.  The quadrature calls it per block and time, on the block's
+  points from ``FemSpace.block_points``, and calls the evaluator it returns
+  once, before the space's next ``block_points`` call overwrites the points;
+  no run holds bound blocks.  It evaluates the exponential once per call
+  for both parts, with the helpers of the ``(t, x, y)`` callables in the
+  same order, so the values are bit-equal to ``dudt`` and ``grad_u``.  The
+  three arrays are new at each call, so the caller may compute in them.
 
 Every callable is pointwise: the package evaluates it on one block of at
 most ``fem.QUAD_BLOCK`` triangles' quadrature points at a time, and the
-blocks' values are those of one call on all the points.  The pulse's forcing
-and bound evaluator compute in place in four arrays of the points' shape, so
-a run's per-time evaluations hold four arrays of one block, which stay in
-cache.
+blocks' values are those of one call on all the points.  The moments, too,
+are integrated block by block.  The pulse's forcing and bound evaluator
+compute in place in four arrays of the points' shape, so a run's per-time
+evaluations hold four arrays of one block, which stay in cache.
 """
 
 from __future__ import annotations
@@ -202,18 +204,27 @@ def standing_mode() -> ManufacturedSolution:
         return np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
 
     def moments(space):
-        x, y = space.quad_xy[:, :, 0], space.quad_xy[:, :, 1]
         w, area, free, tris = space.rule.weights, space.area, space.free, space.mesh.triangles
         base = space.full(shape(*space.mesh.vertices[free].T))
-        nodal = base[tris]
-        rv = nodal @ space.rule.points.T - shape(x, y)          # I s - s at the points
-        grad = np.einsum("tb,tbd->td", nodal, space.grads)      # grad I s on each triangle
-        sx, sy = grad_shape(x, y)
-        rx, ry = grad[:, [0]] - sx, grad[:, [1]] - sy
-        b = space.load(rv)[free]                # (I s - s, phi_i)
-        g = space.gradient_load(rx, ry)[free]   # (grad(I s - s), grad phi_i)
-        l2 = ((rv * rv) @ w) @ area             # ||I s - s||^2
-        h1 = ((rx * rx + ry * ry) @ w) @ area   # |I s - s|^2_H1
+        nt = space.mesh.n_triangles
+        # per triangle: the two loads' rows and the integrands of the two norms
+        load_rows, grad_rows, l2_rows, h1_rows = (np.empty((nt, 3)), np.empty((nt, 3)),
+                                                  np.empty(nt), np.empty(nt))
+        for blk in space.blocks:
+            x, y = space.block_points(blk)
+            nodal = base[tris[blk]]
+            rv = nodal @ space.rule.points.T - shape(x, y)          # I s - s at the points
+            grad = np.einsum("tb,tbd->td", nodal, space.grads[blk])  # grad I s on each triangle
+            sx, sy = grad_shape(x, y)
+            rx, ry = grad[:, [0]] - sx, grad[:, [1]] - sy
+            space.load_rows(rv, blk, out=load_rows[blk])
+            space.gradient_rows(rx, ry, blk, out=grad_rows[blk])
+            l2_rows[blk] = (rv * rv) @ w
+            h1_rows[blk] = (rx * rx + ry * ry) @ w
+        b = space.scatter(load_rows)[free]   # (I s - s, phi_i)
+        g = space.scatter(grad_rows)[free]   # (grad(I s - s), grad phi_i)
+        l2 = l2_rows @ area                  # ||I s - s||^2
+        h1 = h1_rows @ area                  # |I s - s|^2_H1
         base = base[free]
         mass, stiffness = space.mass_ff, space.stiffness_ff
 

@@ -11,7 +11,10 @@ Text format (one mesh per payload):
     next nt lines: i j k          (zero-based vertex indices)
 
 The flags must name the topological boundary, the endpoints of the sides
-that only one triangle owns; a mesh whose flags differ is rejected.
+that only one triangle owns; a mesh whose flags differ is rejected.  The
+reader (``import_mesh``) frees its whitespace tokens, one Python string per
+number, once their values are in arrays and before it builds the mesh, so
+its peak memory is the build's.
 """
 
 from __future__ import annotations
@@ -194,7 +197,12 @@ def generate_structured(n, pattern="diagonal"):
 
 
 def import_mesh(payload: str) -> Mesh:
-    """Parse the line-oriented text format; clockwise triangles are reoriented."""
+    """Parse the line-oriented text format; clockwise triangles are reoriented.
+
+    The whitespace tokens (one Python string per number) are dropped once
+    the vertex and triangle arrays hold their values, before the mesh is
+    built, so they are never alive beside the build's own arrays.
+    """
     tokens = payload.split()
     if len(tokens) < 2:
         raise MeshError("mesh payload too short for the count line")
@@ -211,16 +219,18 @@ def import_mesh(payload: str) -> Mesh:
         body = np.asarray(tokens[2:2 + 3 * nv], dtype=float).reshape(nv, 3)
     except ValueError as exc:
         raise MeshError(f"malformed vertex line: {exc}") from exc
-    verts = body[:, :2]
+    verts = np.ascontiguousarray(body[:, :2])
     bflag = body[:, 2]
     if not np.all(np.isfinite(verts)):
         raise MeshError("vertex coordinates must be finite")
     if not np.all(np.isin(bflag, (0.0, 1.0))):
         raise MeshError("boundary flags must be 0 or 1")
+    bflag = bflag.astype(bool)
     try:
         tris = np.asarray(tokens[2 + 3 * nv:], dtype=np.int64).reshape(nt, 3)
     except (ValueError, OverflowError) as exc:
         raise MeshError(f"malformed triangle line: {exc}") from exc
+    del tokens, body
     # checked here because reorienting indexes the vertices before Mesh validates
     if tris.min(initial=0) < 0 or tris.max(initial=-1) >= nv:
         raise MeshError("triangle vertex index out of range")
@@ -229,10 +239,11 @@ def import_mesh(payload: str) -> Mesh:
     signed = 0.5 * ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
                     - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
     cw = signed < 0
+    del p0, p1, p2, signed
     if np.any(cw):
         warnings.warn(f"reoriented {int(cw.sum())} clockwise triangle(s)", stacklevel=2)
         tris[cw] = tris[cw][:, [0, 2, 1]]
-    return Mesh(vertices=verts, triangles=tris, boundary_vertex=bflag.astype(bool))
+    return Mesh(vertices=verts, triangles=tris, boundary_vertex=bflag)
 
 
 def format_mesh(mesh: Mesh) -> str:

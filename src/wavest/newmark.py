@@ -75,6 +75,7 @@ class NewmarkWaveSolver:
         self.space = space
         self._system_tau = None
         self._system = None
+        self._stiffness_diagonal = self._diagonal = None
 
     # -- data projection ----------------------------------------------------
 
@@ -90,7 +91,8 @@ class NewmarkWaveSolver:
         u0 = space.h1_project(self.problem.grad_u0)
         v0 = space.h1_project(self.problem.grad_v0)
         f0 = self.project_forcing(0.0)
-        a0 = solve_spd(space.mass_ff, self._rhs(f0, space.stiffness_ff @ u0), tol=space.tol)
+        a0 = solve_spd(space.mass_ff, self._rhs(f0, space.stiffness_ff @ u0), tol=space.tol,
+                       diagonal=space.mass_ff_diagonal)
         return WaveState(t=0.0, u=u0, v=v0, f_h=f0, a=a0)
 
     def _rhs(self, f_h, ku):
@@ -105,6 +107,12 @@ class NewmarkWaveSolver:
     # -- stepping -------------------------------------------------------------
 
     def _system_matrix(self, tau):
+        """The step matrix M + tau^2/4 K, its values formed when tau changes.
+
+        On a Jacobi-preconditioned space its diagonal (``_diagonal``) is
+        formed with them, from those of M and K by the entries' own
+        arithmetic, so it is bit-equal to the matrix's.
+        """
         space = self.space
         mass, stiffness = space.mass_ff, space.stiffness_ff
         if self._system is None:
@@ -112,8 +120,15 @@ class NewmarkWaveSolver:
                 raise ValueError("mass and stiffness matrices must share one sparsity pattern")
             self._system = mass.copy()
             self._system.indices, self._system.indptr = mass.indices, mass.indptr
+            if space.multigrid is None:
+                self._stiffness_diagonal = stiffness.diagonal()
+                self._diagonal = np.empty(len(self._stiffness_diagonal))
         if self._system_tau != tau:
-            np.add(mass.data, (tau * tau / 4.0) * stiffness.data, out=self._system.data)
+            scale = tau * tau / 4.0
+            np.add(mass.data, scale * stiffness.data, out=self._system.data)
+            if self._diagonal is not None:
+                np.add(space.mass_ff_diagonal, scale * self._stiffness_diagonal,
+                       out=self._diagonal)
             self._system_tau = tau
         return self._system
 
@@ -128,7 +143,7 @@ class NewmarkWaveSolver:
         predictor = u + tau * v + (tau * tau / 4.0) * a   # u_new less its a_new term
         rhs = self._rhs(f_new, space.stiffness_ff @ predictor)
         system = self._system_matrix(tau)
-        a_new = solve_spd(system, rhs, tol=space.tol, x0=a,
+        a_new = solve_spd(system, rhs, tol=space.tol, x0=a, diagonal=self._diagonal,
                           precond=space.preconditioner(system, tau))
         return WaveState(t=t_new, u=predictor + (tau * tau / 4.0) * a_new,
                          v=v + (tau / 2.0) * (a + a_new), f_h=f_new, a=a_new)

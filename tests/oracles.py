@@ -78,15 +78,30 @@ def mode_bind(x, y):
     return at
 
 
+def binder(solution):
+    """The ``bind`` the true-error quadrature takes: the pulse's own, the mode's ``mode_bind``."""
+    return solution.bind if solution.bind is not None else mode_bind
+
+
 def bind(solution, x, y):
     """A solution bound to fixed points: the pulse's own ``bind``, the mode's ``mode_bind``."""
-    return solution.bind(x, y) if solution.bind is not None else mode_bind(x, y)
+    return binder(solution)(x, y)
 
 
 def einsum_quad_xy(space):
     """Physical quadrature points per triangle, (nt, q, 2), by one einsum over the corners."""
     p = space.mesh.vertices[space.mesh.triangles]
     return np.einsum("qb,tbd->dtq", space.rule.points, p).transpose(1, 2, 0)
+
+
+def quad_points(space):
+    """x and y of every triangle's quadrature points, (nt, q) each.
+
+    Copied block by block from ``FemSpace.block_points``, whose arrays the
+    space overwrites at its next call.
+    """
+    blocks = [[a.copy() for a in space.block_points(b)] for b in space.blocks]
+    return tuple(np.concatenate(axis) for axis in zip(*blocks))
 
 
 def _scatter(space, per_tri):
@@ -96,15 +111,15 @@ def _scatter(space, per_tri):
 
 def one_shot_load(space, g):
     """``FemSpace.assemble_load`` with g evaluated at every quadrature point at once."""
-    rule, xy = space.rule, space.quad_xy
-    vals = g(xy[:, :, 0], xy[:, :, 1])
+    rule = space.rule
+    vals = g(*quad_points(space))
     return _scatter(space, space.area[:, None] * (vals @ (rule.weights[:, None] * rule.points)))
 
 
 def one_shot_gradient_load(space, grad_g):
     """The H1_0 projection's right-hand side with grad g evaluated at every point at once."""
-    xy, w, area = space.quad_xy, space.rule.weights, space.area
-    gx, gy = grad_g(xy[:, :, 0], xy[:, :, 1])
+    w, area = space.rule.weights, space.area
+    gx, gy = grad_g(*quad_points(space))
     return _scatter(space, ((gx @ w) * area)[:, None] * space.grads[:, :, 0]
                     + ((gy @ w) * area)[:, None] * space.grads[:, :, 1])
 
@@ -112,8 +127,9 @@ def one_shot_gradient_load(space, grad_g):
 def one_shot_energy_error(space, state, exact):
     """``harness.wave_energy_error_at`` with one evaluator bound to all quadrature points.
 
-    ``exact`` maps t to new arrays of du/dt and (du/dx, du/dy) at
-    ``space.quad_xy``; the residuals are computed in them, as the package does.
+    ``exact`` maps t to new arrays of du/dt and (du/dx, du/dy) at every
+    quadrature point (``quad_points``); the residuals are computed in them, as
+    the package does.
     """
     dudt, (gx, gy) = exact(state.t)
     rule, area, tris = space.rule, space.area, space.mesh.triangles

@@ -400,12 +400,14 @@ class TestCriterion8:
         assert closeness <= 0.10
         assert elapsed < 300.0
         # Documented deviation: with the practical space estimator at unit
-        # constants, the part-2 volume residual scales like
-        # h * || Lap du/dt ||, which reaches ~700 for this travelling pulse,
-        # so the effectivities sit near 50, not in [1, 10].  The published
-        # wave-table effectivities (~5) are not consistent with that formula.
-        # A sanity band is asserted instead, and the strict range is kept
-        # visible in test_strict_effectivity_window below.
+        # constants the effectivities sit near 50, not in [1, 10].  Measured
+        # at commit 0cd0a03 by splitting the space estimator's two parts on
+        # this sweep: part 2, the time-integrated residual of du/dt, is
+        # 7.95-9.31 times part 1, and without part 2 ei would be 7.8-8.4.
+        # Each part falls with e from level to level, so the factor is a
+        # constant, not a rate defect.  A sanity band is asserted instead,
+        # and the strict range is kept visible in
+        # test_strict_effectivity_window below.
         for v in eis + ei_hats:
             assert 1.0 <= v <= 100.0
         ok = all(1.6 <= r <= 2.4 for r in ratios) and spread <= 0.25 and closeness <= 0.10
@@ -415,10 +417,10 @@ class TestCriterion8:
               f"|ei - ei_hat|/ei = {closeness:.2%} <= 10% at finest; "
               f"{elapsed:.1f}s; ei in [1, 10] NOT met (documented)")
 
-    @pytest.mark.xfail(reason="effectivity window [1, 10] presumes the published "
-                              "wave-table space-estimator magnitudes, which are "
-                              "inconsistent with the practical estimator at unit "
-                              "constants by roughly a factor 10", strict=False)
+    @pytest.mark.xfail(reason="ei is about 50 on this sweep: part 2 of the space "
+                              "estimator is 7.95-9.31 times part 1, and without part 2 "
+                              "ei would be 7.8-8.4 (measured at commit 0cd0a03)",
+                       strict=False)
     def test_strict_effectivity_window(self):
         cfg = ExperimentConfig(kind="wave", mesh="structured:n=28:pattern=crisscross",
                                grid="decay", tau0=0.12 * np.sqrt(1.0 / 28), T=1.0)

@@ -10,7 +10,7 @@ from wavest.manufactured import gaussian_pulse
 from wavest.mesh import Mesh, generate_structured
 
 from oracles import (allocating_vcycle, einsum_quad_xy, element_gradients, element_l2_sq,
-                     jittered_crisscross, one_shot_gradient_load, one_shot_load)
+                     jittered_crisscross, one_shot_gradient_load, one_shot_load, quad_points)
 
 RNG = np.random.default_rng(42)
 
@@ -76,9 +76,12 @@ class TestQuadrature:
         ids=["diagonal-3", "crisscross-14", "diagonal-56", "jittered-14", "jittered-56"])
     def test_points_bit_equal_to_einsum(self, mesh):
         space = FemSpace(mesh)
-        np.testing.assert_array_equal(space.quad_xy, einsum_quad_xy(space))
-        # a view of one (2, nt, q) array: a block's x and y values are contiguous
-        assert space.quad_xy.transpose(2, 0, 1).flags.c_contiguous
+        np.testing.assert_array_equal(np.stack(quad_points(space), axis=-1), einsum_quad_xy(space))
+        # a block's x and y values are contiguous (rows, q) arrays
+        for b in space.blocks:
+            for axis in space.block_points(b):
+                assert axis.shape == (b.stop - b.start, len(space.rule.points))
+                assert axis.flags.c_contiguous
 
 
 class TestAssembly:
@@ -224,9 +227,10 @@ class TestBlocks:
         space = FemSpace(generate_structured(n, "crisscross"))
         assert space.mesh.n_triangles > fem.QUAD_BLOCK
         seen = []
-        space.assemble_load(lambda x, y: seen.append(x) or np.ones_like(x))
+        # the points live in the space's buffers until the next block, so g keeps copies
+        space.assemble_load(lambda x, y: seen.append(x.copy()) or np.ones_like(x))
         assert len(seen) == 2 and all(len(x) <= fem.QUAD_BLOCK for x in seen)
-        np.testing.assert_array_equal(np.concatenate(seen), space.quad_xy[:, :, 0])
+        np.testing.assert_array_equal(np.concatenate(seen), quad_points(space)[0])
 
 
 class TestSolver:
@@ -281,6 +285,31 @@ class TestSolver:
         A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(SolverError, match="p . A p = -2.000e[+]00 is not positive"):
             solve_spd(A, np.array([1.0, -1.0]))
+
+    def test_kept_diagonal_or_preconditioner_skips_the_extraction(self):
+        # a caller that keeps the Jacobi diagonal, or brings a preconditioner,
+        # makes solve_spd read no diagonal; the iterates are those of the default path
+        class NoDiagonal:
+            def __init__(self, matrix):
+                self.matrix = matrix
+
+            def __matmul__(self, x):
+                return self.matrix @ x
+
+            def diagonal(self):
+                raise AssertionError("solve_spd extracted the diagonal")
+
+        space = FemSpace(generate_structured(6))
+        M = space.mass_ff
+        b = RNG.normal(size=M.shape[0])
+        counters = [SolveCounter() for _ in range(3)]
+        default = solve_spd(M, b, counter=counters[0])
+        kept = solve_spd(NoDiagonal(M), b, counter=counters[1], diagonal=space.mass_ff_diagonal)
+        d = M.diagonal()
+        jacobi = solve_spd(NoDiagonal(M), b, counter=counters[2], precond=lambda r: r / d)
+        assert default.tobytes() == kept.tobytes() == jacobi.tobytes()
+        assert counters[0] == counters[1] == counters[2]
+        np.testing.assert_array_equal(space.mass_diagonal, space.mass.diagonal())
 
     def test_zero_rhs(self):
         m = generate_structured(2)
@@ -489,7 +518,7 @@ class TestProjections:
         g_grad = lambda x, y: (np.exp(x) * y, np.exp(x) * y * y / 2.0)
         p = space.h1_project(g_grad)
         # residual of the defining system in the free-vertex basis
-        gx_gy = g_grad(space.quad_xy[:, :, 0], space.quad_xy[:, :, 1])
+        gx_gy = g_grad(*quad_points(space))
         contrib = np.einsum("tq,q,tb,t->tb", gx_gy[0], space.rule.weights,
                             space.grads[:, :, 0], space.area) \
             + np.einsum("tq,q,tb,t->tb", gx_gy[1], space.rule.weights,
@@ -567,14 +596,13 @@ class TestNorms:
         v = RNG.normal(size=len(space.free))
         u = RNG.normal(size=len(space.free))
         # the quadrature computes in the bound arrays, so each call hands out new ones
-        def zero_on(b):
-            zero = lambda: np.zeros(space.quad_xy[b].shape[:2])
+        def zero_bind(x, y):
+            zero = lambda: np.zeros(x.shape)
             return lambda t: (zero(), (zero(), zero()))
-        exact = [zero_on(b) for b in space.blocks]
         state = WaveState(t=0.0, u=u, v=v, f_h=np.zeros(space.mesh.n_vertices),
                           a=np.zeros(len(space.free)))
         expected = np.hypot(space.l2_norm(space.full(v)), space.h1_seminorm(u))
-        err = wave_energy_error_at(space, state, exact, ErrorWork(space))
+        err = wave_energy_error_at(space, state, zero_bind, ErrorWork(space))
         assert err == pytest.approx(expected, rel=1e-12)
 
     def test_zero_iff_zero(self):

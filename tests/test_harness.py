@@ -19,26 +19,21 @@ from wavest.mesh import Mesh, generate_structured
 from wavest.newmark import NewmarkWaveSolver
 from wavest.ode import OdeProblem, eta3_ode_samples, solve_newmark_ode
 
-from oracles import bind, element_gradients, jittered_crisscross, one_shot_energy_error
+from oracles import (bind, binder, element_gradients, jittered_crisscross,
+                     one_shot_energy_error, quad_points)
 
 RNG = np.random.default_rng(5)
-
-
-def bound(solution, space):
-    """The solution bound to each block's quadrature points, the quadrature's input."""
-    xy = space.quad_xy
-    return [bind(solution, xy[b, :, 0], xy[b, :, 1]) for b in space.blocks]
 
 
 def einsum_energy_error(space, state, solution):
     """Oracle: the true-error quadrature as one einsum per norm, from the (t, x, y) callables."""
     t = state.t
-    xy = space.quad_xy
+    x, y = quad_points(space)
     v_h = np.einsum("tb,qb->tq", space.full(state.v)[space.mesh.triangles], space.rule.points)
-    dv = v_h - solution.dudt(t, xy[:, :, 0], xy[:, :, 1])
+    dv = v_h - solution.dudt(t, x, y)
     l2_sq = np.einsum("tq,q,t->", dv * dv, space.rule.weights, space.area)
     grads = element_gradients(space, space.full(state.u))
-    gx, gy = solution.grad_u(t, xy[:, :, 0], xy[:, :, 1])
+    gx, gy = solution.grad_u(t, x, y)
     dx = grads[:, 0][:, None] - gx
     dy = grads[:, 1][:, None] - gy
     h1_sq = np.einsum("tq,q,t->", dx * dx + dy * dy, space.rule.weights, space.area)
@@ -255,7 +250,7 @@ class TestManufactured:
         # be those of dudt and grad_u, bit for bit
         sol = make()
         space = FemSpace(jittered_crisscross(6))
-        x, y = space.quad_xy[:, :, 0], space.quad_xy[:, :, 1]
+        x, y = quad_points(space)
         at = bind(sol, x, y)
         for t in (0.0, 0.37, 1.0):
             dudt, (gx, gy) = at(t)
@@ -292,7 +287,7 @@ class TestManufactured:
 
         sol = gaussian_pulse()
         space = FemSpace(jittered_crisscross(6))
-        x, y = space.quad_xy[:, :, 0], space.quad_xy[:, :, 1]
+        x, y = quad_points(space)
         at = sol.bind(x, y)
         for t in [k / 16 for k in range(17)] + [0.123456789]:
             assert bits(sol.f(t, x, y)) == bits(former_f(t, x, y)), t
@@ -473,7 +468,7 @@ class TestWaveExperiment:
         sol = make()
         space = FemSpace(jittered_crisscross(6))
         solver = NewmarkWaveSolver(wave_problem_from(sol, 1.0), space)
-        exact = bound(sol, space)
+        exact = binder(sol)
         state = solver.initial_state()
         for tau in (0.05, 0.2, 0.03):
             state = solver.step(state, tau)
@@ -487,8 +482,8 @@ class TestWaveExperiment:
         sol = make()
         space = FemSpace(blocked_mesh)
         solver = NewmarkWaveSolver(wave_problem_from(sol, 1.0), space)
-        x, y = space.quad_xy[:, :, 0], space.quad_xy[:, :, 1]
-        exact, work = bound(sol, space), ErrorWork(space)
+        x, y = quad_points(space)
+        exact, work = binder(sol), ErrorWork(space)
         state = solver.initial_state()
         for tau in (0.05, 0.2, 0.03):
             state = solver.step(state, tau)
@@ -508,7 +503,7 @@ class TestWaveExperiment:
         space = FemSpace(mesh())
         solver = NewmarkWaveSolver(wave_problem_from(sol, 1.0), space)
         error_at = sol.moments(space)
-        exact, work = bound(sol, space), ErrorWork(space)
+        exact, work = binder(sol), ErrorWork(space)
         for state in solver.run(build_grid(rule, 1.0, N=200)):
             oracle = wave_energy_error_at(space, state, exact, work)
             assert error_at(state) == pytest.approx(oracle, rel=1e-12), state.t
@@ -535,11 +530,11 @@ class TestWaveExperiment:
         sol = make()
         space = FemSpace(jittered_crisscross(6))
         solver = NewmarkWaveSolver(wave_problem_from(sol, 1.0), space)
-        x, y = space.quad_xy[:, :, 0], space.quad_xy[:, :, 1]
+        x, y = quad_points(space)
         fresh = lambda t: (sol.dudt(t, x, y), sol.grad_u(t, x, y))
         s1 = solver.step(solver.initial_state(), 0.05)
         s2 = solver.step(s1, 0.2)
-        exact, work = bound(sol, space), ErrorWork(space)
+        exact, work = binder(sol), ErrorWork(space)
         for state in (s1, s2, s1):
             oracle = fresh_array_energy_error(space, state, fresh)
             assert oracle > 0
@@ -565,7 +560,7 @@ class TestWaveExperiment:
         state = solver.initial_state()
         for _ in range(3):
             state = solver.step(state, 0.01)
-        err = wave_energy_error_at(space, state, bound(sol, space), ErrorWork(space))
+        err = wave_energy_error_at(space, state, binder(sol), ErrorWork(space))
         # oracle: same evaluation on the uniformly refined mesh carrying the
         # prolongated P1 field (each triangle split in 4, same function)
         fine_mesh, prolong = refine_mesh_with_prolongation(mesh)
@@ -576,7 +571,7 @@ class TestWaveExperiment:
         fine_state = WaveState(t=state.t, u=fu[fine_space.free], v=fv[fine_space.free],
                                f_h=np.zeros(fine_mesh.n_vertices),
                                a=np.zeros(len(fine_space.free)))
-        oracle = wave_energy_error_at(fine_space, fine_state, bound(sol, fine_space),
+        oracle = wave_energy_error_at(fine_space, fine_state, binder(sol),
                                       ErrorWork(fine_space))
         assert abs(err - oracle) / oracle < 1e-3
 
@@ -622,11 +617,15 @@ class TestMemoryGuard:
     # full-vertex stiffness, six-slot jump rows, whole-mesh error buffers
     # and full older window nodes, took 1,784 B)
     PEAK_BYTES_PER_VERTEX = 1416
+    # tracemalloc's current size after the run's last push, in bytes per
+    # vertex: 5 % above the 1,076 B of a space that derives its quadrature
+    # points per block (a space storing every triangle's points held 1,156 B)
+    LIVE_BYTES_PER_VERTEX = 1130
 
     def test_peak_and_resident_layout(self, monkeypatch):
         import tracemalloc
 
-        solvers, works = [], []
+        solvers, works, live = [], [], []
 
         class Solver(NewmarkWaveSolver):
             def __init__(self, *args):
@@ -638,12 +637,19 @@ class TestMemoryGuard:
                 super().__init__(*args)
                 works.append(self)
 
+        class Accumulator(harness.WaveEstimatorAccumulator):
+            def push(self, state):
+                super().push(state)
+                live.append(tracemalloc.get_traced_memory()[0])
+
         monkeypatch.setattr(harness, "NewmarkWaveSolver", Solver)
         monkeypatch.setattr(harness, "ErrorWork", Work)
+        monkeypatch.setattr(harness, "WaveEstimatorAccumulator", Accumulator)
         cfg = ExperimentConfig(kind="wave", mesh="structured:n=8:pattern=crisscross",
                                solution="gaussian", grid="uniform", N=4)
         run_wave_experiment(cfg)   # first calls (lazy imports, caches) stay out of the count
         cfg.mesh = "structured:n=64:pattern=crisscross"
+        live.clear()
         tracemalloc.start()
         try:
             _, _, acc = run_wave_experiment(cfg)
@@ -652,6 +658,13 @@ class TestMemoryGuard:
             tracemalloc.stop()
         space, solver, work = acc.space, solvers[-1], works[-1]
         assert peak / space.mesh.n_vertices < self.PEAK_BYTES_PER_VERTEX
+        # the stepping phase's live set, and no per-(triangle, point) array on the space
+        assert len(live) == cfg.N + 1
+        assert live[-1] / space.mesh.n_vertices < self.LIVE_BYTES_PER_VERTEX
+        per_point = space.mesh.n_triangles * len(space.rule.points)
+        big = [name for name, value in vars(space).items()
+               if isinstance(value, np.ndarray) and value.size >= per_point]
+        assert big == []
 
         # no full-vertex stiffness; one free-vertex pattern for M, K and the step matrix
         assert not hasattr(space, "stiffness")

@@ -298,6 +298,40 @@ class TestImport:
             import_mesh(payload)
 
 
+class TestReaderFootprint:
+    """The reader at a size of several quadrature blocks: its memory and its round trip."""
+
+    N = 64   # crisscross level: 8,321 vertices, 16,384 triangles
+
+    @staticmethod
+    def traced(build):
+        """``build()`` and tracemalloc's peak while it ran, in bytes."""
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            return build(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_import_peak_near_the_generator(self):
+        # the tokens are freed before the mesh is built, so the reader's peak
+        # is the build's (keeping them took 1.65 times the generator's peak)
+        text = format_mesh(generate_structured(self.N, "crisscross"))
+        _, generated = self.traced(lambda: generate_structured(self.N, "crisscross"))
+        _, imported = self.traced(lambda: import_mesh(text))
+        assert imported <= 1.15 * generated
+
+    def test_round_trip_is_bit_equal(self):
+        mesh = generate_structured(self.N, "crisscross")
+        back = import_mesh(format_mesh(mesh))
+        for name in ("vertices", "triangles", "boundary_vertex", "edge_vertices", "edge_tris",
+                     "areas", "h_K", "grads"):
+            a, b = getattr(mesh, name), getattr(back, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+
 # replacement tokens: non-finite and huge numbers, indices on both sides of the
 # vertex range, fractions and words
 MUTANT_TOKENS = st.one_of(
