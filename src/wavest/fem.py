@@ -38,7 +38,8 @@ free-vertex stiffness and Newmark step systems of spaces with at least
 V-cycle (``Multigrid``), whose prolongators a space builds from its
 stiffness matrix at the first solve that needs them.  The V-cycle runs in
 work vectors allocated once per hierarchy.  The space keeps the Jacobi
-diagonals of M and M_ff, so its mass solves extract no diagonal.
+preconditioners of M and M_ff (``jacobi``), so its mass solves extract no
+diagonal.
 
 ``scipy.sparse`` is imported by ``sparse()`` at the first sparse build
 (assembly, a V-cycle hierarchy, the estimators' operators), the package's
@@ -165,20 +166,27 @@ def assemble_stiffness(mesh):
     return sparse().coo_matrix((data, indices), shape=(n, n)).tocsr()
 
 
+def jacobi(diagonal) -> Callable:
+    """The Jacobi preconditioner r -> r / d of a matrix's diagonal d, checked positive."""
+    if np.any(diagonal <= 0):
+        raise SolverError("matrix diagonal is not positive", residual=np.inf)
+    return lambda r: r / diagonal
+
+
 def solve_spd(matrix, rhs, tol=1e-10, max_iter=None, counter: Optional[SolveCounter] = None,
-              x0=None, precond: Optional[Callable] = None, diagonal=None):
+              x0=None, precond: Optional[Callable] = None):
     """Preconditioned conjugate gradients for SPD systems.
 
     ``precond`` maps a residual r to B r for a symmetric positive definite B
-    (a ``Multigrid.preconditioner``); by default B is the inverse diagonal
-    (Jacobi): ``diagonal``, which callers that keep the matrix's diagonal
-    pass, or else the matrix's own, checked positive.  Starts from ``x0``
-    (zero by default; the caller's array is not changed) and stops when the
-    residual satisfies ||b - A x|| <= tol * ||b|| (``tol`` a finite positive
-    number, ValueError otherwise), after 0 iterations if ``x0`` already does.
-    Deterministic for fixed inputs; raises SolverError with the last
-    residual if max_iter is exhausted, or if a search direction p has
-    p . A p <= 0 (the matrix or the preconditioner is not positive definite).
+    (a ``Multigrid.preconditioner``, or the ``jacobi`` of a kept diagonal);
+    by default B is the inverse of the matrix's diagonal, extracted and
+    checked positive.  Starts from ``x0`` (zero by default; the caller's
+    array is not changed) and stops when the residual satisfies
+    ||b - A x|| <= tol * ||b|| (``tol`` a finite positive number, ValueError
+    otherwise), after 0 iterations if ``x0`` already does.  Deterministic for
+    fixed inputs; raises SolverError with the last residual if max_iter is
+    exhausted, or if a search direction p has p . A p <= 0 (the matrix or
+    the preconditioner is not positive definite).
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be a finite positive number, got {tol!r}")
@@ -192,14 +200,7 @@ def solve_spd(matrix, rhs, tol=1e-10, max_iter=None, counter: Optional[SolveCoun
             counter.record(0)
         return np.zeros(n)
     if precond is None:
-        d = diagonal
-        if d is None:
-            d = matrix.diagonal()
-            if np.any(d <= 0):
-                raise SolverError("matrix diagonal is not positive", residual=np.inf)
-
-        def precond(r):
-            return r / d
+        precond = jacobi(matrix.diagonal())
     if x0 is None:
         x = np.zeros(n)
         r = b.copy()
@@ -245,6 +246,8 @@ def _jacobi_weights(matrix):
     diagonal), so omega times every eigenvalue of D^-1 A lies in (0, 4/3].
     """
     d = matrix.diagonal()
+    if np.any(d <= 0):
+        raise SolverError("matrix diagonal is not positive", residual=np.inf)
     rho = (np.add.reduceat(np.abs(matrix.data), matrix.indptr[:-1]) / d).max()
     return (4.0 / (3.0 * rho)) / d
 
@@ -371,10 +374,10 @@ class FemSpace:
         self.stiffness_ff = share_pattern(
             assemble_stiffness(mesh)[self.free][:, self.free], self.mass_ff)
         self.grads, self.area = mesh.grads, mesh.areas
-        # the Jacobi diagonals of the mass solves (loads' L2 projections, the
+        # the preconditioners of the mass solves (loads' L2 projections, the
         # initial acceleration, the auxiliary solves)
-        self.mass_diagonal = self.mass.diagonal()
-        self.mass_ff_diagonal = self.mass_ff.diagonal()
+        self.mass_jacobi = jacobi(self.mass.diagonal())
+        self.mass_ff_jacobi = jacobi(self.mass_ff.diagonal())
         nt, q = mesh.n_triangles, len(self.rule.points)
         self.blocks = [slice(lo, min(lo + QUAD_BLOCK, nt)) for lo in range(0, nt, QUAD_BLOCK)]
         # block_points' inputs and buffers: the vertex coordinates one axis at
@@ -464,7 +467,7 @@ class FemSpace:
     def l2_project(self, g: Callable) -> np.ndarray:
         """L2 projection onto the full P1 space (no boundary condition), on all vertices."""
         b = self.assemble_load(g)
-        return solve_spd(self.mass, b, tol=self.tol, diagonal=self.mass_diagonal)
+        return solve_spd(self.mass, b, tol=self.tol, precond=self.mass_jacobi)
 
     def h1_project(self, grad_g: Callable) -> np.ndarray:
         """H1_0-orthogonal projection from the gradient of the target, on the free vertices.
@@ -483,7 +486,7 @@ class FemSpace:
     def apply_discrete_laplacian(self, w, counter=None) -> np.ndarray:
         """z in V_h with (z, phi) = (grad w, grad phi) for all phi in V_h; free vertices."""
         return solve_spd(self.mass_ff, self.stiffness_ff @ w, tol=self.tol, counter=counter,
-                         diagonal=self.mass_ff_diagonal)
+                         precond=self.mass_ff_jacobi)
 
     # -- norms --------------------------------------------------------------
 

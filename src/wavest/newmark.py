@@ -38,7 +38,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .fem import FemSpace, solve_spd
+from .fem import FemSpace, jacobi, solve_spd
 from .grids import TimeGrid
 
 
@@ -75,7 +75,7 @@ class NewmarkWaveSolver:
         self.space = space
         self._system_tau = None
         self._system = None
-        self._stiffness_diagonal = self._diagonal = None
+        self._diagonals = self._jacobi = None
 
     # -- data projection ----------------------------------------------------
 
@@ -92,7 +92,7 @@ class NewmarkWaveSolver:
         v0 = space.h1_project(self.problem.grad_v0)
         f0 = self.project_forcing(0.0)
         a0 = solve_spd(space.mass_ff, self._rhs(f0, space.stiffness_ff @ u0), tol=space.tol,
-                       diagonal=space.mass_ff_diagonal)
+                       precond=space.mass_ff_jacobi)
         return WaveState(t=0.0, u=u0, v=v0, f_h=f0, a=a0)
 
     def _rhs(self, f_h, ku):
@@ -109,9 +109,9 @@ class NewmarkWaveSolver:
     def _system_matrix(self, tau):
         """The step matrix M + tau^2/4 K, its values formed when tau changes.
 
-        On a Jacobi-preconditioned space its diagonal (``_diagonal``) is
-        formed with them, from those of M and K by the entries' own
-        arithmetic, so it is bit-equal to the matrix's.
+        On a Jacobi-preconditioned space its preconditioner (``_jacobi``) is
+        formed with them, from the diagonals of M and K by the entries' own
+        arithmetic, so it divides by the bits of the matrix's diagonal.
         """
         space = self.space
         mass, stiffness = space.mass_ff, space.stiffness_ff
@@ -121,14 +121,13 @@ class NewmarkWaveSolver:
             self._system = mass.copy()
             self._system.indices, self._system.indptr = mass.indices, mass.indptr
             if space.multigrid is None:
-                self._stiffness_diagonal = stiffness.diagonal()
-                self._diagonal = np.empty(len(self._stiffness_diagonal))
+                self._diagonals = mass.diagonal(), stiffness.diagonal()
         if self._system_tau != tau:
             scale = tau * tau / 4.0
             np.add(mass.data, scale * stiffness.data, out=self._system.data)
-            if self._diagonal is not None:
-                np.add(space.mass_ff_diagonal, scale * self._stiffness_diagonal,
-                       out=self._diagonal)
+            if self._diagonals is not None:
+                mass_diagonal, stiffness_diagonal = self._diagonals
+                self._jacobi = jacobi(mass_diagonal + scale * stiffness_diagonal)
             self._system_tau = tau
         return self._system
 
@@ -143,8 +142,8 @@ class NewmarkWaveSolver:
         predictor = u + tau * v + (tau * tau / 4.0) * a   # u_new less its a_new term
         rhs = self._rhs(f_new, space.stiffness_ff @ predictor)
         system = self._system_matrix(tau)
-        a_new = solve_spd(system, rhs, tol=space.tol, x0=a, diagonal=self._diagonal,
-                          precond=space.preconditioner(system, tau))
+        precond = self._jacobi if self._jacobi is not None else space.preconditioner(system, tau)
+        a_new = solve_spd(system, rhs, tol=space.tol, x0=a, precond=precond)
         return WaveState(t=t_new, u=predictor + (tau * tau / 4.0) * a_new,
                          v=v + (tau / 2.0) * (a + a_new), f_h=f_new, a=a_new)
 

@@ -286,9 +286,9 @@ class TestSolver:
         with pytest.raises(SolverError, match="p . A p = -2.000e[+]00 is not positive"):
             solve_spd(A, np.array([1.0, -1.0]))
 
-    def test_kept_diagonal_or_preconditioner_skips_the_extraction(self):
-        # a caller that keeps the Jacobi diagonal, or brings a preconditioner,
-        # makes solve_spd read no diagonal; the iterates are those of the default path
+    def test_kept_jacobi_skips_the_extraction(self):
+        # the space's kept Jacobi preconditioners make solve_spd read no
+        # diagonal; the iterates are those of the default path
         class NoDiagonal:
             def __init__(self, matrix):
                 self.matrix = matrix
@@ -300,16 +300,31 @@ class TestSolver:
                 raise AssertionError("solve_spd extracted the diagonal")
 
         space = FemSpace(generate_structured(6))
-        M = space.mass_ff
-        b = RNG.normal(size=M.shape[0])
-        counters = [SolveCounter() for _ in range(3)]
-        default = solve_spd(M, b, counter=counters[0])
-        kept = solve_spd(NoDiagonal(M), b, counter=counters[1], diagonal=space.mass_ff_diagonal)
-        d = M.diagonal()
-        jacobi = solve_spd(NoDiagonal(M), b, counter=counters[2], precond=lambda r: r / d)
-        assert default.tobytes() == kept.tobytes() == jacobi.tobytes()
-        assert counters[0] == counters[1] == counters[2]
-        np.testing.assert_array_equal(space.mass_diagonal, space.mass.diagonal())
+        for M, kept in ((space.mass_ff, space.mass_ff_jacobi), (space.mass, space.mass_jacobi)):
+            b = RNG.normal(size=M.shape[0])
+            counters = [SolveCounter(), SolveCounter()]
+            default = solve_spd(M, b, counter=counters[0])
+            jacobi = solve_spd(NoDiagonal(M), b, counter=counters[1], precond=kept)
+            assert default.tobytes() == jacobi.tobytes()
+            assert counters[0] == counters[1]
+
+    def test_non_positive_diagonal_rejected(self):
+        # by the default path, by a kept Jacobi preconditioner where it is
+        # formed, and by the V-cycle's smoother weights
+        import scipy.sparse as sp
+
+        from wavest.fem import jacobi
+
+        A = sp.csr_matrix(np.array([[1.0, 0.5], [0.5, 0.0]]))
+        with pytest.raises(SolverError, match="matrix diagonal is not positive"):
+            solve_spd(A, np.ones(2))
+        with pytest.raises(SolverError, match="matrix diagonal is not positive"):
+            jacobi(np.array([1.0, -2.0]))
+        space = FemSpace(generate_structured(20, "crisscross"), quadrature_rule(1))
+        multigrid = Multigrid(space.stiffness_ff, space.mesh.vertices[space.free],
+                              2.0 * space.mesh.h)
+        with pytest.raises(SolverError, match="matrix diagonal is not positive"):
+            multigrid.preconditioner(-space.stiffness_ff, "negated")
 
     def test_zero_rhs(self):
         m = generate_structured(2)
