@@ -9,10 +9,10 @@ definite.  ``FemSpace`` bundles a mesh with its operators, quadrature
 geometry and the index bookkeeping the time steppers and estimators need.
 It keeps the full-vertex mass matrix (loads, L2 projections and norms of
 all-vertex functions) but only the free-vertex stiffness; the free-vertex
-mass and stiffness share one ``indices``/``indptr`` pair, which the Newmark
-step matrix shares too.  A P1 function is a plain coefficient array, on
-the free vertices (zero trace) or on all of them; ``FemSpace.full``
-scatters the first kind into the second.
+mass and stiffness share one ``indices``/``indptr`` pair, as does the kept
+step matrix M_ff + s K_ff (``shifted_system``).  A P1 function is a plain
+coefficient array, on the free vertices (zero trace) or on all of them;
+``FemSpace.full`` scatters the first kind into the second.
 
 Per-triangle integrals reach the vertices through one ``np.bincount`` over
 the triangles' vertex indices (``FemSpace.scatter``).  Work at the
@@ -32,14 +32,14 @@ gradients (``gradient_rows``).
 Linear systems are solved with preconditioned conjugate gradients, from
 zero or from a given start vector; pass a ``SolveCounter`` to account for
 solver work (the cost comparison of the two time estimators rests on these
-counters).  The preconditioner is the diagonal (Jacobi), except for the
-free-vertex stiffness and Newmark step systems of spaces with at least
-``MULTIGRID_MIN_FREE`` free vertices: those take a smoothed-aggregation
-V-cycle (``Multigrid``), whose prolongators a space builds from its
-stiffness matrix at the first solve that needs them.  The V-cycle runs in
-work vectors allocated once per hierarchy.  The space keeps the Jacobi
-preconditioners of M and M_ff (``jacobi``), so its mass solves extract no
-diagonal.
+counters).  ``FemSpace`` forms every preconditioner its solves and the
+stepper's use: the kept Jacobi (``jacobi``) of M and M_ff for the mass
+solves; for the stiffness and shifted systems, on spaces with at least
+``MULTIGRID_MIN_FREE`` free vertices, a smoothed-aggregation V-cycle
+(``Multigrid``, built from the stiffness matrix at the first solve that
+needs it, run in work vectors allocated once per hierarchy), and on smaller
+spaces the Jacobi of kept diagonals of M_ff and K_ff.  So no solve of the
+package falls back on ``solve_spd``'s default, a diagonal it extracts.
 
 ``scipy.sparse`` is imported by ``sparse()`` at the first sparse build
 (assembly, a V-cycle hierarchy, the estimators' operators), the package's
@@ -57,7 +57,7 @@ from typing import Callable, Optional
 import numpy as np
 
 QUAD_BLOCK = 4096            # triangles per block of the quadrature-point work
-MULTIGRID_MIN_FREE = 10_000  # free vertices from which the stiffness and step solves use Multigrid
+MULTIGRID_MIN_FREE = 10_000  # free vertices from which the stiffness and shifted solves use Multigrid
 MULTIGRID_COARSEST = 300     # unknowns at or below which aggregation stops (dense inverse)
 
 
@@ -182,14 +182,17 @@ def solve_spd(matrix, rhs, tol=1e-10, max_iter=None, counter: Optional[SolveCoun
     by default B is the inverse of the matrix's diagonal, extracted and
     checked positive.  Starts from ``x0`` (zero by default; the caller's
     array is not changed) and stops when the residual satisfies
-    ||b - A x|| <= tol * ||b|| (``tol`` a finite positive number, ValueError
-    otherwise), after 0 iterations if ``x0`` already does.  Deterministic for
-    fixed inputs; raises SolverError with the last residual if max_iter is
-    exhausted, or if a search direction p has p . A p <= 0 (the matrix or
-    the preconditioner is not positive definite).
+    ||b - A x|| <= tol * ||b|| (``tol`` a finite positive number and
+    ``max_iter`` at least 1, ValueError otherwise), after 0 iterations if
+    ``x0`` already does.  Deterministic for fixed inputs; raises SolverError
+    with the last residual if max_iter is exhausted, or if a search
+    direction p has p . A p <= 0 (the matrix or the preconditioner is not
+    positive definite).
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be a finite positive number, got {tol!r}")
+    if max_iter is not None and max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     b = np.asarray(rhs, dtype=float)
     n = len(b)
     if max_iter is None:
@@ -332,7 +335,7 @@ class Multigrid:
         self._coarsest = np.linalg.inv(a.toarray())
 
     def preconditioner(self, matrix, key) -> Callable:
-        """The V-cycle r -> B r of ``matrix``; ``key`` names its values ('stiffness', or a tau)."""
+        """The V-cycle r -> B r of ``matrix``; ``key`` names its values ('stiffness', or a scale)."""
         if key != self._key:
             self._galerkin(matrix)
             self._key = key
@@ -376,8 +379,14 @@ class FemSpace:
         self.grads, self.area = mesh.grads, mesh.areas
         # the preconditioners of the mass solves (loads' L2 projections, the
         # initial acceleration, the auxiliary solves)
+        mass_ff_diagonal = self.mass_ff.diagonal()
         self.mass_jacobi = jacobi(self.mass.diagonal())
-        self.mass_ff_jacobi = jacobi(self.mass_ff.diagonal())
+        self.mass_ff_jacobi = jacobi(mass_ff_diagonal)
+        # the diagonals of M_ff and K_ff, from which small spaces form Jacobi
+        self._diagonals = None
+        if len(self.free) < MULTIGRID_MIN_FREE:
+            self._diagonals = mass_ff_diagonal, self.stiffness_ff.diagonal()
+        self._shifted = self._shifted_precond = self._scale = None
         nt, q = mesh.n_triangles, len(self.rule.points)
         self.blocks = [slice(lo, min(lo + QUAD_BLOCK, nt)) for lo in range(0, nt, QUAD_BLOCK)]
         # block_points' inputs and buffers: the vertex coordinates one axis at
@@ -399,10 +408,28 @@ class FemSpace:
             return None
         return Multigrid(self.stiffness_ff, self.mesh.vertices[self.free], 2.0 * self.mesh.h)
 
-    def preconditioner(self, matrix, key) -> Optional[Callable]:
-        """``solve_spd``'s precond for a free-vertex stiffness or step matrix (None: Jacobi)."""
-        multigrid = self.multigrid
-        return None if multigrid is None else multigrid.preconditioner(matrix, key)
+    def shifted_system(self, scale):
+        """The matrix M_ff + scale K_ff and ``solve_spd``'s precond for it.
+
+        One such matrix is kept, on the index arrays of M_ff and K_ff; a
+        change of ``scale`` rewrites its values in place and forms its
+        preconditioner: the V-cycle keyed by ``scale`` (which keeps its own
+        coarse operators when ``h1_project`` re-keys the hierarchy), or
+        below MULTIGRID_MIN_FREE the Jacobi of dM + scale dK, the entries'
+        own arithmetic, so it divides by the bits of the matrix's diagonal.
+        """
+        if self._shifted is None:
+            self._shifted = share_pattern(self.mass_ff.copy(), self.mass_ff)
+        if scale != self._scale:
+            np.add(self.mass_ff.data, scale * self.stiffness_ff.data, out=self._shifted.data)
+            multigrid = self.multigrid
+            if multigrid is None:
+                mass_diagonal, stiffness_diagonal = self._diagonals
+                self._shifted_precond = jacobi(mass_diagonal + scale * stiffness_diagonal)
+            else:
+                self._shifted_precond = multigrid.preconditioner(self._shifted, scale)
+            self._scale = scale
+        return self._shifted, self._shifted_precond
 
     # -- integration ------------------------------------------------------
 
@@ -480,8 +507,12 @@ class FemSpace:
         for b in self.blocks:
             self.gradient_rows(*grad_g(*self.block_points(b)), b, out=contrib[b])
         rhs = self.scatter(contrib)
-        return solve_spd(self.stiffness_ff, rhs[self.free], tol=self.tol,
-                         precond=self.preconditioner(self.stiffness_ff, "stiffness"))
+        multigrid = self.multigrid
+        if multigrid is None:
+            precond = jacobi(self._diagonals[1])
+        else:
+            precond = multigrid.preconditioner(self.stiffness_ff, "stiffness")
+        return solve_spd(self.stiffness_ff, rhs[self.free], tol=self.tol, precond=precond)
 
     def apply_discrete_laplacian(self, w, counter=None) -> np.ndarray:
         """z in V_h with (z, phi) = (grad w, grad phi) for all phi in V_h; free vertices."""
@@ -496,10 +527,6 @@ class FemSpace:
         return float(np.sqrt(max(v @ (self.mass @ v), 0.0)))
 
     def h1_seminorm(self, values) -> float:
-        """H1 seminorm of a P1 function given by its free-vertex coefficients (zero trace).
-
-        The product runs over all vertices, boundary zeros included, so it
-        sums the terms of the all-vertex form v . (K v) in the same order.
-        """
+        """H1 seminorm of a P1 function given by its free-vertex coefficients (zero trace)."""
         v = np.asarray(values, dtype=float)
-        return float(np.sqrt(max(self.full(v) @ self.full(self.stiffness_ff @ v), 0.0)))
+        return float(np.sqrt(max(v @ (self.stiffness_ff @ v), 0.0)))

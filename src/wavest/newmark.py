@@ -18,11 +18,9 @@ form they measure the discretisation error, not the solver tolerance, on
 grids with step ratio 100 too.
 
 Per step one SPD system with matrix (M + tau^2/4 K) is solved by CG,
-started from a_n and preconditioned by ``FemSpace.preconditioner``: Jacobi,
-or on large spaces the multigrid V-cycle.  One such matrix is kept per
-stepper, on the index arrays M and K share, so a change of tau recomputes its
-values in place; the V-cycle's coarse operators are then rebuilt from its
-tau-independent prolongators, and nothing else is.
+started from a_n.  The space gives the matrix and its preconditioner
+(``FemSpace.shifted_system``, with scale tau^2/4); the stepper forms
+neither.
 
 Initial data enter through H1_0-orthogonal projections of u0 and v0; the
 forcing enters through its L2 projections at the grid times, which are kept
@@ -38,7 +36,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .fem import FemSpace, jacobi, solve_spd
+from .fem import FemSpace, solve_spd
 from .grids import TimeGrid
 
 
@@ -73,9 +71,6 @@ class NewmarkWaveSolver:
     def __init__(self, problem: WaveProblem, space: FemSpace):
         self.problem = problem
         self.space = space
-        self._system_tau = None
-        self._system = None
-        self._diagonals = self._jacobi = None
 
     # -- data projection ----------------------------------------------------
 
@@ -106,31 +101,6 @@ class NewmarkWaveSolver:
 
     # -- stepping -------------------------------------------------------------
 
-    def _system_matrix(self, tau):
-        """The step matrix M + tau^2/4 K, its values formed when tau changes.
-
-        On a Jacobi-preconditioned space its preconditioner (``_jacobi``) is
-        formed with them, from the diagonals of M and K by the entries' own
-        arithmetic, so it divides by the bits of the matrix's diagonal.
-        """
-        space = self.space
-        mass, stiffness = space.mass_ff, space.stiffness_ff
-        if self._system is None:
-            if mass.indptr is not stiffness.indptr or mass.indices is not stiffness.indices:
-                raise ValueError("mass and stiffness matrices must share one sparsity pattern")
-            self._system = mass.copy()
-            self._system.indices, self._system.indptr = mass.indices, mass.indptr
-            if space.multigrid is None:
-                self._diagonals = mass.diagonal(), stiffness.diagonal()
-        if self._system_tau != tau:
-            scale = tau * tau / 4.0
-            np.add(mass.data, scale * stiffness.data, out=self._system.data)
-            if self._diagonals is not None:
-                mass_diagonal, stiffness_diagonal = self._diagonals
-                self._jacobi = jacobi(mass_diagonal + scale * stiffness_diagonal)
-            self._system_tau = tau
-        return self._system
-
     def step(self, state: WaveState, tau) -> WaveState:
         """Advance one step of size tau from the given state (the module's scheme)."""
         if tau <= 0:
@@ -141,8 +111,7 @@ class NewmarkWaveSolver:
         u, v, a = state.u, state.v, state.a
         predictor = u + tau * v + (tau * tau / 4.0) * a   # u_new less its a_new term
         rhs = self._rhs(f_new, space.stiffness_ff @ predictor)
-        system = self._system_matrix(tau)
-        precond = self._jacobi if self._jacobi is not None else space.preconditioner(system, tau)
+        system, precond = space.shifted_system(tau * tau / 4.0)
         a_new = solve_spd(system, rhs, tol=space.tol, x0=a, precond=precond)
         return WaveState(t=t_new, u=predictor + (tau * tau / 4.0) * a_new,
                          v=v + (tau / 2.0) * (a + a_new), f_h=f_new, a=a_new)

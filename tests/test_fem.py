@@ -271,6 +271,12 @@ class TestSolver:
         with pytest.raises(ValueError, match="^tol must be a finite positive number, got "):
             solve_spd(sp.identity(3, format="csr"), np.ones(3), tol=tol)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_rejects_fewer_than_one_iteration(self, max_iter):
+        import scipy.sparse as sp
+        with pytest.raises(ValueError, match="^max_iter must be at least 1, got "):
+            solve_spd(2 * sp.identity(3, format="csr"), np.ones(3), max_iter=max_iter)
+
     def test_stops_on_an_exactly_zero_residual(self):
         # tol * ||b|| underflows to 0: the exact residual 0 still meets it
         import scipy.sparse as sp
@@ -381,12 +387,14 @@ class TestMultigrid:
         space = FemSpace(generate_structured(100), quadrature_rule(1))
         assert len(space.free) < MULTIGRID_MIN_FREE
         assert space.multigrid is None
-        assert space.preconditioner(space.stiffness_ff, "stiffness") is None
+        system, precond = space.shifted_system(1.0 / 1024)
+        r = RNG.normal(size=system.shape[0])
+        assert precond(r).tobytes() == (r / system.diagonal()).tobytes()
 
     @pytest.mark.parametrize("key", ["stiffness", 1.0 / 16])
     def test_vcycle_symmetric_and_positive(self, large_space, key):
         matrix = large_space.stiffness_ff if key == "stiffness" else step_matrix(large_space, key)
-        vcycle = large_space.preconditioner(matrix, key)
+        vcycle = large_space.multigrid.preconditioner(matrix, key)
         for _ in range(3):
             x, y = RNG.normal(size=(2, matrix.shape[0]))
             bx, by = vcycle(x), vcycle(y)
@@ -399,7 +407,7 @@ class TestMultigrid:
         b = RNG.normal(size=matrix.shape[0])
         counter = SolveCounter()
         x = solve_spd(matrix, b, counter=counter,
-                      precond=large_space.preconditioner(matrix, key))
+                      precond=large_space.multigrid.preconditioner(matrix, key))
         jacobi = SolveCounter()
         x_jacobi = solve_spd(matrix, b, counter=jacobi)
         assert counter.iterations <= 40 < jacobi.iterations
@@ -411,7 +419,7 @@ class TestMultigrid:
         # the work vectors change where the cycle computes, not what: each
         # output is new, and the caller's residual is left as it was
         matrix = large_space.stiffness_ff if key == "stiffness" else step_matrix(large_space, key)
-        vcycle = large_space.preconditioner(matrix, key)
+        vcycle = large_space.multigrid.preconditioner(matrix, key)
         oracle = allocating_vcycle(large_space.multigrid.prolongators, matrix)
         x, y = RNG.normal(size=(2, matrix.shape[0]))
         x_before = x.copy()
@@ -421,20 +429,19 @@ class TestMultigrid:
         np.testing.assert_array_equal(by, oracle(y))
 
     def test_refresh_after_a_tau_change_equals_a_fresh_build(self, large_space):
-        # the stepper refreshes its matrix in place when tau changes
+        # the space refreshes its shifted matrix in place when tau changes
         space = large_space
-        system = step_matrix(space, 1.0 / 16)
+        system, before = space.shifted_system((1.0 / 16) ** 2 / 4.0)
         b = RNG.normal(size=system.shape[0])
-        before = space.preconditioner(system, 1.0 / 16)
         tau = 1.0 / 160
-        np.add(space.mass_ff.data, (tau * tau / 4.0) * space.stiffness_ff.data, out=system.data)
-        refreshed = space.preconditioner(system, tau)
+        refreshed_system, refreshed = space.shifted_system(tau * tau / 4.0)
+        assert refreshed_system is system
+        np.testing.assert_array_equal(system.data, step_matrix(space, tau).data)
         fresh = Multigrid(space.stiffness_ff, space.mesh.vertices[space.free],
                           2.0 * space.mesh.h).preconditioner(system, tau)
         assert not np.array_equal(before(b), refreshed(b))
         np.testing.assert_array_equal(solve_spd(system, b, precond=refreshed),
                                       solve_spd(system, b, precond=fresh))
-
 
     def test_old_coarse_operators_freed_before_a_rebuild(self, monkeypatch):
         # a new key drops the old Galerkin operators before the new ones are

@@ -46,3 +46,13 @@ def test_one_scipy_import_site():
              for line in path.read_text(encoding="utf-8").splitlines()
              if re.match(r"\s*(import|from)\s+scipy\b", line)]
     assert sites == [("fem.py", "import scipy.sparse")]
+
+
+def test_one_owner_of_preconditioning():
+    # only fem forms a preconditioner or reads a diagonal; other modules pass
+    # on the ones a space keeps (such as ``space.mass_ff_jacobi``)
+    pattern = re.compile(r"jacobi\(|\.diagonal\(|\.multigrid|Multigrid|preconditioner\(")
+    sites = [(path.name, line.strip()) for path in sorted((SRC / "wavest").glob("*.py"))
+             if path.name != "fem.py"
+             for line in path.read_text(encoding="utf-8").splitlines() if pattern.search(line)]
+    assert sites == []

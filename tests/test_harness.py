@@ -625,12 +625,7 @@ class TestMemoryGuard:
     def test_peak_and_resident_layout(self, monkeypatch):
         import tracemalloc
 
-        solvers, works, live = [], [], []
-
-        class Solver(NewmarkWaveSolver):
-            def __init__(self, *args):
-                super().__init__(*args)
-                solvers.append(self)
+        works, live = [], []
 
         class Work(ErrorWork):
             def __init__(self, *args):
@@ -642,7 +637,6 @@ class TestMemoryGuard:
                 super().push(state)
                 live.append(tracemalloc.get_traced_memory()[0])
 
-        monkeypatch.setattr(harness, "NewmarkWaveSolver", Solver)
         monkeypatch.setattr(harness, "ErrorWork", Work)
         monkeypatch.setattr(harness, "WaveEstimatorAccumulator", Accumulator)
         cfg = ExperimentConfig(kind="wave", mesh="structured:n=8:pattern=crisscross",
@@ -656,7 +650,7 @@ class TestMemoryGuard:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        space, solver, work = acc.space, solvers[-1], works[-1]
+        space, work = acc.space, works[-1]
         assert peak / space.mesh.n_vertices < self.PEAK_BYTES_PER_VERTEX
         # the stepping phase's live set, and no per-(triangle, point) array on the space
         assert len(live) == cfg.N + 1
@@ -668,7 +662,7 @@ class TestMemoryGuard:
 
         # no full-vertex stiffness; one free-vertex pattern for M, K and the step matrix
         assert not hasattr(space, "stiffness")
-        for matrix in (space.stiffness_ff, solver._system):
+        for matrix in (space.stiffness_ff, space._shifted):
             assert matrix.indices is space.mass_ff.indices
             assert matrix.indptr is space.mass_ff.indptr
 

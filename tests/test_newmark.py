@@ -156,20 +156,20 @@ class TestStep:
             assert np.linalg.norm(resid) <= 1e-11 * scale
 
     def test_step_matrix_values_refreshed_in_place(self):
-        # one matrix per stepper; each change of tau rewrites its values to
+        # one matrix per space; each change of tau rewrites its values to
         # exactly those of a freshly built M + tau^2/4 K, and its Jacobi
         # preconditioner divides by the bits of the matrix's own diagonal
         space = FemSpace(generate_structured(5, "crisscross"))
-        solver = NewmarkWaveSolver(zero_problem(), space)
-        first = solver._system_matrix(0.1)
+        first, _ = space.shifted_system(0.1 * 0.1 / 4.0)
         for tau in (0.1, 0.001, 0.1, 0.037):
-            matrix = solver._system_matrix(tau)
+            matrix, precond = space.shifted_system(tau * tau / 4.0)
             assert matrix is first
+            assert space.shifted_system(tau * tau / 4.0)[1] is precond   # formed once per scale
             rebuilt = (space.mass_ff + (tau * tau / 4.0) * space.stiffness_ff).tocsr()
             np.testing.assert_array_equal(matrix.indices, rebuilt.indices)
             np.testing.assert_array_equal(matrix.data, rebuilt.data)
             r = RNG.normal(size=matrix.shape[0])
-            assert solver._jacobi(r).tobytes() == (r / matrix.diagonal()).tobytes()
+            assert precond(r).tobytes() == (r / matrix.diagonal()).tobytes()
 
     def test_warm_start_from_the_acceleration(self):
         # the step solves for a_new within tol, so M a_new + K u_new = F_new
@@ -194,7 +194,7 @@ class TestStep:
         np.testing.assert_allclose(new.v, v + tau / 2.0 * (a + new.a),
                                    rtol=0, atol=1e-14 * np.abs(new.v).max())
 
-        matrix = solver._system_matrix(tau)
+        matrix, _ = space.shifted_system(tau * tau / 4.0)
         from_a, from_zero = SolveCounter(), SolveCounter()
         x = solve_spd(matrix, rhs, tol=space.tol, counter=from_a, x0=a)
         solve_spd(matrix, rhs, tol=space.tol, counter=from_zero)
