@@ -38,8 +38,8 @@ solves; for the stiffness and shifted systems, on spaces with at least
 ``MULTIGRID_MIN_FREE`` free vertices, a smoothed-aggregation V-cycle
 (``Multigrid``, built from the stiffness matrix at the first solve that
 needs it, run in work vectors allocated once per hierarchy), and on smaller
-spaces the Jacobi of kept diagonals of M_ff and K_ff.  So no solve of the
-package falls back on ``solve_spd``'s default, a diagonal it extracts.
+spaces the Jacobi of kept diagonals of M_ff and K_ff.  ``solve_spd`` takes
+its preconditioner from the caller and extracts no diagonal.
 
 ``scipy.sparse`` is imported by ``sparse()`` at the first sparse build
 (assembly, a V-cycle hierarchy, the estimators' operators), the package's
@@ -173,15 +173,14 @@ def jacobi(diagonal) -> Callable:
     return lambda r: r / diagonal
 
 
-def solve_spd(matrix, rhs, tol=1e-10, max_iter=None, counter: Optional[SolveCounter] = None,
-              x0=None, precond: Optional[Callable] = None):
+def solve_spd(matrix, rhs, precond: Callable, tol=1e-10, max_iter=None,
+              counter: Optional[SolveCounter] = None, x0=None):
     """Preconditioned conjugate gradients for SPD systems.
 
     ``precond`` maps a residual r to B r for a symmetric positive definite B
-    (a ``Multigrid.preconditioner``, or the ``jacobi`` of a kept diagonal);
-    by default B is the inverse of the matrix's diagonal, extracted and
-    checked positive.  Starts from ``x0`` (zero by default; the caller's
-    array is not changed) and stops when the residual satisfies
+    (a ``Multigrid.preconditioner``, or the ``jacobi`` of a kept diagonal).
+    Starts from ``x0`` (zero by default; the caller's array is not changed)
+    and stops when the residual satisfies
     ||b - A x|| <= tol * ||b|| (``tol`` a finite positive number and
     ``max_iter`` at least 1, ValueError otherwise), after 0 iterations if
     ``x0`` already does.  Deterministic for fixed inputs; raises SolverError
@@ -202,8 +201,6 @@ def solve_spd(matrix, rhs, tol=1e-10, max_iter=None, counter: Optional[SolveCoun
         if counter is not None:
             counter.record(0)
         return np.zeros(n)
-    if precond is None:
-        precond = jacobi(matrix.diagonal())
     if x0 is None:
         x = np.zeros(n)
         r = b.copy()

@@ -7,9 +7,10 @@ with fixed headers and 6-significant-digit decimals so repeated runs of the
 same configuration are byte-identical.
 
 The true error of a solution without moments is a quadrature over the
-blocks of ``FemSpace.blocks``, against the solution bound per block and time
-to the block's points, which ``FemSpace.block_points`` derives at each call:
-no run stores the points of every triangle.
+blocks of ``FemSpace.blocks``, against the solution's derivatives at the
+block's points, which ``FemSpace.block_points`` derives at each call; each
+call allocates its own buffers, so no run keeps the quadrature's arrays
+between states or stores the points of every triangle.
 
 The cost benchmark's settings are module constants: ``BENCH_STEPS`` timed
 nodes after ``BENCH_WARMUP`` untimed ones, steps of ``BENCH_TAU``, and the
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import ode
 from .estimators import WaveEstimatorAccumulator, eta3_step, eta5_step, node_diffs
-from .fem import QUAD_BLOCK, FemSpace, SolveCounter, quadrature_rule
+from .fem import FemSpace, SolveCounter, quadrature_rule
 from .grids import TimeGrid, build_grid
 from .manufactured import ManufacturedSolution, get_solution
 from .mesh import generate_structured, read_mesh
@@ -228,53 +229,36 @@ def _check_interior(mesh):
         raise ValueError("the mesh has no interior vertex, so its discrete space is {0}")
 
 
-class ErrorWork:
-    """Buffers of the true-error quadrature, reused for every state of a run.
-
-    ``nodal`` and ``grad`` hold one block of ``FemSpace.blocks``; ``per_tri``
-    holds every triangle, so the sums over all of them come last.
-    """
-
-    def __init__(self, space: FemSpace):
-        nv, nt = space.mesh.n_vertices, space.mesh.n_triangles
-        rows = min(QUAD_BLOCK, nt)
-        self.u = np.zeros(nv)              # all-vertex coefficients of u_h, zero on the boundary
-        self.v = np.zeros(nv)              # and of v_h
-        self.nodal = np.empty((rows, 3))   # coefficients at each triangle's vertices
-        self.grad = np.empty((2, rows))    # the gradient of u_h on each triangle
-        self.per_tri = np.empty((3, nt))   # integrals of the velocity, x and y terms
-        self.at_points = np.ascontiguousarray(space.rule.points.T)  # nodal values -> point values
-
-
-def wave_energy_error_at(space: FemSpace, state, bind, work: ErrorWork) -> float:
+def wave_energy_error_at(space: FemSpace, state, derivatives) -> float:
     """Energy-norm error of one state against the exact solution (quadrature).
 
-    ``bind`` is the solution's ``ManufacturedSolution.bind``, called once per
-    block of ``space.blocks`` on the block's quadrature points
-    (``FemSpace.block_points``); the bound evaluator maps t to du/dt and
-    (du/dx, du/dy) there, in arrays that are this function's: each squared
-    residual is computed in one of them.  The per-triangle integrals fill
-    ``work``'s rows block by block; the sums over all triangles come last.
+    ``derivatives(t, x, y)`` is the solution's ``ManufacturedSolution.derivatives``,
+    called once per block of ``space.blocks`` on the block's quadrature points
+    (``FemSpace.block_points``): it returns du/dt and (du/dx, du/dy) there in
+    new arrays, and each squared residual is computed in one of them.  The
+    per-triangle integrals fill three rows over all triangles block by block;
+    the sums over all triangles come last.
     """
     rule, area, tris, grads = space.rule, space.area, space.mesh.triangles, space.grads
-    work.u[space.free] = state.u
-    work.v[space.free] = state.v
-    velocity, *h1_rows = work.per_tri
+    u, v = space.full(state.u), space.full(state.v)
+    velocity, *h1_rows = np.empty((3, space.mesh.n_triangles))
+    largest = max(b.stop - b.start for b in space.blocks)
+    nodal_buffer, grad_buffer = np.empty((largest, 3)), np.empty((2, largest))
+    at_points = np.ascontiguousarray(rule.points.T)   # nodal values -> point values
     for b in space.blocks:
         rows = b.stop - b.start
-        nodal, grad = work.nodal[:rows], work.grad[:, :rows]
+        nodal, grad = nodal_buffer[:rows], grad_buffer[:, :rows]
         # mode="clip": the mesh's indices are in range, and a raising take buffers its output
-        np.take(work.u, tris[b], out=nodal, mode="clip")
+        np.take(u, tris[b], out=nodal, mode="clip")
         for d in range(2):   # component d of the constant gradient on each triangle
             np.einsum("tb,tb->t", nodal, grads[b, :, d], out=grad[d])
-        dudt, gxy = bind(*space.block_points(b))(state.t)
+        dudt, gxy = derivatives(state.t, *space.block_points(b))
         for g, grad_d, row in zip(gxy, grad, h1_rows):
             np.square(np.subtract(grad_d[:, None], g, out=g), out=g)
             np.matmul(g, rule.weights, out=row[b])
         # P1 values at the quadrature points, in the freed x component: nodal
         # values times the barycentric coordinates of the rule
-        r = np.matmul(np.take(work.v, tris[b], out=nodal, mode="clip"), work.at_points,
-                      out=gxy[0])
+        r = np.matmul(np.take(v, tris[b], out=nodal, mode="clip"), at_points, out=gxy[0])
         np.square(np.subtract(r, dudt, out=r), out=r)
         np.matmul(r, rule.weights, out=velocity[b])
     err_sq = velocity @ area
@@ -284,17 +268,15 @@ def wave_energy_error_at(space: FemSpace, state, bind, work: ErrorWork) -> float
 
 
 def true_error_form(solution: ManufacturedSolution, space: FemSpace):
-    """The run's true energy-norm error as ``state -> e``, chosen once per run.
+    """The run's true energy-norm error as ``state -> e``.
 
     A separable solution brings its moments (``ManufacturedSolution.moments``);
     any other is integrated by quadrature (``wave_energy_error_at``) against
-    the solution bound, block by block and time by time, to the space's
-    quadrature points.
+    its ``derivatives`` at the space's quadrature points.
     """
     if solution.moments is not None:
         return solution.moments(space)
-    work = ErrorWork(space)
-    return lambda state: wave_energy_error_at(space, state, solution.bind, work)
+    return lambda state: wave_energy_error_at(space, state, solution.derivatives)
 
 
 def run_wave_experiment(config: ExperimentConfig):
@@ -308,12 +290,10 @@ def run_wave_experiment(config: ExperimentConfig):
     space = FemSpace(mesh, quadrature_rule(5), tol=config.tol)
     solver = NewmarkWaveSolver(problem, space)
     acc = WaveEstimatorAccumulator(space)
-    error_at = None
+    error_at = true_error_form(solution, space)
     errors = np.empty(grid.n_steps + 1)
     for n, state in enumerate(solver.run(grid)):
         acc.push(state)
-        if error_at is None:   # after the initial projections, whose temporaries are freed by now
-            error_at = true_error_form(solution, space)
         errors[n] = error_at(state)
     inc3, inc5 = acc.increments()
     trace = step_trace(grid.points, np.cumsum(inc3), np.cumsum(inc5), errors)

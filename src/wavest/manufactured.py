@@ -23,20 +23,18 @@ forms, which a solution offers through one of two hooks:
   for dv = v - c' I s and du = u - c I s, two matvecs and four dot products
   per state.  By the rule's exactness on P1 products this is the quadrature
   of the error; every term has the error's size, so no digits cancel;
-* ``bind(x, y)``, for the pulse: it fixes the points and returns
-  ``t -> (du/dt, (du/dx, du/dy))``, the values the quadrature integrates
-  against.  The quadrature calls it per block and time, on the block's
-  points from ``FemSpace.block_points``, and calls the evaluator it returns
-  once, before the space's next ``block_points`` call overwrites the points;
-  no run holds bound blocks.  It evaluates the exponential once per call
-  for both parts, with the helpers of the ``(t, x, y)`` callables in the
-  same order, so the values are bit-equal to ``dudt`` and ``grad_u``.  The
-  three arrays are new at each call, so the caller may compute in them.
+* ``derivatives(t, x, y)``, for the pulse: du/dt and (du/dx, du/dy) at the
+  points, the values the quadrature integrates against, called per block
+  and time on the block's points from ``FemSpace.block_points``.  It
+  evaluates the exponential once for both parts, with the helpers of the
+  ``(t, x, y)`` callables in the same order, so the values are bit-equal to
+  ``dudt`` and ``grad_u``.  The three arrays are new at each call, so the
+  caller may compute in them.
 
 Every callable is pointwise: the package evaluates it on one block of at
 most ``fem.QUAD_BLOCK`` triangles' quadrature points at a time, and the
 blocks' values are those of one call on all the points.  The moments, too,
-are integrated block by block.  The pulse's forcing and bound evaluator
+are integrated block by block.  The pulse's forcing and derivatives
 compute in place in four arrays of the points' shape, so a run's per-time
 evaluations hold four arrays of one block, which stay in cache.
 """
@@ -62,7 +60,7 @@ class ManufacturedSolution:
     grad_u: Callable      # (du/dx, du/dy)(t, x, y)
     grad_dudt: Callable   # gradient of du/dt
     f: Callable           # u_tt - Lap(u)
-    bind: Optional[Callable] = None     # bind(x, y) -> (t -> (du/dt, (du/dx, du/dy)))
+    derivatives: Optional[Callable] = None  # (t, x, y) -> (du/dt, (du/dx, du/dy)), new arrays
     moments: Optional[Callable] = None  # moments(space) -> (state -> energy-norm error)
     zero_forcing: bool = False  # f vanishes identically, so solvers may skip it
 
@@ -155,14 +153,12 @@ def gaussian_pulse() -> ManufacturedSolution:
         utt -= lap
         return utt[()]
 
-    def bind(x, y):
-        def at(t):
-            X, Y, R, g = parts(t, x, y)
-            return velocity(t, X, Y, g, out=R), gradient(X, Y, g)
-        return at
+    def derivatives(t, x, y):
+        X, Y, R, g = parts(t, x, y)
+        return velocity(t, X, Y, g, out=R), gradient(X, Y, g)
 
     return ManufacturedSolution(name="gaussian", u=u, dudt=dudt, grad_u=grad_u,
-                                grad_dudt=grad_dudt, f=f, bind=bind)
+                                grad_dudt=grad_dudt, f=f, derivatives=derivatives)
 
 
 def standing_mode() -> ManufacturedSolution:

@@ -55,37 +55,24 @@ def element_gradients(space, full_values):
     return np.einsum("tb,tbd->td", w, space.grads)
 
 
-def mode_bind(x, y):
-    """The standing mode bound to fixed points: t -> (du/dt, (du/dx, du/dy)).
+def mode_derivatives(t, x, y):
+    """The standing mode's du/dt and (du/dx, du/dy) at the points, in new arrays.
 
-    The shape and its gradient are evaluated once; each time's values are
-    written into three arrays reused by every call, so a call's output is
-    overwritten by the next.  Bit-equal to the mode's ``dudt`` and ``grad_u``.
+    Written from ``MODE`` apart from the package's callables, and bit-equal
+    to the mode's ``dudt`` and ``grad_u``.
     """
     kx, ky = MODE
     omega = np.pi * np.hypot(kx, ky)
     s = np.sin(kx * np.pi * x) * np.sin(ky * np.pi * y)
-    g = (kx * np.pi * np.cos(kx * np.pi * x) * np.sin(ky * np.pi * y),
-         ky * np.pi * np.sin(kx * np.pi * x) * np.cos(ky * np.pi * y))
-    out = [None, None, None]   # allocated by the first call, overwritten by the next
-
-    def at(t):
-        a = np.cos(omega * t)
-        out[0] = np.multiply(-omega * np.sin(omega * t), s, out=out[0])
-        out[1] = np.multiply(a, g[0], out=out[1])
-        out[2] = np.multiply(a, g[1], out=out[2])
-        return out[0], (out[1], out[2])
-    return at
+    gx = kx * np.pi * np.cos(kx * np.pi * x) * np.sin(ky * np.pi * y)
+    gy = ky * np.pi * np.sin(kx * np.pi * x) * np.cos(ky * np.pi * y)
+    a = np.cos(omega * t)
+    return -omega * np.sin(omega * t) * s, (a * gx, a * gy)
 
 
-def binder(solution):
-    """The ``bind`` the true-error quadrature takes: the pulse's own, the mode's ``mode_bind``."""
-    return solution.bind if solution.bind is not None else mode_bind
-
-
-def bind(solution, x, y):
-    """A solution bound to fixed points: the pulse's own ``bind``, the mode's ``mode_bind``."""
-    return binder(solution)(x, y)
+def derivatives(solution):
+    """The ``derivatives`` the true-error quadrature takes: the pulse's own, the mode's oracle."""
+    return solution.derivatives if solution.derivatives is not None else mode_derivatives
 
 
 def einsum_quad_xy(space):
@@ -124,14 +111,14 @@ def one_shot_gradient_load(space, grad_g):
                     + ((gy @ w) * area)[:, None] * space.grads[:, :, 1])
 
 
-def one_shot_energy_error(space, state, exact):
-    """``harness.wave_energy_error_at`` with one evaluator bound to all quadrature points.
+def one_shot_energy_error(space, state, derivatives):
+    """``harness.wave_energy_error_at`` with ``derivatives`` called once on all quadrature points.
 
-    ``exact`` maps t to new arrays of du/dt and (du/dx, du/dy) at every
-    quadrature point (``quad_points``); the residuals are computed in them, as
-    the package does.
+    ``derivatives(t, x, y)`` returns new arrays of du/dt and (du/dx, du/dy)
+    at every quadrature point (``quad_points``); the residuals are computed
+    in them, as the package does.
     """
-    dudt, (gx, gy) = exact(state.t)
+    dudt, (gx, gy) = derivatives(state.t, *quad_points(space))
     rule, area, tris = space.rule, space.area, space.mesh.triangles
     nodal = space.full(state.u)[tris]
     h1_terms = []

@@ -5,7 +5,7 @@ import pytest
 
 from wavest import fem
 from wavest.fem import (MULTIGRID_MIN_FREE, FemSpace, Multigrid, SolveCounter, SolverError,
-                        assemble_mass, assemble_stiffness, quadrature_rule, solve_spd)
+                        assemble_mass, assemble_stiffness, jacobi, quadrature_rule, solve_spd)
 from wavest.manufactured import gaussian_pulse
 from wavest.mesh import Mesh, generate_structured
 
@@ -239,7 +239,7 @@ class TestSolver:
         d = np.array([1.0, 2.0, 4.0])
         A = sp.diags(d).tocsr()
         counter = SolveCounter()
-        x = solve_spd(A, np.array([1.0, 1.0, 1.0]), counter=counter)
+        x = solve_spd(A, np.array([1.0, 1.0, 1.0]), precond=jacobi(A.diagonal()), counter=counter)
         np.testing.assert_allclose(x, 1.0 / d, rtol=1e-12)
         assert counter.iterations == 1
 
@@ -247,7 +247,7 @@ class TestSolver:
         m = generate_structured(4)
         M = assemble_mass(m)
         y = RNG.normal(size=m.n_vertices)
-        x = solve_spd(M, M @ y, tol=1e-12)
+        x = solve_spd(M, M @ y, precond=jacobi(M.diagonal()), tol=1e-12)
         np.testing.assert_allclose(x, y, atol=1e-9)
 
     def test_against_dense_oracle(self):
@@ -255,33 +255,36 @@ class TestSolver:
         A = R @ R.T + 5 * np.eye(5)
         import scipy.sparse as sp
         b = RNG.normal(size=5)
-        x = solve_spd(sp.csr_matrix(A), b, tol=1e-14)
+        x = solve_spd(sp.csr_matrix(A), b, precond=jacobi(np.diag(A)), tol=1e-14)
         np.testing.assert_allclose(x, np.linalg.solve(A, b), atol=1e-10)
 
     def test_nonconvergence_reports_residual(self):
         m = generate_structured(8)
         K = FemSpace(m).stiffness_ff
         with pytest.raises(SolverError) as err:
-            solve_spd(K, np.ones(K.shape[0]), tol=1e-15, max_iter=2)
+            solve_spd(K, np.ones(K.shape[0]), precond=jacobi(K.diagonal()), tol=1e-15, max_iter=2)
         assert err.value.residual > 0
 
     @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
     def test_rejects_a_tolerance_that_is_not_finite_positive(self, tol):
         import scipy.sparse as sp
+        A = sp.identity(3, format="csr")
         with pytest.raises(ValueError, match="^tol must be a finite positive number, got "):
-            solve_spd(sp.identity(3, format="csr"), np.ones(3), tol=tol)
+            solve_spd(A, np.ones(3), precond=jacobi(A.diagonal()), tol=tol)
 
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_rejects_fewer_than_one_iteration(self, max_iter):
         import scipy.sparse as sp
+        A = 2 * sp.identity(3, format="csr")
         with pytest.raises(ValueError, match="^max_iter must be at least 1, got "):
-            solve_spd(2 * sp.identity(3, format="csr"), np.ones(3), max_iter=max_iter)
+            solve_spd(A, np.ones(3), precond=jacobi(A.diagonal()), max_iter=max_iter)
 
     def test_stops_on_an_exactly_zero_residual(self):
         # tol * ||b|| underflows to 0: the exact residual 0 still meets it
         import scipy.sparse as sp
         counter = SolveCounter()
-        x = solve_spd(sp.identity(3, format="csr"), np.ones(3), tol=5e-324, counter=counter)
+        A = sp.identity(3, format="csr")
+        x = solve_spd(A, np.ones(3), precond=jacobi(A.diagonal()), tol=5e-324, counter=counter)
         np.testing.assert_array_equal(x, 1.0)
         assert counter.iterations == 1
 
@@ -290,11 +293,11 @@ class TestSolver:
         import scipy.sparse as sp
         A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(SolverError, match="p . A p = -2.000e[+]00 is not positive"):
-            solve_spd(A, np.array([1.0, -1.0]))
+            solve_spd(A, np.array([1.0, -1.0]), precond=jacobi(A.diagonal()))
 
     def test_kept_jacobi_skips_the_extraction(self):
         # the space's kept Jacobi preconditioners make solve_spd read no
-        # diagonal; the iterates are those of the default path
+        # diagonal; the iterates are those of the Jacobi of the extracted one
         class NoDiagonal:
             def __init__(self, matrix):
                 self.matrix = matrix
@@ -309,21 +312,19 @@ class TestSolver:
         for M, kept in ((space.mass_ff, space.mass_ff_jacobi), (space.mass, space.mass_jacobi)):
             b = RNG.normal(size=M.shape[0])
             counters = [SolveCounter(), SolveCounter()]
-            default = solve_spd(M, b, counter=counters[0])
-            jacobi = solve_spd(NoDiagonal(M), b, counter=counters[1], precond=kept)
-            assert default.tobytes() == jacobi.tobytes()
+            extracted = solve_spd(M, b, precond=jacobi(M.diagonal()), counter=counters[0])
+            kept_x = solve_spd(NoDiagonal(M), b, precond=kept, counter=counters[1])
+            assert extracted.tobytes() == kept_x.tobytes()
             assert counters[0] == counters[1]
 
     def test_non_positive_diagonal_rejected(self):
-        # by the default path, by a kept Jacobi preconditioner where it is
-        # formed, and by the V-cycle's smoother weights
+        # by a Jacobi preconditioner where it is formed, from a matrix's
+        # diagonal or a kept one, and by the V-cycle's smoother weights
         import scipy.sparse as sp
-
-        from wavest.fem import jacobi
 
         A = sp.csr_matrix(np.array([[1.0, 0.5], [0.5, 0.0]]))
         with pytest.raises(SolverError, match="matrix diagonal is not positive"):
-            solve_spd(A, np.ones(2))
+            solve_spd(A, np.ones(2), precond=jacobi(A.diagonal()))
         with pytest.raises(SolverError, match="matrix diagonal is not positive"):
             jacobi(np.array([1.0, -2.0]))
         space = FemSpace(generate_structured(20, "crisscross"), quadrature_rule(1))
@@ -335,15 +336,16 @@ class TestSolver:
     def test_zero_rhs(self):
         m = generate_structured(2)
         M = assemble_mass(m)
-        np.testing.assert_array_equal(solve_spd(M, np.zeros(m.n_vertices)), 0.0)
+        np.testing.assert_array_equal(
+            solve_spd(M, np.zeros(m.n_vertices), precond=jacobi(M.diagonal())), 0.0)
 
     def test_start_meeting_the_tolerance_returns_a_copy_after_no_iteration(self):
         K = FemSpace(generate_structured(6)).stiffness_ff
         b = RNG.normal(size=K.shape[0])
-        x0 = solve_spd(K, b, tol=1e-13)
+        x0 = solve_spd(K, b, precond=jacobi(K.diagonal()), tol=1e-13)
         before = x0.copy()
         counter = SolveCounter()
-        x = solve_spd(K, b, tol=1e-10, counter=counter, x0=x0)
+        x = solve_spd(K, b, precond=jacobi(K.diagonal()), tol=1e-10, counter=counter, x0=x0)
         assert counter.solves == 1 and counter.iterations == 0
         np.testing.assert_array_equal(x, x0)
         assert x is not x0
@@ -357,7 +359,7 @@ class TestSolver:
         b = RNG.normal(size=30)
         x0 = RNG.normal(size=30)
         counter = SolveCounter()
-        x = solve_spd(A, b, tol=1e-10, counter=counter, x0=x0)
+        x = solve_spd(A, b, precond=jacobi(A.diagonal()), tol=1e-10, counter=counter, x0=x0)
         assert counter.iterations > 0
         assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
 
@@ -408,9 +410,9 @@ class TestMultigrid:
         counter = SolveCounter()
         x = solve_spd(matrix, b, counter=counter,
                       precond=large_space.multigrid.preconditioner(matrix, key))
-        jacobi = SolveCounter()
-        x_jacobi = solve_spd(matrix, b, counter=jacobi)
-        assert counter.iterations <= 40 < jacobi.iterations
+        by_jacobi = SolveCounter()
+        x_jacobi = solve_spd(matrix, b, precond=jacobi(matrix.diagonal()), counter=by_jacobi)
+        assert counter.iterations <= 40 < by_jacobi.iterations
         assert np.linalg.norm(b - matrix @ x) <= 1e-10 * np.linalg.norm(b)
         assert np.linalg.norm(x - x_jacobi) <= 1e-8 * np.linalg.norm(x_jacobi)
 
@@ -486,7 +488,8 @@ class TestProjections:
             return np.zeros_like(x)
 
         first = space.l2_project(lambda x, y: np.sin(x) * y)
-        second_vals = solve_spd(space.mass, space.mass @ first, tol=1e-12)
+        second_vals = solve_spd(space.mass, space.mass @ first,
+                                precond=jacobi(space.mass.diagonal()), tol=1e-12)
         np.testing.assert_allclose(second_vals, first, atol=1e-9)
 
     def test_l2_projection_rate_h2(self):
@@ -612,19 +615,18 @@ class TestNorms:
     def test_energy_norm_pair(self):
         # the true-error quadrature against a zero exact solution is the
         # discrete pair norm sqrt(||v||_L2^2 + |u|_H1^2)
-        from wavest.harness import ErrorWork, wave_energy_error_at
+        from wavest.harness import wave_energy_error_at
         from wavest.newmark import WaveState
         space = FemSpace(generate_structured(4))
         v = RNG.normal(size=len(space.free))
         u = RNG.normal(size=len(space.free))
-        # the quadrature computes in the bound arrays, so each call hands out new ones
-        def zero_bind(x, y):
-            zero = lambda: np.zeros(x.shape)
-            return lambda t: (zero(), (zero(), zero()))
+        # the quadrature computes in the derivatives' arrays, so each call hands out new ones
+        def zero_derivatives(t, x, y):
+            return np.zeros(x.shape), (np.zeros(x.shape), np.zeros(x.shape))
         state = WaveState(t=0.0, u=u, v=v, f_h=np.zeros(space.mesh.n_vertices),
                           a=np.zeros(len(space.free)))
         expected = np.hypot(space.l2_norm(space.full(v)), space.h1_seminorm(u))
-        err = wave_energy_error_at(space, state, zero_bind, ErrorWork(space))
+        err = wave_energy_error_at(space, state, zero_derivatives)
         assert err == pytest.approx(expected, rel=1e-12)
 
     def test_zero_iff_zero(self):

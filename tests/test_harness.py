@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from wavest import grids, harness
-from wavest.fem import QUAD_BLOCK, FemSpace
+from wavest.fem import FemSpace
 from wavest.grids import TimeGrid, alternating_grid, build_grid, decaying_grid, uniform_grid
 from wavest.harness import (BENCH_COLUMNS, BENCH_REPEATS, BENCH_STEPS, BENCH_WARMUP,
                             ODE_COLUMNS, TRACE_COLUMNS, WAVE_COLUMNS,
-                            ErrorWork, ExperimentConfig, benchmark_estimators,
+                            ExperimentConfig, benchmark_estimators,
                             parse_config_file, parse_mesh_spec, rows_to_csv,
                             run_ode_experiment, run_wave_experiment,
                             wave_energy_error_at, wave_problem_from)
@@ -19,8 +19,8 @@ from wavest.mesh import Mesh, generate_structured
 from wavest.newmark import NewmarkWaveSolver
 from wavest.ode import OdeProblem, eta3_ode_samples, solve_newmark_ode
 
-from oracles import (bind, binder, element_gradients, jittered_crisscross,
-                     one_shot_energy_error, quad_points)
+from oracles import (derivatives, element_gradients, jittered_crisscross, one_shot_energy_error,
+                     quad_points)
 
 RNG = np.random.default_rng(5)
 
@@ -245,21 +245,21 @@ class TestManufactured:
         assert sol.dudt(t, x, y) == pytest.approx(dt, rel=1e-8)
 
     @pytest.mark.parametrize("make", [gaussian_pulse, standing_mode])
-    def test_bound_evaluator_bit_equal_to_callables(self, make):
-        # bind evaluates what does not depend on t once; the values must still
-        # be those of dudt and grad_u, bit for bit
+    def test_derivatives_bit_equal_to_callables(self, make):
+        # the pulse's derivatives evaluate the exponential once for both
+        # parts, the mode's oracle is written apart; the values must still be
+        # those of dudt and grad_u, bit for bit
         sol = make()
         space = FemSpace(jittered_crisscross(6))
         x, y = quad_points(space)
-        at = bind(sol, x, y)
         for t in (0.0, 0.37, 1.0):
-            dudt, (gx, gy) = at(t)
+            dudt, (gx, gy) = derivatives(sol)(t, x, y)
             ex, ey = sol.grad_u(t, x, y)
             assert np.array_equal(dudt, sol.dudt(t, x, y)), t
             assert np.array_equal(gx, ex) and np.array_equal(gy, ey), t
 
     def test_pulse_bit_equal_to_the_former_expressions(self):
-        # f and the bound evaluator compute in four arrays; the former
+        # f and the derivatives compute in four arrays; the former
         # expressions, kept here as the oracle, allocate their temporaries
         s = 100.0
 
@@ -288,16 +288,15 @@ class TestManufactured:
         sol = gaussian_pulse()
         space = FemSpace(jittered_crisscross(6))
         x, y = quad_points(space)
-        at = sol.bind(x, y)
         for t in [k / 16 for k in range(17)] + [0.123456789]:
             assert bits(sol.f(t, x, y)) == bits(former_f(t, x, y)), t
-            got, want = at(t), former_at(t, x, y)
+            got, want = sol.derivatives(t, x, y), former_at(t, x, y)
             for a, b in ((got[0], want[0]), (got[1][0], want[1][0]), (got[1][1], want[1][1])):
                 assert bits(a) == bits(b), t
             for px, py in ((0.31, 0.77), (0.3, 0.3), (x[5, 2], y[5, 2])):
                 value = sol.f(t, px, py)
                 assert np.ndim(value) == 0 and bits(value) == bits(former_f(t, px, py)), t
-                got, want = sol.bind(px, py)(t), former_at(t, px, py)
+                got, want = sol.derivatives(t, px, py), former_at(t, px, py)
                 assert bits([got[0], *got[1]]) == bits([want[0], *want[1]]), t
 
     def test_solution_names_are_exact(self):
@@ -384,7 +383,7 @@ class TestWaveExperiment:
             gz = lambda t, x, y: (np.zeros_like(np.asarray(x, float)),) * 2
             return ManufacturedSolution(name="zero", u=zero2, dudt=zero2,
                                         grad_u=gz, grad_dudt=gz, f=zero2,
-                                        bind=lambda x, y: lambda t: (0.0 * x, (0.0 * x, 0.0 * y)))
+                                        derivatives=lambda t, x, y: (0.0 * x, (0.0 * x, 0.0 * y)))
 
         orig = harness.get_solution
         harness.get_solution = fake_get
@@ -468,13 +467,12 @@ class TestWaveExperiment:
         sol = make()
         space = FemSpace(jittered_crisscross(6))
         solver = NewmarkWaveSolver(wave_problem_from(sol, 1.0), space)
-        exact = binder(sol)
         state = solver.initial_state()
         for tau in (0.05, 0.2, 0.03):
             state = solver.step(state, tau)
             oracle = einsum_energy_error(space, state, sol)
             assert oracle > 0
-            err = wave_energy_error_at(space, state, exact, ErrorWork(space))
+            err = wave_energy_error_at(space, state, derivatives(sol))
             assert err == pytest.approx(oracle, rel=1e-14)
 
     @pytest.mark.parametrize("make", [gaussian_pulse, standing_mode])
@@ -482,14 +480,13 @@ class TestWaveExperiment:
         sol = make()
         space = FemSpace(blocked_mesh)
         solver = NewmarkWaveSolver(wave_problem_from(sol, 1.0), space)
-        x, y = quad_points(space)
-        exact, work = binder(sol), ErrorWork(space)
+        exact = derivatives(sol)
         state = solver.initial_state()
         for tau in (0.05, 0.2, 0.03):
             state = solver.step(state, tau)
-            oracle = one_shot_energy_error(space, state, bind(sol, x, y))
+            oracle = one_shot_energy_error(space, state, exact)
             assert oracle > 0
-            assert wave_energy_error_at(space, state, exact, work) == oracle, state.t
+            assert wave_energy_error_at(space, state, exact) == oracle, state.t
 
     @pytest.mark.parametrize("mesh", [lambda: jittered_crisscross(6),
                                       lambda: generate_structured(56, "crisscross")],
@@ -503,9 +500,9 @@ class TestWaveExperiment:
         space = FemSpace(mesh())
         solver = NewmarkWaveSolver(wave_problem_from(sol, 1.0), space)
         error_at = sol.moments(space)
-        exact, work = binder(sol), ErrorWork(space)
+        exact = derivatives(sol)
         for state in solver.run(build_grid(rule, 1.0, N=200)):
-            oracle = wave_energy_error_at(space, state, exact, work)
+            oracle = wave_energy_error_at(space, state, exact)
             assert error_at(state) == pytest.approx(oracle, rel=1e-12), state.t
 
     @pytest.mark.parametrize("name, quadratures", [("gaussian", 7), ("mode", 0)])
@@ -525,7 +522,7 @@ class TestWaveExperiment:
 
     @pytest.mark.parametrize("make", [gaussian_pulse, standing_mode])
     def test_run_buffers_bit_equal_to_fresh_arrays(self, make):
-        # one set of buffers and one bound solution serve states at t1, t2
+        # the space's point buffers and one solution serve states at t1, t2
         # and t1 again: each value is the oracle's, so nothing leaks between states
         sol = make()
         space = FemSpace(jittered_crisscross(6))
@@ -534,11 +531,11 @@ class TestWaveExperiment:
         fresh = lambda t: (sol.dudt(t, x, y), sol.grad_u(t, x, y))
         s1 = solver.step(solver.initial_state(), 0.05)
         s2 = solver.step(s1, 0.2)
-        exact, work = binder(sol), ErrorWork(space)
+        exact = derivatives(sol)
         for state in (s1, s2, s1):
             oracle = fresh_array_energy_error(space, state, fresh)
             assert oracle > 0
-            assert wave_energy_error_at(space, state, exact, work) == oracle, state.t
+            assert wave_energy_error_at(space, state, exact) == oracle, state.t
 
     def test_rejects_a_solution_off_zero_on_the_boundary(self):
         # the pulse's center reaches the boundary at t = 1.32; by t = 1.05 the
@@ -560,7 +557,7 @@ class TestWaveExperiment:
         state = solver.initial_state()
         for _ in range(3):
             state = solver.step(state, 0.01)
-        err = wave_energy_error_at(space, state, binder(sol), ErrorWork(space))
+        err = wave_energy_error_at(space, state, sol.derivatives)
         # oracle: same evaluation on the uniformly refined mesh carrying the
         # prolongated P1 field (each triangle split in 4, same function)
         fine_mesh, prolong = refine_mesh_with_prolongation(mesh)
@@ -571,8 +568,7 @@ class TestWaveExperiment:
         fine_state = WaveState(t=state.t, u=fu[fine_space.free], v=fv[fine_space.free],
                                f_h=np.zeros(fine_mesh.n_vertices),
                                a=np.zeros(len(fine_space.free)))
-        oracle = wave_energy_error_at(fine_space, fine_state, binder(sol),
-                                      ErrorWork(fine_space))
+        oracle = wave_energy_error_at(fine_space, fine_state, sol.derivatives)
         assert abs(err - oracle) / oracle < 1e-3
 
 
@@ -612,32 +608,31 @@ def refine_mesh_with_prolongation(mesh):
 class TestMemoryGuard:
     """What a wave run keeps resident and allocates, per mesh vertex."""
 
-    # tracemalloc's peak over the run below, in bytes per vertex: about 5 %
-    # above the 1,349 B this layout takes (the layout before it, with a
+    # tracemalloc's peak over the run below, in bytes per vertex: about 12 %
+    # above the 1,269 B this layout takes (the layout before it, with a
     # full-vertex stiffness, six-slot jump rows, whole-mesh error buffers
     # and full older window nodes, took 1,784 B)
     PEAK_BYTES_PER_VERTEX = 1416
     # tracemalloc's current size after the run's last push, in bytes per
-    # vertex: 5 % above the 1,076 B of a space that derives its quadrature
-    # points per block (a space storing every triangle's points held 1,156 B)
+    # vertex: 14 % above the 993 B of a space that derives its quadrature
+    # points per block and a true error that keeps no buffers between states
+    # (a space storing every triangle's points held 1,156 B)
     LIVE_BYTES_PER_VERTEX = 1130
+    # tracemalloc's peak of one pulse true error at crisscross n=64, in
+    # bytes: 13 % above the 2,301,064 B it takes, so that one more
+    # (triangles, points) array of 16,384 x 7 doubles (917,504 B) exceeds it
+    ERROR_CALL_PEAK_BYTES = 2_600_000
 
     def test_peak_and_resident_layout(self, monkeypatch):
         import tracemalloc
 
-        works, live = [], []
-
-        class Work(ErrorWork):
-            def __init__(self, *args):
-                super().__init__(*args)
-                works.append(self)
+        live = []
 
         class Accumulator(harness.WaveEstimatorAccumulator):
             def push(self, state):
                 super().push(state)
                 live.append(tracemalloc.get_traced_memory()[0])
 
-        monkeypatch.setattr(harness, "ErrorWork", Work)
         monkeypatch.setattr(harness, "WaveEstimatorAccumulator", Accumulator)
         cfg = ExperimentConfig(kind="wave", mesh="structured:n=8:pattern=crisscross",
                                solution="gaussian", grid="uniform", N=4)
@@ -650,7 +645,7 @@ class TestMemoryGuard:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        space, work = acc.space, works[-1]
+        space = acc.space
         assert peak / space.mesh.n_vertices < self.PEAK_BYTES_PER_VERTEX
         # the stepping phase's live set, and no per-(triangle, point) array on the space
         assert len(live) == cfg.N + 1
@@ -674,12 +669,25 @@ class TestMemoryGuard:
             owner = values if values.base is None else values.base
             assert owner.nbytes == 4 * rows * values.itemsize
 
-        # the true error's gradient buffers hold one block of triangles
-        block = min(QUAD_BLOCK, space.mesh.n_triangles)
-        assert space.mesh.n_triangles > QUAD_BLOCK
-        assert work.nodal.shape == (block, 3)
-        assert work.grad.shape == (2, block)
+    def test_true_error_call_peak(self):
+        # one call's buffers hold one block of triangles at a time, apart
+        # from the all-vertex vectors and the (3, triangles) integral rows
+        import tracemalloc
 
+        sol = gaussian_pulse()
+        space = FemSpace(generate_structured(64, "crisscross"))
+        assert space.mesh.n_triangles > 2 * (space.blocks[0].stop - space.blocks[0].start)
+        solver = NewmarkWaveSolver(wave_problem_from(sol, 1.0), space)
+        state = solver.step(solver.initial_state(), 0.05)
+        error_at = harness.true_error_form(sol, space)
+        first = error_at(state)   # first calls (caches) stay out of the count
+        tracemalloc.start()
+        try:
+            assert error_at(state) == first
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.ERROR_CALL_PEAK_BYTES
 
     def test_boundary_trace_checked_in_chunks(self):
         # a long grid's times are checked a chunk at a time: one (times,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wavest.estimators import WaveEstimatorAccumulator
-from wavest.fem import FemSpace, SolveCounter, quadrature_rule, solve_spd
+from wavest.fem import FemSpace, SolveCounter, jacobi, quadrature_rule, solve_spd
 from wavest.grids import TimeGrid, alternating_grid, uniform_grid
 from wavest.manufactured import gaussian_pulse, standing_mode
 from wavest.mesh import generate_structured
@@ -50,7 +50,8 @@ def discrete_eigenpair(space, iters=40):
     w = np.sin(np.pi * space.mesh.vertices[space.free, 0]) \
         * np.sin(np.pi * space.mesh.vertices[space.free, 1])
     for _ in range(iters):
-        w = solve_spd(space.stiffness_ff, space.mass_ff @ w, tol=1e-13)
+        w = solve_spd(space.stiffness_ff, space.mass_ff @ w,
+                      precond=jacobi(space.stiffness_ff.diagonal()), tol=1e-13)
         w /= np.linalg.norm(w)
     lam = (w @ (space.stiffness_ff @ w)) / (w @ (space.mass_ff @ w))
     return w, lam
@@ -196,8 +197,9 @@ class TestStep:
 
         matrix, _ = space.shifted_system(tau * tau / 4.0)
         from_a, from_zero = SolveCounter(), SolveCounter()
-        x = solve_spd(matrix, rhs, tol=space.tol, counter=from_a, x0=a)
-        solve_spd(matrix, rhs, tol=space.tol, counter=from_zero)
+        precond = jacobi(matrix.diagonal())
+        x = solve_spd(matrix, rhs, precond=precond, tol=space.tol, counter=from_a, x0=a)
+        solve_spd(matrix, rhs, precond=precond, tol=space.tol, counter=from_zero)
         np.testing.assert_allclose(x, new.a, rtol=0, atol=1e-14 * np.abs(new.a).max())
         assert 0 < from_a.iterations < from_zero.iterations
 
