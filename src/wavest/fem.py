@@ -14,15 +14,18 @@ step matrix M_ff + s K_ff (``shifted_system``).  A P1 function is a plain
 coefficient array, on the free vertices (zero trace) or on all of them;
 ``FemSpace.full`` scatters the first kind into the second.
 
-Per-triangle integrals reach the vertices through one ``np.bincount`` over
-the triangles' vertex indices (``FemSpace.scatter``).  Work at the
-quadrature points runs over ``FemSpace.blocks``, consecutive runs of at most
-``QUAD_BLOCK`` triangles, so a block's (triangles, points) arrays stay in
-cache; an integrand ``g(x, y)`` is therefore called once per block and must
-be pointwise.  The space stores no quadrature points: ``block_points``
-derives a block's x and y at each call, by a gather of its corner
-coordinates and matrix products, into two block-sized buffers the space
-owns, so the arrays it returns hold until its next call.  A load vector is,
+Every space integrates with one rule, ``QUAD_RULE``, the 7-point rule
+exact to degree 5 (its points and weights are read-only arrays that every
+space shares as ``FemSpace.rule``).  Per-triangle integrals reach the
+vertices through one ``np.bincount`` over the triangles' vertex indices
+(``FemSpace.scatter``).  Work at the quadrature points runs over
+``FemSpace.blocks``, consecutive runs of at most ``QUAD_BLOCK`` triangles,
+so a block's (triangles, points) arrays stay in cache; an integrand
+``g(x, y)`` is therefore called once per block and must be pointwise.  The
+space stores no quadrature points: ``block_points`` derives a block's x and
+y at each call, by a gather of its corner coordinates and matrix products,
+into two block-sized buffers the space owns, so the arrays it returns hold
+until its next call.  A load vector is,
 per block, one matmul of the integrand's quadrature values with the rule's
 weights times its barycentric points, then scaled by the triangle areas
 (``load_rows``); the H1_0 projection's right-hand side is, per block, the
@@ -52,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -88,46 +92,26 @@ class SolveCounter:
         self.iterations += iters
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Barycentric points and weights on the reference triangle; weights sum to 1."""
+def _degree_five_rule():
+    """The 7-point degree-5 rule: barycentric points (7, 3), weights (7,) summing to 1."""
+    s15 = np.sqrt(15.0)
+    b1 = (6.0 + s15) / 21.0
+    b2 = (6.0 - s15) / 21.0
+    w1 = (155.0 + s15) / 1200.0
+    w2 = (155.0 - s15) / 1200.0
+    pts = [[1 / 3.0, 1 / 3.0, 1 / 3.0]]
+    wts = [9.0 / 40.0]
+    for b, w in ((b1, w1), (b2, w2)):
+        a = 1.0 - 2.0 * b
+        pts += [[a, b, b], [b, a, b], [b, b, a]]
+        wts += [w, w, w]
+    rule = SimpleNamespace(points=np.asarray(pts), weights=np.asarray(wts))
+    rule.points.flags.writeable = rule.weights.flags.writeable = False   # shared by every space
+    return rule
 
-    points: np.ndarray   # (q, 3)
-    weights: np.ndarray  # (q,)
-    degree: int
 
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        wts = np.asarray(self.weights, dtype=float)
-        if pts.shape != (len(wts), 3):
-            raise ValueError("points must be (q, 3) barycentric coordinates")
-        if not np.isclose(wts.sum(), 1.0, atol=1e-14):
-            raise ValueError("quadrature weights must sum to 1")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", wts)
-
-
-def quadrature_rule(degree) -> QuadratureRule:
-    """Centroid (degree 1), edge midpoints (degree 2) or the 7-point degree-5 rule."""
-    if degree <= 1:
-        return QuadratureRule(np.array([[1, 1, 1]]) / 3.0, np.array([1.0]), 1)
-    if degree <= 2:
-        pts = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-        return QuadratureRule(pts, np.full(3, 1.0 / 3.0), 2)
-    if degree <= 5:
-        s15 = np.sqrt(15.0)
-        b1 = (6.0 + s15) / 21.0
-        b2 = (6.0 - s15) / 21.0
-        w1 = (155.0 + s15) / 1200.0
-        w2 = (155.0 - s15) / 1200.0
-        pts = [[1 / 3.0, 1 / 3.0, 1 / 3.0]]
-        wts = [9.0 / 40.0]
-        for b, w in ((b1, w1), (b2, w2)):
-            a = 1.0 - 2.0 * b
-            pts += [[a, b, b], [b, a, b], [b, b, a]]
-            wts += [w, w, w]
-        return QuadratureRule(np.asarray(pts), np.asarray(wts), 5)
-    raise ValueError("available rules: degree 1, 2 and 5")
+# the quadrature rule of every space (``FemSpace.rule``)
+QUAD_RULE = _degree_five_rule()
 
 
 def assemble_mass(mesh, weights=1.0):
@@ -268,11 +252,13 @@ class Multigrid:
     Galerkin operators P^T A P on the coarse levels and a dense inverse on
     the coarsest.  The cycle is symmetric positive definite, a valid CG
     preconditioner.  The coarse operators of one matrix are kept, named by
-    ``key``, and rebuilt when the key changes, the old ones dropped first;
-    the build leaves those of the stiffness matrix, under the key
-    'stiffness'.  The restrictions P^T are stored as CSR, and every vector
-    of a cycle but its output, which is new at each call, lives in work
-    vectors allocated once per hierarchy.
+    ``key``, and rebuilt when the key changes, the old ones dropped first
+    (``FemSpace.shifted_system`` drops its V-cycle, which holds them, before
+    it asks for the next, so this holds through the space too); the build
+    leaves those of the stiffness matrix, under the key 'stiffness'.  The
+    restrictions P^T are stored as CSR, and every vector of a cycle but its
+    output, which is new at each call, lives in work vectors allocated once
+    per hierarchy.
     """
 
     def __init__(self, stiffness, xy, side):
@@ -363,9 +349,9 @@ class Multigrid:
 class FemSpace:
     """A mesh with its assembled P1 operators and quadrature geometry."""
 
-    def __init__(self, mesh, rule: Optional[QuadratureRule] = None, tol=1e-10):
+    def __init__(self, mesh, tol=1e-10):
         self.mesh = mesh
-        self.rule = rule if rule is not None else quadrature_rule(5)
+        self.rule = QUAD_RULE
         self.tol = tol
         self.free = mesh.free_vertices
         self.mass = assemble_mass(mesh)
@@ -418,6 +404,9 @@ class FemSpace:
         if self._shifted is None:
             self._shifted = share_pattern(self.mass_ff.copy(), self.mass_ff)
         if scale != self._scale:
+            # the old preconditioner goes first, as a V-cycle holds its coarse
+            # operators, and the old scale too, as a failed build leaves no scale current
+            self._shifted_precond = self._scale = None
             np.add(self.mass_ff.data, scale * self.stiffness_ff.data, out=self._shifted.data)
             multigrid = self.multigrid
             if multigrid is None:

@@ -56,10 +56,6 @@ class TimeGrid:
         return len(self.steps)
 
     @property
-    def final_time(self):
-        return float(self.points[-1])
-
-    @property
     def tau_final(self):
         return float(self.steps[-1])
 

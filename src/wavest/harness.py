@@ -9,8 +9,14 @@ same configuration are byte-identical.
 The true error of a solution without moments is a quadrature over the
 blocks of ``FemSpace.blocks``, against the solution's derivatives at the
 block's points, which ``FemSpace.block_points`` derives at each call; each
-call allocates its own buffers, so no run keeps the quadrature's arrays
-between states or stores the points of every triangle.
+call allocates its own buffers and holds one block's solution values at a
+time, so no run keeps the quadrature's arrays between states or stores the
+points of every triangle.
+
+A wave run, as a scalar one, takes its final time only from its grid: the
+grid rules check T (``ExperimentConfig.build_grid``) before any mesh is
+built, and the wave problem carries no copy of it.  Every space, the cost
+benchmark's included, integrates with the one rule ``fem.QUAD_RULE``.
 
 The cost benchmark's settings are module constants: ``BENCH_STEPS`` timed
 nodes after ``BENCH_WARMUP`` untimed ones, steps of ``BENCH_TAU``, and the
@@ -36,7 +42,7 @@ import numpy as np
 
 from . import ode
 from .estimators import WaveEstimatorAccumulator, eta3_step, eta5_step, node_diffs
-from .fem import FemSpace, SolveCounter, quadrature_rule
+from .fem import FemSpace, SolveCounter
 from .grids import TimeGrid, build_grid
 from .manufactured import ManufacturedSolution, get_solution
 from .mesh import generate_structured, read_mesh
@@ -191,11 +197,11 @@ def run_ode_experiment(config: ExperimentConfig):
 # -- wave problem -------------------------------------------------------------
 
 
-def wave_problem_from(solution: ManufacturedSolution, T) -> WaveProblem:
+def wave_problem_from(solution: ManufacturedSolution) -> WaveProblem:
     """The wave problem of a manufactured solution; a zero forcing becomes f = None."""
     grad_u0, grad_v0 = solution.initial_data()
     f = None if solution.zero_forcing else solution.f
-    return WaveProblem(f=f, grad_u0=grad_u0, grad_v0=grad_v0, T=T)
+    return WaveProblem(f=f, grad_u0=grad_u0, grad_v0=grad_v0)
 
 
 def _check_boundary_trace(solution: ManufacturedSolution, mesh, times):
@@ -235,9 +241,10 @@ def wave_energy_error_at(space: FemSpace, state, derivatives) -> float:
     ``derivatives(t, x, y)`` is the solution's ``ManufacturedSolution.derivatives``,
     called once per block of ``space.blocks`` on the block's quadrature points
     (``FemSpace.block_points``): it returns du/dt and (du/dx, du/dy) there in
-    new arrays, and each squared residual is computed in one of them.  The
-    per-triangle integrals fill three rows over all triangles block by block;
-    the sums over all triangles come last.
+    new arrays, and each squared residual is computed in one of them; they
+    are dropped before the next block's call.  The per-triangle integrals
+    fill three rows over all triangles block by block; the sums over all
+    triangles come last.
     """
     rule, area, tris, grads = space.rule, space.area, space.mesh.triangles, space.grads
     u, v = space.full(state.u), space.full(state.v)
@@ -261,6 +268,7 @@ def wave_energy_error_at(space: FemSpace, state, derivatives) -> float:
         r = np.matmul(np.take(v, tris[b], out=nodal, mode="clip"), at_points, out=gxy[0])
         np.square(np.subtract(r, dudt, out=r), out=r)
         np.matmul(r, rule.weights, out=velocity[b])
+        del dudt, gxy, r   # so the next block's arrays are not alive beside these
     err_sq = velocity @ area
     for row in h1_rows:   # velocity term first, as the tests' fresh-array oracle sums
         err_sq += row @ area
@@ -282,12 +290,12 @@ def true_error_form(solution: ManufacturedSolution, space: FemSpace):
 def run_wave_experiment(config: ExperimentConfig):
     """Integrate the wave problem, accumulating estimators and the true error online."""
     solution = get_solution(config.solution)
-    problem = wave_problem_from(solution, config.T)
+    problem = wave_problem_from(solution)
     grid = config.build_grid()
     mesh = parse_mesh_spec(config.mesh)
     _check_interior(mesh)
     _check_boundary_trace(solution, mesh, grid.points)
-    space = FemSpace(mesh, quadrature_rule(5), tol=config.tol)
+    space = FemSpace(mesh, tol=config.tol)
     solver = NewmarkWaveSolver(problem, space)
     acc = WaveEstimatorAccumulator(space)
     error_at = true_error_form(solution, space)
@@ -331,8 +339,8 @@ def benchmark_estimators(mesh):
     out of the comparison.  Returns the ``BENCH_COLUMNS`` rows of the paths.
     """
     _check_interior(mesh)
-    problem = wave_problem_from(get_solution("mode"), T=1.0)
-    space = FemSpace(mesh, quadrature_rule(2))
+    problem = wave_problem_from(get_solution("mode"))
+    space = FemSpace(mesh)
     solver = NewmarkWaveSolver(problem, space)
     state = solver.initial_state()
     states = [state]

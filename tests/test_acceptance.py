@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from wavest.estimators import WaveEstimatorAccumulator
-from wavest.fem import FemSpace, assemble_mass, assemble_stiffness, quadrature_rule
+from wavest.fem import FemSpace, assemble_mass, assemble_stiffness
 from wavest.grids import uniform_grid
 from wavest.harness import (BENCH_STEPS, ExperimentConfig, benchmark_estimators,
                             run_ode_experiment, run_wave_experiment,
@@ -302,7 +302,7 @@ class TestCriterion6:
         # (a) one-step states satisfy the two-step displacement recurrence
         sol = gaussian_pulse()
         space = FemSpace(generate_structured(10), tol=1e-13)
-        solver = NewmarkWaveSolver(wave_problem_from(sol, 1.0), space)
+        solver = NewmarkWaveSolver(wave_problem_from(sol), space)
         states = [solver.initial_state()]
         taus = [0.02, 0.012, 0.02, 0.007, 0.015]
         for tau in taus:
@@ -321,7 +321,7 @@ class TestCriterion6:
             max_resid = max(max_resid, np.linalg.norm(resid) / scale)
         # (b) discrete energy conservation over 200 steps with f = 0
         space2 = FemSpace(generate_structured(8), tol=1e-12)
-        solver2 = NewmarkWaveSolver(wave_problem_from(standing_mode(), 1.0), space2)
+        solver2 = NewmarkWaveSolver(wave_problem_from(standing_mode()), space2)
         state = solver2.initial_state()
         e0 = solver2.discrete_energy(state)
         drift = 0.0
@@ -435,7 +435,7 @@ class TestCriterion9:
         # counter part: exact auxiliary-solve counts over a full run; the
         # 5-point count is of real solve_spd calls inside its path
         space = FemSpace(generate_structured(6), tol=1e-10)
-        solver = NewmarkWaveSolver(wave_problem_from(gaussian_pulse(), 1.0), space)
+        solver = NewmarkWaveSolver(wave_problem_from(gaussian_pulse()), space)
         acc = WaveEstimatorAccumulator(space)
         grid = uniform_grid(10, T=1.0)
         for state in solver.run(grid):

@@ -169,7 +169,7 @@ class TestTimeSamples:
 
 def _problem(sol):
     grad_u0, grad_v0 = sol.initial_data()
-    return WaveProblem(f=sol.f, grad_u0=grad_u0, grad_v0=grad_v0, T=1.0)
+    return WaveProblem(f=sol.f, grad_u0=grad_u0, grad_v0=grad_v0)
 
 
 def scaled_jumps(space, full_values):

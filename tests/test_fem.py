@@ -5,7 +5,7 @@ import pytest
 
 from wavest import fem
 from wavest.fem import (MULTIGRID_MIN_FREE, FemSpace, Multigrid, SolveCounter, SolverError,
-                        assemble_mass, assemble_stiffness, jacobi, quadrature_rule, solve_spd)
+                        assemble_mass, assemble_stiffness, jacobi, solve_spd)
 from wavest.manufactured import gaussian_pulse
 from wavest.mesh import Mesh, generate_structured
 
@@ -53,16 +53,23 @@ def subdivided_load_oracle(space, g, levels=1):
 
 class TestQuadrature:
     def test_weights_sum_to_one(self):
-        for deg in (1, 2, 5):
-            assert quadrature_rule(deg).weights.sum() == pytest.approx(1.0, abs=1e-14)
+        assert fem.QUAD_RULE.weights.sum() == pytest.approx(1.0, abs=1e-14)
+        assert fem.QUAD_RULE.points.shape == (7, 3)
+        np.testing.assert_allclose(fem.QUAD_RULE.points.sum(axis=1), 1.0, rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("degree", [1, 2, 5])
+    def test_one_read_only_rule_shared_by_every_space(self):
+        spaces = FemSpace(single_right_triangle()), FemSpace(generate_structured(2))
+        assert all(space.rule is fem.QUAD_RULE for space in spaces)
+        for values in (fem.QUAD_RULE.points, fem.QUAD_RULE.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.0
+
+    @pytest.mark.parametrize("degree", [5])
     def test_monomial_exactness(self, degree):
         # integrate x^p y^q over the reference triangle; exact value is
         # p! q! / (p + q + 2)!
         from math import factorial
-        rule = quadrature_rule(degree)
-        space = FemSpace(single_right_triangle(), rule)
+        space = FemSpace(single_right_triangle())
         for p in range(degree + 1):
             for q in range(degree + 1 - p):
                 exact = factorial(p) * factorial(q) / factorial(p + q + 2)
@@ -168,14 +175,6 @@ class TestLoads:
         np.add.at(patch, m.triangles.ravel(), np.repeat(m.areas, 3))
         np.testing.assert_allclose(b, patch / 3.0, rtol=1e-13)
 
-    def test_linear_load_exact_with_degree_two(self):
-        m = generate_structured(2)
-        space = FemSpace(m, quadrature_rule(2))
-        g = lambda x, y: 3.0 * x - y + 0.5
-        b2 = space.assemble_load(g)
-        b5 = FemSpace(m, quadrature_rule(5)).assemble_load(g)
-        np.testing.assert_allclose(b2, b5, rtol=1e-12, atol=1e-15)
-
     def test_gaussian_load_against_refinement_oracle(self):
         # isolate the rule error: assemble the same loads with every element
         # split into 4 subtriangles (doubling the quadrature resolution)
@@ -183,7 +182,7 @@ class TestLoads:
         sol = gaussian_pulse()
         g = lambda x, y: sol.u(0.0, x, y)
         m = generate_structured(96)
-        space = FemSpace(m, quadrature_rule(5))
+        space = FemSpace(m)
         b = space.assemble_load(g)
         oracle = subdivided_load_oracle(space, g, levels=1)
         oracle2 = subdivided_load_oracle(space, g, levels=2)
@@ -327,7 +326,7 @@ class TestSolver:
             solve_spd(A, np.ones(2), precond=jacobi(A.diagonal()))
         with pytest.raises(SolverError, match="matrix diagonal is not positive"):
             jacobi(np.array([1.0, -2.0]))
-        space = FemSpace(generate_structured(20, "crisscross"), quadrature_rule(1))
+        space = FemSpace(generate_structured(20, "crisscross"))
         multigrid = Multigrid(space.stiffness_ff, space.mesh.vertices[space.free],
                               2.0 * space.mesh.h)
         with pytest.raises(SolverError, match="matrix diagonal is not positive"):
@@ -376,7 +375,7 @@ def large_space(request):
         angle = rng.uniform(0.0, 2.0 * np.pi, size=free.sum())
         verts[free] += radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
         mesh = Mesh(vertices=verts, triangles=mesh.triangles, boundary_vertex=mesh.boundary_vertex)
-    return FemSpace(mesh, quadrature_rule(1))
+    return FemSpace(mesh)
 
 
 def step_matrix(space, tau):
@@ -386,12 +385,23 @@ def step_matrix(space, tau):
 class TestMultigrid:
     def test_none_below_the_threshold(self):
         # the n=100 diagonal mesh of the cost benchmark stays on Jacobi
-        space = FemSpace(generate_structured(100), quadrature_rule(1))
+        space = FemSpace(generate_structured(100))
         assert len(space.free) < MULTIGRID_MIN_FREE
         assert space.multigrid is None
         system, precond = space.shifted_system(1.0 / 1024)
         r = RNG.normal(size=system.shape[0])
         assert precond(r).tobytes() == (r / system.diagonal()).tobytes()
+
+    def test_a_failed_rebuild_leaves_no_stale_system(self):
+        # a scale whose preconditioner cannot be formed leaves the kept
+        # matrix rewritten: the scale before it must not be taken as current
+        space = FemSpace(generate_structured(6))
+        space.shifted_system(0.25)
+        with pytest.raises(SolverError, match="matrix diagonal is not positive"):
+            space.shifted_system(-1.0)
+        system, _ = space.shifted_system(0.25)
+        np.testing.assert_array_equal(system.data,
+                                      space.mass_ff.data + 0.25 * space.stiffness_ff.data)
 
     @pytest.mark.parametrize("key", ["stiffness", 1.0 / 16])
     def test_vcycle_symmetric_and_positive(self, large_space, key):
@@ -452,7 +462,7 @@ class TestMultigrid:
 
         from wavest import fem
 
-        space = FemSpace(generate_structured(40, "crisscross"), quadrature_rule(1))
+        space = FemSpace(generate_structured(40, "crisscross"))
         multigrid = Multigrid(space.stiffness_ff, space.mesh.vertices[space.free],
                               2.0 * space.mesh.h)
         assert len(multigrid._levels) >= 2
@@ -467,6 +477,29 @@ class TestMultigrid:
         monkeypatch.setattr(fem, "_jacobi_weights", spy)
         multigrid.preconditioner(step_matrix(space, 1.0 / 16), 1.0 / 16)
         assert alive_during_build == [False] * len(multigrid.prolongators)
+        assert old() is None
+
+    def test_old_coarse_operators_freed_before_a_rebuild_through_the_space(self, monkeypatch):
+        # the space keeps the V-cycle of its last scale, which holds that
+        # scale's operators: a rebuild after the first drops it before the
+        # next scale's operators are built
+        import weakref
+
+        monkeypatch.setattr(fem, "MULTIGRID_MIN_FREE", 0)
+        space = FemSpace(generate_structured(40, "crisscross"))
+        space.shifted_system(1.0 / 64)
+        assert len(space.multigrid._levels) >= 2
+        old = weakref.ref(space.multigrid._levels[1][0])
+        alive_during_build = []
+        jacobi_weights = fem._jacobi_weights
+
+        def spy(matrix):
+            alive_during_build.append(old() is not None)
+            return jacobi_weights(matrix)
+
+        monkeypatch.setattr(fem, "_jacobi_weights", spy)
+        space.shifted_system(1.0 / 256)
+        assert alive_during_build == [False] * len(space.multigrid.prolongators)
         assert old() is None
 
 
@@ -599,17 +632,11 @@ class TestNorms:
         vals = g(m.vertices[:, 0], m.vertices[:, 1])
         norm = space.l2_norm(vals)
         # the interpolant is piecewise P1; its square is integrated exactly
-        # by any rule of degree >= 2, so compare degree-2 and degree-5 rules
-        oracle_sq = 0.0
-        for rule_deg in (2, 5):
-            sp2 = FemSpace(m, quadrature_rule(rule_deg))
-            w = vals[m.triangles]
-            at_q = np.einsum("tb,qb->tq", w, sp2.rule.points)
-            val = np.einsum("tq,q,t->", at_q ** 2, sp2.rule.weights, sp2.area)
-            if rule_deg == 2:
-                oracle_sq = val
-            else:
-                assert val == pytest.approx(oracle_sq, rel=1e-13)
+        # by the degree-5 rule, so compare it with the exact element integrals
+        oracle_sq = element_l2_sq(space, vals).sum()
+        at_q = np.einsum("tb,qb->tq", vals[m.triangles], space.rule.points)
+        val = np.einsum("tq,q,t->", at_q ** 2, space.rule.weights, space.area)
+        assert val == pytest.approx(oracle_sq, rel=1e-13)
         assert norm == pytest.approx(np.sqrt(oracle_sq), rel=1e-12)
 
     def test_energy_norm_pair(self):

@@ -55,7 +55,7 @@ class TestGrids:
     def test_uniform(self):
         g = uniform_grid(100, 1.0)
         np.testing.assert_allclose(g.steps, 0.01, rtol=1e-13)
-        assert g.final_time == 1.0
+        assert g.points[-1] == 1.0
         assert g.max_step_ratio == pytest.approx(1.0)
 
     def test_alternating_from_n(self):
@@ -466,7 +466,7 @@ class TestWaveExperiment:
     def test_true_error_against_einsum_oracle(self, make):
         sol = make()
         space = FemSpace(jittered_crisscross(6))
-        solver = NewmarkWaveSolver(wave_problem_from(sol, 1.0), space)
+        solver = NewmarkWaveSolver(wave_problem_from(sol), space)
         state = solver.initial_state()
         for tau in (0.05, 0.2, 0.03):
             state = solver.step(state, tau)
@@ -479,7 +479,7 @@ class TestWaveExperiment:
     def test_blocked_quadrature_bit_equal_to_one_shot(self, make, blocked_mesh):
         sol = make()
         space = FemSpace(blocked_mesh)
-        solver = NewmarkWaveSolver(wave_problem_from(sol, 1.0), space)
+        solver = NewmarkWaveSolver(wave_problem_from(sol), space)
         exact = derivatives(sol)
         state = solver.initial_state()
         for tau in (0.05, 0.2, 0.03):
@@ -498,7 +498,7 @@ class TestWaveExperiment:
         # expanded about 0 rather than I s loses digits
         sol = standing_mode()
         space = FemSpace(mesh())
-        solver = NewmarkWaveSolver(wave_problem_from(sol, 1.0), space)
+        solver = NewmarkWaveSolver(wave_problem_from(sol), space)
         error_at = sol.moments(space)
         exact = derivatives(sol)
         for state in solver.run(build_grid(rule, 1.0, N=200)):
@@ -526,7 +526,7 @@ class TestWaveExperiment:
         # and t1 again: each value is the oracle's, so nothing leaks between states
         sol = make()
         space = FemSpace(jittered_crisscross(6))
-        solver = NewmarkWaveSolver(wave_problem_from(sol, 1.0), space)
+        solver = NewmarkWaveSolver(wave_problem_from(sol), space)
         x, y = quad_points(space)
         fresh = lambda t: (sol.dudt(t, x, y), sol.grad_u(t, x, y))
         s1 = solver.step(solver.initial_state(), 0.05)
@@ -547,13 +547,25 @@ class TestWaveExperiment:
                                              r"boundary at t = 1\.05, above the bound 0\.001 "):
             run_wave_experiment(cfg)
 
+    @pytest.mark.parametrize("T", [np.nan, np.inf, 0.0], ids=["nan", "inf", "zero"])
+    def test_rejects_a_final_time_that_is_not_finite_and_positive(self, T, monkeypatch):
+        # the run takes its times from the grid, whose rules check T before
+        # any mesh or space is built
+        def never(*_args, **_kwargs):
+            raise AssertionError("built for a final time the grid rejects")
+
+        for name in ("parse_mesh_spec", "FemSpace"):
+            monkeypatch.setattr(harness, name, never)
+        with pytest.raises(ValueError, match=f"^T must be a finite positive number, "
+                                             f"got {T!r}$"):
+            run_wave_experiment(ExperimentConfig(kind="wave", mesh="structured:n=4", N=8, T=T))
+
     def test_quadrature_refinement_sanity_for_true_error(self):
         # degree-5 rule vs element-subdivided evaluation differ well below 0.1%
-        from wavest.fem import quadrature_rule
         sol = gaussian_pulse()
         mesh = generate_structured(28)
-        space = FemSpace(mesh, quadrature_rule(5), tol=1e-10)
-        solver = NewmarkWaveSolver(wave_problem_from(sol, 1.0), space)
+        space = FemSpace(mesh, tol=1e-10)
+        solver = NewmarkWaveSolver(wave_problem_from(sol), space)
         state = solver.initial_state()
         for _ in range(3):
             state = solver.step(state, 0.01)
@@ -561,7 +573,7 @@ class TestWaveExperiment:
         # oracle: same evaluation on the uniformly refined mesh carrying the
         # prolongated P1 field (each triangle split in 4, same function)
         fine_mesh, prolong = refine_mesh_with_prolongation(mesh)
-        fine_space = FemSpace(fine_mesh, quadrature_rule(5))
+        fine_space = FemSpace(fine_mesh)
         from wavest.newmark import WaveState
         fu = prolong @ space.full(state.u)
         fv = prolong @ space.full(state.v)
@@ -619,9 +631,10 @@ class TestMemoryGuard:
     # (a space storing every triangle's points held 1,156 B)
     LIVE_BYTES_PER_VERTEX = 1130
     # tracemalloc's peak of one pulse true error at crisscross n=64, in
-    # bytes: 13 % above the 2,301,064 B it takes, so that one more
-    # (triangles, points) array of 16,384 x 7 doubles (917,504 B) exceeds it
-    ERROR_CALL_PEAK_BYTES = 2_600_000
+    # bytes: 11 % above the 1,842,056 B it takes, so that keeping the
+    # previous block's solution values alive beside the next block's
+    # (2,301,096 B) exceeds it
+    ERROR_CALL_PEAK_BYTES = 2_050_000
 
     def test_peak_and_resident_layout(self, monkeypatch):
         import tracemalloc
@@ -677,7 +690,7 @@ class TestMemoryGuard:
         sol = gaussian_pulse()
         space = FemSpace(generate_structured(64, "crisscross"))
         assert space.mesh.n_triangles > 2 * (space.blocks[0].stop - space.blocks[0].start)
-        solver = NewmarkWaveSolver(wave_problem_from(sol, 1.0), space)
+        solver = NewmarkWaveSolver(wave_problem_from(sol), space)
         state = solver.step(solver.initial_state(), 0.05)
         error_at = harness.true_error_form(sol, space)
         first = error_at(state)   # first calls (caches) stay out of the count

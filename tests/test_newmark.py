@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wavest.estimators import WaveEstimatorAccumulator
-from wavest.fem import FemSpace, SolveCounter, jacobi, quadrature_rule, solve_spd
+from wavest.fem import FemSpace, SolveCounter, jacobi, solve_spd
 from wavest.grids import TimeGrid, alternating_grid, uniform_grid
 from wavest.manufactured import gaussian_pulse, standing_mode
 from wavest.mesh import generate_structured
@@ -17,17 +17,17 @@ from oracles import element_gradients
 RNG = np.random.default_rng(11)
 
 
-def make_problem(solution, T=1.0):
+def make_problem(solution):
     grad_u0, grad_v0 = solution.initial_data()
-    return WaveProblem(f=solution.f, grad_u0=grad_u0, grad_v0=grad_v0, T=T)
+    return WaveProblem(f=solution.f, grad_u0=grad_u0, grad_v0=grad_v0)
 
 
 def zero_gradient(x, y):
     return np.zeros_like(x), np.zeros_like(x)
 
 
-def zero_problem(T=1.0):
-    return WaveProblem(f=None, grad_u0=zero_gradient, grad_v0=zero_gradient, T=T)
+def zero_problem():
+    return WaveProblem(f=None, grad_u0=zero_gradient, grad_v0=zero_gradient)
 
 
 def gradient_field(space, w):
@@ -79,8 +79,7 @@ class TestInitialState:
     def test_idempotent_on_p1_data(self):
         space = FemSpace(generate_structured(4), tol=1e-12)
         w = RNG.normal(size=len(space.free))
-        problem = WaveProblem(f=None, grad_u0=gradient_field(space, w), grad_v0=zero_gradient,
-                              T=1.0)
+        problem = WaveProblem(f=None, grad_u0=gradient_field(space, w), grad_v0=zero_gradient)
         s0 = NewmarkWaveSolver(problem, space).initial_state()
         np.testing.assert_allclose(s0.u, w, atol=1e-9)
 
@@ -211,7 +210,7 @@ class TestStep:
         m = float(space.mass_ff.toarray()[0, 0])
         k = float(space.stiffness_ff.toarray()[0, 0])
         sol = standing_mode()
-        problem = WaveProblem(f=None, grad_u0=sol.initial_data()[0], grad_v0=zero_gradient, T=1.0)
+        problem = WaveProblem(f=None, grad_u0=sol.initial_data()[0], grad_v0=zero_gradient)
         grid = alternating_grid(n_steps=20, T=1.0, small=0.01)
         states = list(NewmarkWaveSolver(problem, space).run(grid))
         u = np.array([s.u[0] for s in states])
@@ -236,8 +235,7 @@ class TestStep:
         # cos(sqrt(lam) t) w exactly, so the time error is isolated
         space = FemSpace(generate_structured(6), tol=1e-13)
         w, lam = discrete_eigenpair(space)
-        problem = WaveProblem(f=None, grad_u0=gradient_field(space, w), grad_v0=zero_gradient,
-                              T=1.0)
+        problem = WaveProblem(f=None, grad_u0=gradient_field(space, w), grad_v0=zero_gradient)
         errs = []
         for n_steps in (25, 50, 100):
             solver = NewmarkWaveSolver(problem, space)
@@ -285,7 +283,7 @@ class TestForcedScalarCase:
         u, du, g, moving, (n_steps, small) = self.CASES[case]
         grad_v0 = gradient_field(space, np.ones(1)) if moving else zero_gradient
         problem = WaveProblem(f=lambda t, x, y: g(A, t) * centre_hat(x, y),
-                              grad_u0=zero_gradient, grad_v0=grad_v0, T=1.0)
+                              grad_u0=zero_gradient, grad_v0=grad_v0)
         grid = alternating_grid(n_steps=n_steps, T=1.0, small=small)
         acc = WaveEstimatorAccumulator(space)
         states = []
@@ -316,7 +314,7 @@ class TestForcedScalarCase:
 class TestRun:
     def test_zero_run_emits_zero_states(self):
         space = FemSpace(generate_structured(3))
-        solver = NewmarkWaveSolver(zero_problem(T=0.3), space)
+        solver = NewmarkWaveSolver(zero_problem(), space)
         grid = TimeGrid(np.array([0.0, 0.1, 0.2, 0.3]))
         states = list(solver.run(grid))
         assert len(states) == 4
@@ -332,15 +330,3 @@ class TestRun:
             runs.append([s.u.copy() for s in solver.run(grid)])
         for a, b in zip(*runs):
             np.testing.assert_array_equal(a, b)
-
-    @pytest.mark.parametrize("T", [np.nan, np.inf, 0.0], ids=["nan", "inf", "zero"])
-    def test_rejects_a_final_time_that_is_not_finite_and_positive(self, T):
-        with pytest.raises(ValueError, match=f"^final time T must be a finite positive number, "
-                                             f"got {T!r}$"):
-            zero_problem(T=T)
-
-    def test_grid_must_span_problem_horizon(self):
-        space = FemSpace(generate_structured(3))
-        solver = NewmarkWaveSolver(zero_problem(T=1.0), space)
-        with pytest.raises(ValueError):
-            list(solver.run(TimeGrid(np.array([0.0, 0.25, 0.5]))))
