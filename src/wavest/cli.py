@@ -6,12 +6,16 @@ Usage:
     wavest ode  --config run.cfg --A 1000        # flags override the file
 
 Config files are line-oriented 'key = value'.  Their keys are the fields of
-``ExperimentConfig``: exactly the flag names (kind, A, N, grid, tau0, taustar,
-mesh, T, tol, out, trace) plus solution (the manufactured solution of a wave
-run: gaussian or mode); any other key is an error, and so is a setting the
-kind does not read (mesh or solution for ode, A for wave, anything but mesh
-and out for bench).  Every flag given overrides the file.  Exit code is 0 on
-success and 1 with a diagnostic on stderr otherwise.
+``ExperimentConfig``: exactly the flag names (kind, A, N, grid, tau0, mesh,
+T, tol, out, trace) plus solution (the manufactured solution of a wave run:
+gaussian or mode); any other key is an error, and so is a setting the kind
+does not read (mesh or solution for ode, A for wave, anything but mesh and
+out for bench).  Every flag given overrides the file.  Exit code is 0 on
+success and 1 with a diagnostic on stderr for a setting rejected after
+parsing (config keys and values included).  A command line that argparse
+rejects (an unknown flag, a --grid outside the choices, a value of the
+wrong type) exits 2 with argparse's usage message; ``main`` called in
+process raises ``SystemExit(2)`` for it.
 """
 
 from __future__ import annotations
@@ -35,10 +39,9 @@ def build_parser():
     p.add_argument("--config", help="key = value configuration file")
     p.add_argument("--A", type=float, help="stiffness constant of the scalar model")
     p.add_argument("--N", type=int, help="number of time steps")
-    p.add_argument("--grid", choices=("uniform", "alt10", "alt100", "decay", "decay-literal"),
+    p.add_argument("--grid", choices=("uniform", "alt10", "alt100", "decay"),
                    help="time grid rule")
     p.add_argument("--tau0", type=float, help="initial step of the decaying rule")
-    p.add_argument("--taustar", type=float, help="base step of the alternating rules")
     p.add_argument("--mesh", help="structured:n=K:pattern=diagonal|crisscross or file:PATH")
     p.add_argument("--T", type=float, help="final time")
     p.add_argument("--tol", type=float, help="linear solver tolerance")
@@ -48,14 +51,14 @@ def build_parser():
 
 
 # config-file values are strings: the numeric fields' casts (the others stay strings)
-CASTS = {"A": float, "N": int, "tau0": float, "taustar": float, "T": float, "tol": float}
+CASTS = {"A": float, "N": int, "tau0": float, "T": float, "tol": float}
 
 
 # the settings each kind reads (ode accepts tol, which its runs do not use, so
 # one command-line tail serves every kind)
 SETTINGS_READ = {
-    "ode": {"A", "grid", "N", "tau0", "taustar", "T", "tol", "out", "trace"},
-    "wave": {"mesh", "solution", "grid", "N", "tau0", "taustar", "T", "tol", "out", "trace"},
+    "ode": {"A", "grid", "N", "tau0", "T", "tol", "out", "trace"},
+    "wave": {"mesh", "solution", "grid", "N", "tau0", "T", "tol", "out", "trace"},
     "bench": {"mesh", "out"},
 }
 

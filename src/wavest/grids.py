@@ -1,9 +1,10 @@
 """Time grid construction: uniform, alternating, and decaying step rules.
 
-The decaying rule caps its step multiplier 1/sqrt(t_n) at ``DECAY_CAP``
-(the literal rule does not cap it).  Before building, each rule bounds its
-step count from its settings and rejects a grid that could take more than
-``MAX_STEPS`` steps.
+Each rule builds its grid from one setting: the uniform and alternating
+rules from the step count N, the decaying rule from its first step tau0.
+The decaying rule caps its step multiplier 1/sqrt(t_n) at ``DECAY_CAP``.
+Before building, each rule bounds its step count from its setting and
+rejects a grid that could take more than ``MAX_STEPS`` steps.
 """
 
 from __future__ import annotations
@@ -88,52 +89,30 @@ def uniform_grid(n_steps, T):
     return TimeGrid(np.linspace(0.0, T, n_steps + 1), rule=f"uniform(N={n_steps})")
 
 
-def alternating_grid(T, small, n_steps=None, taustar=None):
-    """Alternating steps (small*taustar, taustar, small*taustar, ...).
+def alternating_grid(n_steps, T, small):
+    """Alternating steps (small*taustar, taustar, small*taustar, ...) over an even step count.
 
-    Either ``n_steps`` (even; taustar is then chosen so the grid lands
-    exactly on T) or ``taustar`` may be given.  With ``taustar`` given, steps
-    are emitted until T is reached and the last step is truncated.
+    taustar is chosen so the grid lands exactly on T.
     """
     _check_positive("T", T)
     if not 0 < small <= 1:
         raise ValueError("small-step fraction must lie in (0, 1]")
-    if (n_steps is None) == (taustar is None):
-        raise ValueError("give exactly one of n_steps or taustar")
-    if n_steps is not None:
-        if n_steps % 2 != 0 or n_steps < 2:
-            raise ValueError("alternating grids need an even step count")
-        _check_size("alternating", n_steps)
-        taustar = 2.0 * T / (n_steps * (1.0 + small))
-        steps = np.empty(n_steps)
-        steps[0::2] = small * taustar
-        steps[1::2] = taustar
-    else:
-        _check_positive("taustar", taustar)
-        # each pair of steps but the last advances (1 + small) taustar
-        _check_size("alternating", 2.0 * T / ((1.0 + small) * taustar) + 2.0)
-        steps_list = []
-        t = 0.0
-        k = 0
-        while t < T and not np.isclose(t, T, rtol=0.0, atol=1e-14 * T):
-            s = small * taustar if k % 2 == 0 else taustar
-            s = min(s, T - t)
-            steps_list.append(s)
-            t += s
-            k += 1
-        steps = np.array(steps_list)
+    if n_steps % 2 != 0 or n_steps < 2:
+        raise ValueError("alternating grids need an even step count")
+    _check_size("alternating", n_steps)
+    taustar = 2.0 * T / (n_steps * (1.0 + small))
+    steps = np.empty(n_steps)
+    steps[0::2] = small * taustar
+    steps[1::2] = taustar
     pts = np.concatenate(([0.0], np.cumsum(steps)))
     pts[-1] = T
     return TimeGrid(pts, rule=f"alternating(small={small})")
 
 
-def decaying_grid(tau0, T, literal=False):
-    """Decaying step rule tau_n = tau0 / sqrt(t_n), starting with t1 = tau0.
+def decaying_grid(tau0, T):
+    """Decaying step rule tau_n = tau0 * min(DECAY_CAP, 1/sqrt(t_n)), starting with t1 = tau0.
 
-    The literal rule jumps from tau0 to tau0/sqrt(tau0) at the second step;
-    by default the multiplier is capped at ``DECAY_CAP`` and the final step
-    is truncated so the grid lands exactly on T.  Pass ``literal=True`` for the
-    uncapped variant.
+    The final step is truncated so the grid lands exactly on T.
     """
     _check_positive("T", T)
     _check_positive("tau0", tau0)
@@ -141,54 +120,39 @@ def decaying_grid(tau0, T, literal=False):
         raise ValueError("tau0 must lie in (0, T)")
     # after t1 = tau0 every step but the last is at least tau0 times the
     # multiplier at T
-    least = T ** -0.5 if literal else min(DECAY_CAP, T ** -0.5)
-    _check_size("decay-literal" if literal else "decay", 2.0 + (T - tau0) / (tau0 * least))
+    _check_size("decay", 2.0 + (T - tau0) / (tau0 * min(DECAY_CAP, T ** -0.5)))
     pts = [0.0, tau0]
     while pts[-1] < T:
         t = pts[-1]
-        mult = t ** -0.5
-        if not literal:
-            mult = min(DECAY_CAP, mult)
-        step = tau0 * mult
+        step = tau0 * min(DECAY_CAP, t ** -0.5)
         if step <= 0:
             raise ValueError("decay rule produced a non-positive step")
         pts.append(min(t + step, T))
     pts[-1] = T
-    name = "decay-literal" if literal else f"decay(cap={DECAY_CAP:g})"
-    return TimeGrid(np.asarray(pts), rule=f"{name}, tau0={tau0:g}")
+    return TimeGrid(np.asarray(pts), rule=f"decay(cap={DECAY_CAP:g}), tau0={tau0:g}")
 
 
-# the settings each grid rule reads; build_grid rejects any other it is given
-RULE_SETTINGS = {"uniform": ("N",), "alt10": ("N", "taustar"), "alt100": ("N", "taustar"),
-                 "decay": ("tau0",), "decay-literal": ("tau0",)}
+# the setting each grid rule reads; build_grid rejects any other it is given
+RULE_SETTINGS = {"uniform": "N", "alt10": "N", "alt100": "N", "decay": "tau0"}
 
 
-def build_grid(rule, T, N=None, tau0=None, taustar=None):
-    """Dispatch by rule name: uniform | alt10 | alt100 | decay | decay-literal.
+def build_grid(rule, T, N=None, tau0=None):
+    """Dispatch by rule name: uniform | alt10 | alt100 | decay.
 
-    ``uniform`` needs N; the alternating rules need N or taustar; the
-    decaying rules need tau0.  A setting the rule does not read is an error.
+    The uniform and alternating rules need N; the decaying rule needs tau0.
+    A setting the rule does not read is an error.
     """
     if rule not in RULE_SETTINGS:
         raise ValueError(f"unknown grid rule: {rule!r}")
-    given = {"N": N, "tau0": tau0, "taustar": taustar}
-    unused = [k for k, v in given.items() if v is not None and k not in RULE_SETTINGS[rule]]
-    if unused:
-        raise ValueError(f"the {rule} grid does not use {' or '.join(unused)}")
+    given = {"N": N, "tau0": tau0}
+    setting = RULE_SETTINGS[rule]
+    for name, value in given.items():
+        if value is not None and name != setting:
+            raise ValueError(f"the {rule} grid does not use {name}")
+    if given[setting] is None:
+        raise ValueError(f"the {rule} grid needs {setting}")
     if rule == "uniform":
-        if N is None:
-            raise ValueError("the uniform grid needs N")
         return uniform_grid(int(N), T)
-    if rule in ("alt10", "alt100"):
-        if N is None and taustar is None:
-            raise ValueError(f"the {rule} grid needs N or taustar")
-        small = 0.1 if rule == "alt10" else 0.01
-        return alternating_grid(
-            n_steps=int(N) if N is not None else None,
-            T=T,
-            small=small,
-            taustar=taustar,
-        )
-    if tau0 is None:
-        raise ValueError(f"the {rule} grid needs tau0")
-    return decaying_grid(float(tau0), T, literal=rule == "decay-literal")
+    if rule == "decay":
+        return decaying_grid(float(tau0), T)
+    return alternating_grid(int(N), T, small=0.1 if rule == "alt10" else 0.01)

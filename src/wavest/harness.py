@@ -19,8 +19,10 @@ built, and the wave problem carries no copy of it.  Every space, the cost
 benchmark's included, integrates with the one rule ``fem.QUAD_RULE``.
 
 The cost benchmark's settings are module constants: ``BENCH_STEPS`` timed
-nodes after ``BENCH_WARMUP`` untimed ones, steps of ``BENCH_TAU``, and the
-best of ``BENCH_REPEATS`` evaluations per node.
+windows of three nodes, of which the first ``BENCH_WARMUP`` are also
+evaluated once untimed before any timing, steps of ``BENCH_TAU``, and the
+best of ``BENCH_REPEATS`` evaluations per window.  It steps just far enough
+to build the ``BENCH_STEPS + 2`` nodes its windows read.
 
 The drivers call ``parse_mesh_spec``, ``FemSpace``, ``build_grid``,
 ``get_solution``, ``generate_structured``/``read_mesh`` and
@@ -76,7 +78,6 @@ class ExperimentConfig:
     grid: str = "uniform"
     N: Optional[int] = None
     tau0: Optional[float] = None
-    taustar: Optional[float] = None
     T: float = 1.0
     # numerics
     tol: float = 1e-10
@@ -86,7 +87,7 @@ class ExperimentConfig:
 
     def build_grid(self) -> TimeGrid:
         """The run's time grid; one of fewer than 4 steps fails here, before any mesh is built."""
-        grid = build_grid(self.grid, self.T, N=self.N, tau0=self.tau0, taustar=self.taustar)
+        grid = build_grid(self.grid, self.T, N=self.N, tau0=self.tau0)
         if grid.n_steps < 4:
             raise ValueError("the 5-point estimator needs at least 4 steps")
         return grid
@@ -321,10 +322,10 @@ def run_wave_experiment(config: ExperimentConfig):
 
 
 BENCH_COLUMNS = ("path", "n_vertices", "steps", "seconds_per_step", "aux_solves")
-BENCH_STEPS = 8      # interior nodes timed
-BENCH_WARMUP = 2     # nodes evaluated untimed first
+BENCH_STEPS = 8      # windows timed
+BENCH_WARMUP = 2     # leading windows evaluated once untimed first
 BENCH_TAU = 1e-3     # step of the prepared states
-BENCH_REPEATS = 3    # evaluations per node; the best counts
+BENCH_REPEATS = 3    # evaluations per window; the best counts
 
 
 def benchmark_estimators(mesh):
@@ -332,11 +333,12 @@ def benchmark_estimators(mesh):
 
     Integration cost is excluded: the states and each node's second
     differences (shared by both paths) are built once, then each estimator
-    is evaluated per node as ``WaveEstimatorAccumulator.push`` calls it,
-    timing only the estimator work and counting the 3-point path's mass
-    solves.  The reported per-step time is the median over nodes of the best
-    of ``BENCH_REPEATS`` evaluations, which keeps one-off allocation spikes
-    out of the comparison.  Returns the ``BENCH_COLUMNS`` rows of the paths.
+    is evaluated per window of three nodes as
+    ``WaveEstimatorAccumulator.push`` calls it, timing only the estimator
+    work and counting the 3-point path's mass solves.  The reported per-step
+    time is the median over windows of the best of ``BENCH_REPEATS``
+    evaluations, which keeps one-off allocation spikes out of the
+    comparison.  Returns the ``BENCH_COLUMNS`` rows of the paths.
     """
     _check_interior(mesh)
     problem = wave_problem_from(get_solution("mode"))
@@ -344,7 +346,7 @@ def benchmark_estimators(mesh):
     solver = NewmarkWaveSolver(problem, space)
     state = solver.initial_state()
     states = [state]
-    for _ in range(4 + BENCH_STEPS):
+    for _ in range(3 + BENCH_STEPS):
         state = solver.step(state, BENCH_TAU)
         states.append(state)
     nodes = [node_diffs(space, states[k:k + 3]) for k in range(len(states) - 2)]

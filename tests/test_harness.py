@@ -66,12 +66,6 @@ class TestGrids:
         assert g.points[-1] == 1.0
         assert g.max_step_ratio == pytest.approx(10.0, rel=1e-9)
 
-    def test_alternating_from_taustar_truncates(self):
-        g = alternating_grid(T=1.0, taustar=0.03, small=0.1)
-        assert g.points[-1] == 1.0
-        assert np.all(g.steps > 0)
-        assert g.steps.sum() == pytest.approx(1.0, abs=1e-15)
-
     def test_decaying_capped(self):
         g = decaying_grid(0.01, 1.0)
         assert g.points[1] == pytest.approx(0.01)
@@ -80,14 +74,6 @@ class TestGrids:
         # interior steps follow tau0 / sqrt(t)
         k = len(g.steps) // 2
         assert g.steps[k] == pytest.approx(0.01 / np.sqrt(g.points[k]), rel=1e-12)
-
-    def test_decaying_literal_variant(self):
-        lit = decaying_grid(0.04, 1.0, literal=True)
-        cap = decaying_grid(0.04, 1.0)
-        # literal multiplier at t1 = tau0 is 1/sqrt(tau0) = 5 < 10: identical
-        np.testing.assert_allclose(lit.steps, cap.steps)
-        lit2 = decaying_grid(0.005, 1.0, literal=True)
-        assert lit2.steps[1] == pytest.approx(0.005 / np.sqrt(0.005))
 
     def test_dispatcher(self):
         assert build_grid("uniform", 1.0, N=10).n_steps == 10
@@ -99,8 +85,6 @@ class TestGrids:
 
     @pytest.mark.parametrize("make, message", [
         (lambda: decaying_grid(0.029687284364218212, 1.0), r"final step 8e-07 .* is 2\.66e-05 "),
-        (lambda: alternating_grid(T=1.0, taustar=0.0660066003300165, small=0.01),
-         r"final step 5e-09 .* is 7\.58e-08 "),
     ])
     def test_warns_on_a_sliver_final_step(self, make, message):
         # the grid stays as the rule builds it; only the warning is added
@@ -119,11 +103,11 @@ class TestGrids:
 
     @pytest.mark.parametrize("rule, settings, unused", [
         ("uniform", {"N": 10, "tau0": 0.1}, "tau0"),
-        ("uniform", {"N": 10, "taustar": 0.1}, "taustar"),
+        ("uniform", {"tau0": 0.1}, "tau0"),   # reported as unused, not as N missing
         ("alt10", {"N": 10, "tau0": 0.1}, "tau0"),
-        ("alt100", {"taustar": 0.1, "tau0": 0.1}, "tau0"),
-        ("decay", {"tau0": 0.1, "N": 10, "taustar": 0.1}, "N or taustar"),
-        ("decay-literal", {"tau0": 0.1, "N": 10}, "N"),
+        ("alt100", {"N": 10, "tau0": 0.1}, "tau0"),
+        ("decay", {"tau0": 0.1, "N": 10}, "N"),
+        ("decay", {"N": 10}, "N"),
     ])
     def test_rejects_settings_the_rule_does_not_use(self, rule, settings, unused):
         with pytest.raises(ValueError, match=f"^the {rule} grid does not use {unused}$"):
@@ -134,9 +118,8 @@ class TestGrids:
         ("uniform", {"N": 10}, "T"),
         ("alt10", {"N": 4}, "T"),
         ("decay", {"tau0": 0.1}, "T"),   # T = inf: the decaying rule's loop would never end
-        ("alt10", {"taustar": None}, "taustar"),
         ("decay", {"tau0": None}, "tau0"),
-    ], ids=["uniform-T", "alt10-T", "decay-T", "alt10-taustar", "decay-tau0"])
+    ], ids=["uniform-T", "alt10-T", "decay-T", "decay-tau0"])
     def test_rejects_a_setting_that_is_not_finite(self, rule, settings, bad, value):
         settings = {k: value if k == bad else v for k, v in settings.items()}
         T = value if bad == "T" else 1.0
@@ -146,10 +129,8 @@ class TestGrids:
     @pytest.mark.parametrize("make, steps", [
         (lambda: uniform_grid(10 ** 10, 1.0), r"1e\+10"),
         (lambda: alternating_grid(T=1.0, small=0.1, n_steps=2 * 10 ** 7), r"2e\+07"),
-        (lambda: alternating_grid(T=1.0, small=0.01, taustar=1e-9), r"1\.980198e\+09"),
         (lambda: decaying_grid(1e-9, 1.0), r"1e\+09"),
-        (lambda: decaying_grid(1e-9, 1.0, literal=True), r"1e\+09"),
-    ], ids=["uniform", "alt-N", "alt-taustar", "decay", "decay-literal"])
+    ], ids=["uniform", "alt-N", "decay"])
     def test_rejects_a_grid_above_max_steps(self, make, steps):
         # the rule bounds its step count before building anything, so a call
         # that would build for minutes fails at once
@@ -160,13 +141,9 @@ class TestGrids:
     @pytest.mark.parametrize("make", [
         lambda: uniform_grid(100, 1.0),
         lambda: alternating_grid(T=1.0, small=0.1, n_steps=180),
-        lambda: alternating_grid(T=1.0, small=0.1, taustar=0.03),
-        lambda: alternating_grid(T=2.0, small=0.01, taustar=0.05),
         lambda: decaying_grid(0.01, 1.0),
-        lambda: decaying_grid(0.005, 1.0, literal=True),
         lambda: decaying_grid(0.01, 4.0),   # multipliers below 1 after t = 1
-    ], ids=["uniform", "alt-N", "alt-taustar", "alt100-taustar", "decay", "decay-literal",
-            "decay-T4"])
+    ], ids=["uniform", "alt-N", "decay", "decay-T4"])
     def test_step_bound_covers_the_grid(self, make, monkeypatch):
         # each rule's bound is at least the steps it builds: with MAX_STEPS
         # one below that count, the rule refuses
@@ -806,10 +783,10 @@ class TestCli:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, error", [
-        (["ode", "--grid", "decay-literal", "--tau0", "0.01"], None),
-        (["ode", "--grid", "alt10", "--taustar", "0.01"], None),
+        (["ode", "--grid", "decay", "--tau0", "0.01"], None),
+        (["ode", "--grid", "alt10", "--N", "180"], None),
         (["ode", "--grid", "decay"], "the decay grid needs tau0"),
-        (["ode", "--grid", "alt100"], "the alt100 grid needs N or taustar"),
+        (["ode", "--grid", "alt100"], "the alt100 grid needs N"),
         (["wave", "--mesh", "structured:n=2", "--grid", "uniform"], "the uniform grid needs N"),
         (["ode", "--N", "10", "--tau0", "0.1"], "the uniform grid does not use tau0"),
         (["ode", "--grid", "decay", "--tau0", "0.1", "--N", "10"], "the decay grid does not use N"),
@@ -822,6 +799,30 @@ class TestCli:
             assert err == ""
         else:
             assert err == f"wavest: error: {error}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["ode", "--grid", "alt10", "--taustar", "0.1"],
+        ["ode", "--grid", "decay-literal", "--tau0", "0.01"],
+    ], ids=["taustar", "decay-literal"])
+    def test_a_command_line_argparse_rejects_exits_2(self, argv, capsys):
+        # argparse rejects it before main's own handling: SystemExit(2) in process
+        from wavest.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: wavest")
+
+    @pytest.mark.parametrize("setting, error", [
+        ("grid = alt10\ntaustar = 0.1", "unknown config key 'taustar'"),
+        ("grid = decay-literal\ntau0 = 0.01", "unknown grid rule: 'decay-literal'"),
+    ], ids=["taustar", "decay-literal"])
+    def test_a_retired_grid_setting_in_a_config_file_fails(self, setting, error, tmp_path,
+                                                            capsys):
+        from wavest.cli import main
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"kind = ode\n{setting}\n")
+        assert main(["--config", str(cfgfile)]) == 1
+        assert capsys.readouterr().err == f"wavest: error: {error}\n"
 
     @pytest.mark.parametrize("argv", [
         ["wave", "--mesh", "structured:n=100:pattern=crisscross", "--grid", "uniform", "--N", "3"],
@@ -998,7 +999,7 @@ class TestCli:
         rows = [dict(zip(BENCH_COLUMNS, line.split(","))) for line in lines]
         assert [r["path"] for r in rows] == ["eta3", "eta5"]
         assert all(r["n_vertices"] == "49" and r["steps"] == str(BENCH_STEPS) for r in rows)
-        # one auxiliary solve per timed node on the 3-point path, none on the 5-point
+        # one auxiliary solve per timed window on the 3-point path, none on the 5-point
         assert [r["aux_solves"] for r in rows] == [rows[0]["steps"], "0"]
         assert all(float(r["seconds_per_step"]) > 0 for r in rows)
 
@@ -1010,7 +1011,19 @@ class TestBenchmark:
         assert all(set(r) == set(BENCH_COLUMNS) for r in rows)
         eta3, eta5 = rows
         assert eta3["aux_solves"] == BENCH_STEPS and eta5["aux_solves"] == 0
-        # warm-up, then every repeat at each timed node
+        # warm-up, then every repeat at each timed window
         assert len(eta5_solves) == BENCH_WARMUP + BENCH_STEPS * BENCH_REPEATS
         assert sum(eta5_solves) == 0
         assert eta3["seconds_per_step"] > 0
+
+    def test_builds_only_the_nodes_its_windows_read(self, monkeypatch):
+        # BENCH_STEPS windows of three consecutive nodes read BENCH_STEPS + 2 nodes
+        calls, node_diffs = [], harness.node_diffs
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return node_diffs(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "node_diffs", counted)
+        benchmark_estimators(generate_structured(6))
+        assert len(calls) == BENCH_STEPS + 2
