@@ -26,8 +26,9 @@ differences of its newest node only; the two older nodes keep what the
 A problem without forcing carries no projection of f (``WaveState.f_h`` is
 None): its nodes have no d2 f, and the 3-point residual and the space
 estimator's volume residuals skip the forcing terms, which would be zeros.
-J is built through ``fem.sparse`` and M_h by ``fem.assemble_mass``, so this
-module imports no scipy of its own.
+J is built through ``fem.sparse``, and the space estimator's h_K^2-weighted
+mass matrix M_h is the space's (``FemSpace.h_mass``), so this module
+imports no scipy of its own.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .fem import QUAD_BLOCK, FemSpace, SolveCounter, assemble_mass, share_pattern, sparse
+from .fem import QUAD_BLOCK, FemSpace, SolveCounter, sparse
 from .newmark import WaveState
 from .stencils import eta3_increments, eta5_increments, hat_second_diff, second_diff
 
@@ -124,18 +125,15 @@ class SpaceEstimatorAccumulator:
 
     ``jump`` is the operator J, assembled once, from all-vertex values to
     h_E [n . grad u]_E on every interior edge, so the jump sum is ||J u||^2;
-    each row holds its 4 non-zeros in ascending column order.  ``h_mass`` is
-    M_h = ``assemble_mass(mesh, h_K^2)``, the mass matrix with each
-    triangle's contribution scaled by h_K^2, so the volume sum is
-    r . (M_h r); it shares the mass matrix's index arrays and keeps only its
-    own values.
+    each row holds its 4 non-zeros in ascending column order.  The volume
+    sum is r . (M_h r) with the space's ``h_mass``, M_h, the mass matrix
+    with each triangle's contribution scaled by h_K^2.
     """
 
     space: FemSpace
     part1_max: float = field(init=False, default=0.0)
     part2_sum: float = field(init=False, default=0.0)
     jump: Any = field(init=False, repr=False)    # CSR, (interior edges, vertices)
-    h_mass: Any = field(init=False, repr=False)  # CSR, (vertices, vertices)
 
     def __post_init__(self):
         # row E: h_E times the normal components of the hat gradients on the
@@ -160,12 +158,11 @@ class SpaceEstimatorAccumulator:
             data[4 * lo:4 * edges.stop], indices[4 * lo:4 * edges.stop] = rows.data, rows.indices
         self.jump = sp.csr_matrix((data, indices, np.arange(0, 4 * ne + 1, 4, dtype=np.int32)),
                                   shape=(ne, mesh.n_vertices))
-        self.h_mass = share_pattern(assemble_mass(mesh, mesh.h_K ** 2), self.space.mass)
 
     def _part(self, residual, u) -> float:
         """sum_K h_K^2 ||residual||_{L2(K)}^2 + ||J u||^2."""
         ju = self.jump @ u
-        return float(residual @ (self.h_mass @ residual) + ju @ ju)
+        return float(residual @ (self.space.h_mass @ residual) + ju @ ju)
 
     def update(self, states, node: NodeDiffs):
         s0, s1, s2 = states

@@ -1,18 +1,20 @@
 """P1 finite element kernels on triangulations.
 
-``assemble_mass`` (with per-triangle weights: the mass matrix and the space
-estimator's h_K^2-weighted M_h are one assembly) and ``assemble_stiffness``
-(from the mesh's hat gradients) assemble over the full vertex set as scipy
-CSR; homogeneous Dirichlet conditions are imposed by restriction to the
-free (non-boundary) vertices, which keeps every system symmetric positive
-definite.  ``FemSpace`` bundles a mesh with its operators, quadrature
-geometry and the index bookkeeping the time steppers and estimators need.
-It keeps the full-vertex mass matrix (loads, L2 projections and norms of
-all-vertex functions) but only the free-vertex stiffness; the free-vertex
-mass and stiffness share one ``indices``/``indptr`` pair, as does the kept
-step matrix M_ff + s K_ff (``shifted_system``).  A P1 function is a plain
-coefficient array, on the free vertices (zero trace) or on all of them;
-``FemSpace.full`` scatters the first kind into the second.
+Every P1 matrix is assembled on one pattern per mesh, the vertex
+adjacency of ``EdgeSlots`` (the mass matrix with per-triangle weights, so
+M and the space estimator's h_K^2-weighted M_h are one assembly, and the
+stiffness from the mesh's hat gradients).  Homogeneous Dirichlet
+conditions are imposed by restriction to the free (non-boundary) vertices,
+which keeps every system symmetric positive definite.  ``FemSpace``
+bundles a mesh with its operators, quadrature geometry and the index
+bookkeeping the time steppers and estimators need.  It keeps the
+full-vertex mass matrix (loads, L2 projections and norms of all-vertex
+functions) and M_h on one ``indices``/``indptr`` pair but only the
+free-vertex stiffness; the free-vertex mass and stiffness share another
+pair, as does the kept step matrix M_ff + s K_ff (``shifted_system``).  A
+P1 function is a plain coefficient array, on the free vertices (zero
+trace) or on all of them; ``FemSpace.full`` scatters the first kind into
+the second.
 
 Every space integrates with one rule, ``QUAD_RULE``, the 7-point rule
 exact to degree 5 (its points and weights are read-only arrays that every
@@ -59,6 +61,8 @@ from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
+
+from .mesh import sorted_sides
 
 QUAD_BLOCK = 4096            # triangles per block of the quadrature-point work
 MULTIGRID_MIN_FREE = 10_000  # free vertices from which the stiffness and shifted solves use Multigrid
@@ -114,40 +118,104 @@ def _degree_five_rule():
 QUAD_RULE = _degree_five_rule()
 
 
-def assemble_mass(mesh, weights=1.0):
-    """Full-vertex mass matrix (CSR, sorted), entries integral(w phi_i phi_j).
+class EdgeSlots:
+    """The CSR pattern of a mesh's vertex adjacency and the place of every P1 entry in it.
 
-    ``weights`` holds w, a positive constant per triangle (or one for all).
-    The P1 local mass is (area / 12)(1 1^T + I), so with T the
-    triangle-vertex incidence (three ones per row) and w area / 12 on the
-    diagonal of D the matrix is T^T D T + diag(T^T D 1).
+    Each distinct key of ``mesh.sorted_sides`` is one edge, boundary edges
+    included.  Row r of the pattern (int32 ``indptr`` and ``indices``) holds
+    r's neighbours below r, r itself and its neighbours above r, ascending.
+    ``side_edges`` maps each side, in ``sorted_sides``' order before the
+    sort, to its edge; ``edge_slots`` (2, edges) holds each edge's entry in
+    the row of its lower and of its higher endpoint, and ``diagonal`` each
+    vertex's entry.
+
+    A matrix on the pattern (``matrix``) is one data array written by two
+    ``np.bincount``s: an edge's entries sum the local entries of its sides
+    (at most two terms, which commute) and a vertex's diagonal entry its
+    local diagonal entries in triangle order.  Zeros stay stored, so every
+    matrix of one mesh has the pattern.
     """
-    sp, nt = sparse(), mesh.n_triangles
-    scale = weights * mesh.areas / 12.0
-    rows = (mesh.triangles.ravel().astype(np.int32), np.arange(0, 3 * nt + 1, 3, dtype=np.int32))
-    incidence = sp.csr_matrix((np.ones(3 * nt), *rows), shape=(nt, mesh.n_vertices))
-    weighted = sp.csr_matrix((np.repeat(scale, 3), *rows), shape=incidence.shape)
-    mass = (incidence.T @ weighted + sp.diags(incidence.T @ scale)).tocsr()
-    mass.sort_indices()
-    return mass
+
+    def __init__(self, mesh):
+        self.mesh = mesh
+        nv = mesh.n_vertices
+        key, order = sorted_sides(mesh.triangles, nv)
+        new = np.empty(len(key), dtype=bool)
+        new[:1] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        self.side_edges = np.empty(len(key), dtype=np.intp)
+        self.side_edges[order] = np.cumsum(new) - 1
+        lo, hi = np.divmod(key[new], nv)
+        below, above = np.bincount(hi, minlength=nv), np.bincount(lo, minlength=nv)
+        self.indptr = np.zeros(nv + 1, dtype=np.int32)
+        np.cumsum(below + above + 1, out=self.indptr[1:])
+        self.diagonal = self.indptr[:-1] + below
+        # the edges come sorted by (lo, hi), so those of one lower endpoint
+        # are consecutive; a stable sort by the higher endpoint makes those
+        # of one higher endpoint consecutive too, their lower ones ascending
+        edge = np.arange(len(lo))
+        first_above = np.cumsum(above) - above
+        first_below = np.cumsum(below) - below
+        self.edge_slots = np.empty((2, len(lo)), dtype=np.intp)
+        self.edge_slots[0] = (self.diagonal + 1 - first_above)[lo] + edge
+        by_hi = np.argsort(hi, kind="stable")
+        self.edge_slots[1, by_hi] = (self.indptr[:-1] - first_below)[hi[by_hi]] + edge
+        self.indices = np.empty(self.indptr[-1], dtype=np.int32)
+        self.indices[self.diagonal] = np.arange(nv)
+        self.indices[self.edge_slots[0]] = hi
+        self.indices[self.edge_slots[1]] = lo
+
+    def matrix(self, sides, diagonal):
+        """The matrix of local side entries (3 nt, as ``side_edges``) and diagonal ones (nt, 3)."""
+        mesh = self.mesh
+        data = np.empty(len(self.indices))
+        data[self.edge_slots] = np.bincount(self.side_edges, weights=sides,
+                                            minlength=self.edge_slots.shape[1])
+        data[self.diagonal] = np.bincount(mesh.triangles.ravel(), weights=diagonal.ravel(),
+                                          minlength=mesh.n_vertices)
+        return _on_pattern(data, self.indices, self.indptr)
+
+    def mass(self, weights=1.0):
+        """The mass matrix, entries integral(w phi_i phi_j).
+
+        ``weights`` holds w, a positive constant per triangle (or one for
+        all); the P1 local mass is (w area / 12)(1 1^T + I).
+        """
+        scale = weights * self.mesh.areas / 12.0
+        return self.matrix(np.tile(scale, 3), np.repeat(2.0 * scale, 3))
+
+    def stiffness(self):
+        """The stiffness matrix, entries integral(grad phi_i . grad phi_j).
+
+        A local entry is (g_i,x g_j,x) area + (g_i,y g_j,y) area for the
+        mesh's hat gradients g, rounded as the einsum of the whole local
+        matrices rounds it.
+        """
+        area, grads = self.mesh.areas[:, None], self.mesh.grads
+        gx, gy = grads[:, :, 0], grads[:, :, 1]
+        sides = gx * gx[:, [1, 2, 0]] * area + gy * gy[:, [1, 2, 0]] * area
+        return self.matrix(sides.T.ravel(), gx * gx * area + gy * gy * area)
+
+    def restrict(self, kept):
+        """The pattern's entries in the rows and columns the vertex mask ``kept`` keeps.
+
+        Returns the mask over the pattern's entries and the index arrays of
+        the restricted pattern, on the kept vertices numbered in order.
+        """
+        entries = np.repeat(kept, np.diff(self.indptr)) & kept[self.indices]
+        number = (np.cumsum(kept) - 1).astype(np.int32)
+        before = np.zeros(len(entries) + 1, dtype=np.int32)
+        np.cumsum(entries, out=before[1:])
+        return entries, number[self.indices[entries]], before[self.indptr[np.r_[kept, True]]]
 
 
-def share_pattern(matrix, like):
-    """Give the CSR ``matrix`` the index arrays of ``like``, whose sparsity pattern it must have."""
-    if not (np.array_equal(matrix.indptr, like.indptr)
-            and np.array_equal(matrix.indices, like.indices)):
-        raise ValueError("the two matrices must share one sparsity pattern")
-    matrix.indices, matrix.indptr = like.indices, like.indptr
+def _on_pattern(data, indices, indptr):
+    """The square CSR matrix of ``data`` that holds the given index arrays themselves."""
+    n = len(indptr) - 1
+    matrix = sparse().csr_matrix((data, indices, indptr), shape=(n, n))
+    # the constructor keeps views of them: matrices on one pattern share the objects
+    matrix.indices, matrix.indptr = indices, indptr
     return matrix
-
-
-def assemble_stiffness(mesh):
-    """Full-vertex stiffness matrix (CSR), entries integral(grad phi_i . grad phi_j)."""
-    grads, tris = mesh.grads, mesh.triangles.astype(np.int32)
-    data = np.einsum("tid,tjd,t->tij", grads, grads, mesh.areas).ravel()
-    indices = np.repeat(tris, 3, axis=1).ravel(), np.tile(tris, 3).ravel()
-    n = mesh.n_vertices
-    return sparse().coo_matrix((data, indices), shape=(n, n)).tocsr()
 
 
 def jacobi(diagonal) -> Callable:
@@ -354,11 +422,16 @@ class FemSpace:
         self.rule = QUAD_RULE
         self.tol = tol
         self.free = mesh.free_vertices
-        self.mass = assemble_mass(mesh)
-        self.mass_ff = self.mass[self.free][:, self.free].tocsr()
-        # one pair of index arrays for the free-vertex mass and stiffness
-        self.stiffness_ff = share_pattern(
-            assemble_stiffness(mesh)[self.free][:, self.free], self.mass_ff)
+        # M, M_h (the space estimator's h_K^2-weighted mass) and a transient
+        # full stiffness on one pattern, then M_ff and K_ff on its free part;
+        # the slots go once the matrices are built
+        slots = EdgeSlots(mesh)
+        entries, *pattern = slots.restrict(~mesh.boundary_vertex)
+        self.stiffness_ff = _on_pattern(slots.stiffness().data[entries], *pattern)
+        self.mass = slots.mass()
+        self.mass_ff = _on_pattern(self.mass.data[entries], *pattern)
+        self.h_mass = slots.mass(mesh.h_K ** 2)
+        del slots, entries
         self.grads, self.area = mesh.grads, mesh.areas
         # the preconditioners of the mass solves (loads' L2 projections, the
         # initial acceleration, the auxiliary solves)
@@ -402,7 +475,8 @@ class FemSpace:
         own arithmetic, so it divides by the bits of the matrix's diagonal.
         """
         if self._shifted is None:
-            self._shifted = share_pattern(self.mass_ff.copy(), self.mass_ff)
+            self._shifted = _on_pattern(self.mass_ff.data.copy(), self.mass_ff.indices,
+                                        self.mass_ff.indptr)
         if scale != self._scale:
             # the old preconditioner goes first, as a V-cycle holds its coarse
             # operators, and the old scale too, as a failed build leaves no scale current

@@ -1,7 +1,8 @@
 """Conforming 2D triangulations with interior-edge adjacency.
 
 Meshes are immutable; each triangle's area, h_K and P1 hat gradients are
-computed once, at construction.  Interior edges are stored as two parallel
+computed once, at construction, from its three side vectors (1-D takes of
+the x and y coordinates).  Interior edges are stored as two parallel
 int32 index arrays (endpoints, adjacent triangles); the space estimator's
 jump operator derives the edges' normals from them.
 
@@ -61,9 +62,9 @@ class Mesh:
         if not used.all():
             raise MeshError(f"dangling vertices: {np.flatnonzero(~used).tolist()}")
 
-        p0, p1, p2 = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
-        signed = 0.5 * ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
-                        - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
+        # side k of a triangle runs from its vertex k to vertex k + 1, (3, nt) per axis
+        ex, ey = _side_vectors(verts, tris)
+        signed = _signed_areas(ex, ey)
         if not np.all(np.isfinite(signed)):
             raise MeshError("triangle area overflows: coordinates too large")
         if np.any(signed == 0):
@@ -76,17 +77,15 @@ class Mesh:
         object.__setattr__(self, "boundary_vertex", bnd)
         object.__setattr__(self, "areas", signed)
 
-        edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-        lengths = np.linalg.norm(verts[edges[:, 1]] - verts[edges[:, 0]], axis=1)
-        if not np.all(np.isfinite(lengths)):
+        sides = np.sqrt(ex * ex + ey * ey)
+        if not np.all(np.isfinite(sides)):
             raise MeshError("triangle side length overflows: coordinates too large")
-        object.__setattr__(self, "h_K", lengths.reshape(3, -1).max(axis=0))
+        object.__setattr__(self, "h_K", sides.max(axis=0))
         # grads[t, i]: the constant gradient of the hat of local vertex i on
-        # triangle t, the side a -> b opposite i turned by 90 degrees, over 2 area
+        # triangle t, the side opposite i (side i + 1) turned by 90 degrees, over 2 area
         grads = np.empty((len(tris), 3, 2))
-        for i, (a, b) in enumerate(((p1, p2), (p2, p0), (p0, p1))):
-            np.subtract(a[:, 1], b[:, 1], out=grads[:, i, 0])
-            np.subtract(b[:, 0], a[:, 0], out=grads[:, i, 1])
+        np.negative(ey[[1, 2, 0]].T, out=grads[:, :, 0])
+        grads[:, :, 1] = ex[[1, 2, 0]].T
         grads /= (2.0 * signed)[:, None, None]
         object.__setattr__(self, "grads", grads)
 
@@ -110,7 +109,6 @@ class Mesh:
         # divided one side at a time so no quotient overflows; a triangle's
         # smallest angle is at most 60 degrees and any other corner's sine is
         # larger, so the smallest sine is that of the smallest angle
-        sides = lengths.reshape(3, -1)
         sines = (2.0 * signed / sides) / np.roll(sides, 1, axis=0)
         object.__setattr__(self, "min_angle", float(np.arcsin(sines.min())))
 
@@ -131,6 +129,42 @@ class Mesh:
         return np.flatnonzero(~self.boundary_vertex)
 
 
+def _side_vectors(verts, tris):
+    """x and y of side k of every triangle, from its vertex k to vertex k + 1, (3, nt) each."""
+    out = []
+    for coord in verts.T:
+        corner = np.take(coord, tris.T)
+        side = np.empty_like(corner)
+        np.subtract(corner[1:], corner[:-1], out=side[:2])
+        np.subtract(corner[0], corner[2], out=side[2])
+        out.append(side)
+    return out
+
+
+def _signed_areas(ex, ey):
+    """Signed triangle areas from the side vectors, positive for counter-clockwise corners.
+
+    Half the cross product of side 0 (p1 - p0) and p2 - p0, the negated side 2.
+    """
+    return 0.5 * (ex[2] * ey[0] - ex[0] * ey[2])
+
+
+def sorted_sides(triangles, nv):
+    """Every triangle side keyed lo * nv + hi by its endpoints, sorted, and the sorting order.
+
+    Side k of triangle t, from its vertex k to vertex k + 1, is at k nt + t
+    before the sort; the sort is stable, so one key's sides keep that order.
+    """
+    a = triangles.T.ravel()
+    nt = len(triangles)
+    b = np.concatenate([a[nt:], a[:nt]])
+    key = np.minimum(a, b) * nv
+    key += np.maximum(a, b)
+    del a, b   # three entries per triangle each: the sort's own arrays are the peak
+    order = np.argsort(key, kind="stable")
+    return key[order], order
+
+
 def build_edges(vertices, triangles):
     """Interior-edge arrays (endpoints, adjacent triangle pair) and boundary vertices.
 
@@ -142,12 +176,7 @@ def build_edges(vertices, triangles):
     """
     tris = np.asarray(triangles, dtype=np.int64)
     nv = len(vertices)
-    # sides (0,1), (1,2), (2,0) of every triangle, each keyed by lo * nv + hi
-    a = tris.T.ravel()
-    b = tris[:, [1, 2, 0]].T.ravel()
-    key = np.minimum(a, b) * nv + np.maximum(a, b)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
+    key, order = sorted_sides(tris, nv)
     owner = order % len(tris)
     first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     counts = np.diff(np.r_[first, len(key)])
@@ -235,11 +264,7 @@ def import_mesh(payload: str) -> Mesh:
     if tris.min(initial=0) < 0 or tris.max(initial=-1) >= nv:
         raise MeshError("triangle vertex index out of range")
 
-    p0, p1, p2 = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
-    signed = 0.5 * ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
-                    - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
-    cw = signed < 0
-    del p0, p1, p2, signed
+    cw = _signed_areas(*_side_vectors(verts, tris)) < 0
     if np.any(cw):
         warnings.warn(f"reoriented {int(cw.sum())} clockwise triangle(s)", stacklevel=2)
         tris[cw] = tris[cw][:, [0, 2, 1]]

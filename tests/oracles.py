@@ -7,7 +7,12 @@ forms here are the references.  The one-shot forms of the quadrature-point
 work (every triangle in one array), the einsum that maps the rule to every
 triangle, and the V-cycle that allocates each vector are the references of
 the package's blocked, broadcast and buffered forms, which must be
-bit-equal to them.
+bit-equal to them.  So are the former set-up forms: mesh geometry from row
+gathers of vertex pairs (``gathered_geometry``), the mass matrix as
+incidence products (``incidence_mass``), the stiffness from COO triplets
+(``triplet_stiffness``) and the free-vertex restriction by slicing
+(``sliced_free``), the references of the side vectors and the edge-slot
+pattern that ``Mesh`` and ``FemSpace`` build.
 
 The paper's lemma machinery lives here too, built on the package's own
 stencils: the step-weighted average ``bar_average``, the 5-point estimator's
@@ -21,6 +26,7 @@ acceptance gate checks the lemma identities against them.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from wavest.manufactured import MODE
 from wavest.mesh import Mesh, generate_structured
@@ -37,6 +43,59 @@ def jittered_crisscross(n, seed=7):
     angle = rng.uniform(0.0, 2.0 * np.pi, size=free.sum())
     verts[free] += radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
     return Mesh(vertices=verts, triangles=base.triangles, boundary_vertex=base.boundary_vertex)
+
+
+def gathered_geometry(vertices, triangles):
+    """Areas, h_K, P1 hat gradients and smallest angle by row gathers of each triangle's corners.
+
+    Side lengths come from the (3 nt, 2) side-index concatenation, the
+    difference of two gathered vertex rows and ``np.linalg.norm``.
+    """
+    verts, tris = vertices, triangles
+    p0, p1, p2 = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
+    signed = 0.5 * ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
+                    - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
+    edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    sides = np.linalg.norm(verts[edges[:, 1]] - verts[edges[:, 0]], axis=1).reshape(3, -1)
+    grads = np.empty((len(tris), 3, 2))
+    for i, (a, b) in enumerate(((p1, p2), (p2, p0), (p0, p1))):
+        np.subtract(a[:, 1], b[:, 1], out=grads[:, i, 0])
+        np.subtract(b[:, 0], a[:, 0], out=grads[:, i, 1])
+    grads /= (2.0 * signed)[:, None, None]
+    sines = (2.0 * signed / sides) / np.roll(sides, 1, axis=0)
+    return {"areas": signed, "h_K": sides.max(axis=0), "grads": grads,
+            "min_angle": float(np.arcsin(sines.min()))}
+
+
+def incidence_mass(mesh, weights=1.0):
+    """Full-vertex mass matrix T^T D T + diag(T^T D 1), sorted CSR.
+
+    T is the triangle-vertex incidence (three ones per row) and D holds the
+    weights times area / 12, the P1 local mass (area / 12)(1 1^T + I).
+    """
+    nt = mesh.n_triangles
+    scale = weights * mesh.areas / 12.0
+    rows = (mesh.triangles.ravel().astype(np.int32), np.arange(0, 3 * nt + 1, 3, dtype=np.int32))
+    incidence = sp.csr_matrix((np.ones(3 * nt), *rows), shape=(nt, mesh.n_vertices))
+    weighted = sp.csr_matrix((np.repeat(scale, 3), *rows), shape=incidence.shape)
+    mass = (incidence.T @ weighted + sp.diags(incidence.T @ scale)).tocsr()
+    mass.sort_indices()
+    return mass
+
+
+def triplet_stiffness(mesh):
+    """Full-vertex stiffness matrix (CSR) from the COO triplets of the local matrices."""
+    grads, tris = mesh.grads, mesh.triangles.astype(np.int32)
+    data = np.einsum("tid,tjd,t->tij", grads, grads, mesh.areas).ravel()
+    indices = np.repeat(tris, 3, axis=1).ravel(), np.tile(tris, 3).ravel()
+    n = mesh.n_vertices
+    return sp.coo_matrix((data, indices), shape=(n, n)).tocsr()
+
+
+def sliced_free(matrix, mesh):
+    """The free-vertex block of a full-vertex matrix, by row and column slicing."""
+    free = mesh.free_vertices
+    return matrix[free][:, free].tocsr()
 
 
 def element_l2_sq(space, full_values):

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from wavest.estimators import WaveEstimatorAccumulator
-from wavest.fem import FemSpace, assemble_mass, assemble_stiffness
+from wavest.fem import EdgeSlots, FemSpace
 from wavest.grids import uniform_grid
 from wavest.harness import (BENCH_STEPS, ExperimentConfig, benchmark_estimators,
                             run_ode_experiment, run_wave_experiment,
@@ -340,9 +340,9 @@ class TestCriterion7:
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         ref = Mesh(vertices=verts, triangles=np.array([[0, 1, 2]]),
                    boundary_vertex=np.ones(3, bool))
-        mass_err = np.abs(assemble_mass(ref).toarray()
+        mass_err = np.abs(EdgeSlots(ref).mass().toarray()
                           - np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 24.0).max()
-        stiff_err = np.abs(assemble_stiffness(ref).toarray()
+        stiff_err = np.abs(EdgeSlots(ref).stiffness().toarray()
                            - 0.5 * np.array([[2, -1, -1], [-1, 1, 0], [-1, 0, 1]])).max()
         # projection idempotence on P1 data
         rng = np.random.default_rng(2)

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from wavest import fem
-from wavest.fem import (MULTIGRID_MIN_FREE, FemSpace, Multigrid, SolveCounter, SolverError,
-                        assemble_mass, assemble_stiffness, jacobi, solve_spd)
+from wavest.fem import (MULTIGRID_MIN_FREE, EdgeSlots, FemSpace, Multigrid, SolveCounter,
+                        SolverError, jacobi, solve_spd)
 from wavest.manufactured import gaussian_pulse
-from wavest.mesh import Mesh, generate_structured
+from wavest.mesh import Mesh, format_mesh, generate_structured, import_mesh
 
 from oracles import (allocating_vcycle, einsum_quad_xy, element_gradients, element_l2_sq,
-                     jittered_crisscross, one_shot_gradient_load, one_shot_load, quad_points)
+                     incidence_mass, jittered_crisscross, one_shot_gradient_load, one_shot_load,
+                     quad_points, sliced_free, triplet_stiffness)
 
 RNG = np.random.default_rng(42)
 
@@ -93,22 +94,22 @@ class TestQuadrature:
 
 class TestAssembly:
     def test_local_mass_hand_integrated(self):
-        M = assemble_mass(single_right_triangle()).toarray()
+        M = EdgeSlots(single_right_triangle()).mass().toarray()
         expected = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 24.0
         np.testing.assert_allclose(M, expected, atol=1e-15)
 
     def test_local_stiffness_hand_integrated(self):
-        K = assemble_stiffness(single_right_triangle()).toarray()
+        K = EdgeSlots(single_right_triangle()).stiffness().toarray()
         expected = 0.5 * np.array([[2, -1, -1], [-1, 1, 0], [-1, 0, 1]])
         np.testing.assert_allclose(K, expected, atol=1e-15)
 
     def test_mass_total_is_domain_area(self):
         m = generate_structured(4, "crisscross")
-        assert assemble_mass(m).sum() == pytest.approx(1.0, abs=1e-12)
+        assert EdgeSlots(m).mass().sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_field_mass_energy(self):
         m = generate_structured(3)
-        M = assemble_mass(m)
+        M = EdgeSlots(m).mass()
         c = 2.5 * np.ones(m.n_vertices)
         assert c @ (M @ c) == pytest.approx(2.5 ** 2 * 1.0, rel=1e-13)
 
@@ -118,7 +119,8 @@ class TestAssembly:
         m = jittered_crisscross(6)
         space = FemSpace(m)
         w = RNG.uniform(0.1, 10.0, size=m.n_triangles)
-        M_w, M = assemble_mass(m, w), assemble_mass(m)
+        slots = EdgeSlots(m)
+        M_w, M = slots.mass(w), slots.mass()
         np.testing.assert_array_equal(M_w.indptr, M.indptr)
         np.testing.assert_array_equal(M_w.indices, M.indices)
         assert M_w.has_sorted_indices
@@ -135,13 +137,13 @@ class TestAssembly:
 
     def test_stiffness_rows_sum_to_zero(self):
         m = generate_structured(3)
-        K = assemble_stiffness(m)
+        K = EdgeSlots(m).stiffness()
         np.testing.assert_allclose(np.asarray(K.sum(axis=1)).ravel(), 0.0, atol=1e-13)
 
     def test_symmetry_and_definiteness(self):
         m = generate_structured(4)
-        M = assemble_mass(m)
-        K = assemble_stiffness(m)
+        M = EdgeSlots(m).mass()
+        K = EdgeSlots(m).stiffness()
         assert abs(M - M.T).max() <= 1e-14 * abs(M).max()
         assert abs(K - K.T).max() <= 1e-14 * abs(K).max()
         x = RNG.normal(size=m.n_vertices)
@@ -156,12 +158,86 @@ class TestAssembly:
         m = generate_structured(2)
         space = FemSpace(m)
         w = m.vertices[:, 0]
-        action = assemble_stiffness(m) @ w
+        action = EdgeSlots(m).stiffness() @ w
         gx = lambda x, y: (np.ones_like(x), np.zeros_like(x))
         contrib = np.einsum("q,tb,t->tb", space.rule.weights, space.grads[:, :, 0], space.area)
         oracle = np.zeros(m.n_vertices)
         np.add.at(oracle, m.triangles.ravel(), contrib.ravel())
         np.testing.assert_allclose(action, oracle, atol=1e-13)
+
+
+SET_UP_MESHES = {
+    **{f"{p}-{n}": (lambda n=n, p=p: generate_structured(n, p))
+       for p in ("diagonal", "crisscross") for n in (1, 2, 5, 20)},
+    "jittered-6": lambda: jittered_crisscross(6),
+    "imported-5": lambda: import_mesh(format_mesh(jittered_crisscross(5, seed=2))),
+}
+
+
+class TestEdgeSlots:
+    """The P1 matrices on one edge-slot pattern, against incidence, triplet and slicing forms."""
+
+    @staticmethod
+    def assert_same_pattern(got, want):
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+
+    @pytest.mark.parametrize("make", SET_UP_MESHES.values(), ids=SET_UP_MESHES.keys())
+    def test_space_matrices_against_the_former_assembly(self, make):
+        m = make()
+        space = FemSpace(m)
+        mass, stiffness = incidence_mass(m), triplet_stiffness(m)
+        # M, M_ff and M_h: the same bits, an off-diagonal entry being a sum
+        # of two terms and a diagonal one summed in triangle order by both
+        for got, want in ((space.mass, mass), (space.mass_ff, sliced_free(mass, m)),
+                          (space.h_mass, incidence_mass(m, m.h_K ** 2))):
+            self.assert_same_pattern(got, want)
+            np.testing.assert_array_equal(got.data, want.data)
+        # K_ff: the same off-diagonal bits; its diagonal is summed in
+        # triangle order, not in the order the triplets' sort leaves
+        got, want = space.stiffness_ff, sliced_free(stiffness, m)
+        self.assert_same_pattern(got, want)
+        off = got.indices != np.repeat(np.arange(got.shape[0]), np.diff(got.indptr))
+        np.testing.assert_array_equal(got.data[off], want.data[off])
+        np.testing.assert_array_max_ulp(got.data, want.data, maxulp=2)
+        # one pattern: the zeros of the stiffness (crisscross cell sides) stay stored
+        assert space.stiffness_ff.nnz == space.mass_ff.nnz
+        assert space.h_mass.indices is space.mass.indices
+        assert space.h_mass.indptr is space.mass.indptr
+        assert space.stiffness_ff.indices is space.mass_ff.indices
+        assert space.stiffness_ff.indptr is space.mass_ff.indptr
+
+    def test_crisscross_keeps_the_stiffness_zeros(self):
+        space = FemSpace(generate_structured(5, "crisscross"))
+        assert np.count_nonzero(space.stiffness_ff.data == 0.0) > 0
+        assert space.stiffness_ff.nnz == space.mass_ff.nnz
+
+    @pytest.mark.parametrize("n, pattern", [(1, "crisscross"), (2, "diagonal")])
+    def test_one_free_vertex(self, n, pattern):
+        m = generate_structured(n, pattern)
+        space = FemSpace(m)
+        assert len(space.free) == 1
+        for got, want in ((space.mass_ff, sliced_free(incidence_mass(m), m)),
+                          (space.stiffness_ff, sliced_free(triplet_stiffness(m), m))):
+            self.assert_same_pattern(got, want)
+            np.testing.assert_array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("make", SET_UP_MESHES.values(), ids=SET_UP_MESHES.keys())
+    def test_pattern_rows(self, make):
+        # each row: its lower neighbours, the vertex, its higher neighbours, ascending
+        m = make()
+        slots = EdgeSlots(m)
+        rows = np.repeat(np.arange(m.n_vertices), np.diff(slots.indptr))
+        np.testing.assert_array_equal(slots.indices[slots.diagonal], np.arange(m.n_vertices))
+        assert np.all(np.diff(slots.indices)[np.diff(rows) == 0] > 0)
+        lo, hi = rows[slots.edge_slots], slots.indices[slots.edge_slots]
+        np.testing.assert_array_equal(lo[0], hi[1])
+        np.testing.assert_array_equal(hi[0], lo[1])
+        assert np.all(lo[0] < hi[0])
+        # every entry is an edge slot or a diagonal slot, once
+        taken = np.concatenate([slots.edge_slots.ravel(), slots.diagonal])
+        np.testing.assert_array_equal(np.sort(taken), np.arange(len(slots.indices)))
 
 
 class TestLoads:
@@ -244,7 +320,7 @@ class TestSolver:
 
     def test_mass_identity(self):
         m = generate_structured(4)
-        M = assemble_mass(m)
+        M = EdgeSlots(m).mass()
         y = RNG.normal(size=m.n_vertices)
         x = solve_spd(M, M @ y, precond=jacobi(M.diagonal()), tol=1e-12)
         np.testing.assert_allclose(x, y, atol=1e-9)
@@ -334,7 +410,7 @@ class TestSolver:
 
     def test_zero_rhs(self):
         m = generate_structured(2)
-        M = assemble_mass(m)
+        M = EdgeSlots(m).mass()
         np.testing.assert_array_equal(
             solve_spd(M, np.zeros(m.n_vertices), precond=jacobi(M.diagonal())), 0.0)
 
@@ -622,7 +698,7 @@ class TestNorms:
         c = np.full(space.mesh.n_vertices, -2.0)
         assert space.l2_norm(c) == pytest.approx(2.0, rel=1e-13)
         # a constant has no zero trace: its seminorm is the all-vertex form c . (K c)
-        c_h1 = np.sqrt(max(c @ (assemble_stiffness(space.mesh) @ c), 0.0))
+        c_h1 = np.sqrt(max(c @ (EdgeSlots(space.mesh).stiffness() @ c), 0.0))
         assert c_h1 == pytest.approx(0.0, abs=1e-7)
 
     def test_interpolant_norm_against_refinement_oracle(self):

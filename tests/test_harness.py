@@ -108,7 +108,9 @@ class TestGrids:
         ("alt100", {"N": 10, "tau0": 0.1}, "tau0"),
         ("decay", {"tau0": 0.1, "N": 10}, "N"),
         ("decay", {"N": 10}, "N"),
-    ])
+    ], ids=[   # explicit: removing a case renames no other
+            "uniform-settings0-tau0", "uniform-settings1-tau0", "alt10-settings2-tau0",
+            "alt100-settings3-tau0", "decay-settings4-N", "decay-settings5-N"])
     def test_rejects_settings_the_rule_does_not_use(self, rule, settings, unused):
         with pytest.raises(ValueError, match=f"^the {rule} grid does not use {unused}$"):
             build_grid(rule, 1.0, **settings)
@@ -152,7 +154,8 @@ class TestGrids:
         with pytest.raises(ValueError, match="more than MAX_STEPS"):
             make()
 
-    @pytest.mark.parametrize("points", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf]])
+    @pytest.mark.parametrize("points", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf]],
+                             ids=["points0", "points1"])
     def test_time_grid_rejects_points_that_are_not_finite(self, points):
         with pytest.raises(ValueError, match="^time points must be finite$"):
             TimeGrid(points)
@@ -612,6 +615,11 @@ class TestMemoryGuard:
     # previous block's solution values alive beside the next block's
     # (2,301,096 B) exceeds it
     ERROR_CALL_PEAK_BYTES = 2_050_000
+    # tracemalloc's peak of one FemSpace construction at crisscross n=64, in
+    # bytes per vertex: about 12 % above the 548 B of the edge-slot assembly,
+    # M_h included (incidence products, COO triplets and slicing to the free
+    # vertices took 787 B without M_h)
+    SPACE_PEAK_BYTES_PER_VERTEX = 615
 
     def test_peak_and_resident_layout(self, monkeypatch):
         import tracemalloc
@@ -678,6 +686,21 @@ class TestMemoryGuard:
         finally:
             tracemalloc.stop()
         assert peak < self.ERROR_CALL_PEAK_BYTES
+
+    def test_space_construction_peak(self):
+        # the edge slots live only while the space assembles its matrices
+        import tracemalloc
+
+        mesh = generate_structured(64, "crisscross")
+        FemSpace(mesh)   # first calls (lazy imports) stay out of the count
+        tracemalloc.start()
+        try:
+            space = FemSpace(mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / mesh.n_vertices < self.SPACE_PEAK_BYTES_PER_VERTEX
+        assert space.h_mass.indices is space.mass.indices
 
     def test_boundary_trace_checked_in_chunks(self):
         # a long grid's times are checked a chunk at a time: one (times,
@@ -790,7 +813,10 @@ class TestCli:
         (["wave", "--mesh", "structured:n=2", "--grid", "uniform"], "the uniform grid needs N"),
         (["ode", "--N", "10", "--tau0", "0.1"], "the uniform grid does not use tau0"),
         (["ode", "--grid", "decay", "--tau0", "0.1", "--N", "10"], "the decay grid does not use N"),
-    ])
+    ], ids=[   # explicit: removing a case renames no other
+            "argv0-None", "argv1-None", "argv2-the decay grid needs tau0",
+            "argv3-the alt100 grid needs N", "argv4-the uniform grid needs N",
+            "argv5-the uniform grid does not use tau0", "argv6-the decay grid does not use N"])
     def test_grid_arguments(self, argv, error, capsys):
         from wavest.cli import main
         assert main(argv) == (0 if error is None else 1)
@@ -919,7 +945,12 @@ class TestCli:
          "the bench experiment does not use tol"),
         (["--mesh", "structured:n=3", "--T", "2"], "kind = bench\nN = 4\ngrid = alt10\n",
          "the bench experiment does not use grid or N or T"),
-    ])
+    ], ids=["argv0--the ode experiment does not use mesh",
+            "argv1-kind = ode\nsolution = mode\n-the ode experiment does not use solution",
+            "argv2--the wave experiment does not use A",
+            "argv3--the bench experiment does not use tol",
+            "argv4-kind = bench\nN = 4\ngrid = alt10\n"
+            "-the bench experiment does not use grid or N or T"])
     def test_a_setting_the_kind_does_not_read_fails(self, argv, config, error, tmp_path, capsys):
         from wavest.cli import main
         if config:

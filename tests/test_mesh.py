@@ -11,6 +11,8 @@ from wavest.estimators import scaled_edge_normals
 from wavest.mesh import (Mesh, MeshError, build_edges, format_mesh,
                          generate_structured, import_mesh)
 
+from oracles import gathered_geometry, jittered_crisscross
+
 
 def loop_structured(n, pattern):
     """Python-loop oracle of generate_structured: vertices, triangles, boundary flags."""
@@ -137,6 +139,49 @@ class TestVectorisedAgainstLoops:
         assert relabelled == original
         for got, want in zip((ev, et), loop_edges(tris)):
             np.testing.assert_array_equal(got, want)
+
+
+class TestGeometryAgainstGathers:
+    """Areas, h_K, hat gradients and min_angle from side vectors, bit-equal to row gathers."""
+
+    @pytest.mark.parametrize("pattern", ["diagonal", "crisscross"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 20])
+    def test_structured_fields_bit_equal(self, n, pattern):
+        m = generate_structured(n, pattern)
+        self.assert_fields_bit_equal(m, m.triangles)
+
+    def test_jittered_fields_bit_equal(self):
+        m = jittered_crisscross(6)
+        self.assert_fields_bit_equal(m, m.triangles)
+
+    def test_imported_clockwise_triangles_bit_equal(self):
+        # a jittered mesh written with every other triangle clockwise: the
+        # reader reorients those the oracle's gathers give a negative area
+        base = jittered_crisscross(5, seed=2)
+        tris = base.triangles.copy()
+        tris[::2] = tris[::2, [0, 2, 1]]
+        lines = format_mesh(base).splitlines()
+        lines[1 + base.n_vertices:] = [f"{i} {j} {k}" for i, j, k in tris]
+        with pytest.warns(UserWarning, match=f"reoriented {len(tris[::2])} clockwise"):
+            m = import_mesh("\n".join(lines) + "\n")
+        cw = gathered_geometry(m.vertices, tris)["areas"] < 0
+        tris[cw] = tris[cw][:, [0, 2, 1]]
+        np.testing.assert_array_equal(m.triangles, tris)
+        self.assert_fields_bit_equal(m, tris)
+
+    @staticmethod
+    def assert_fields_bit_equal(m, triangles):
+        oracle = gathered_geometry(m.vertices, triangles)
+        for name in ("areas", "h_K", "grads"):
+            got = getattr(m, name)
+            assert got.dtype == oracle[name].dtype and got.shape == oracle[name].shape, name
+            np.testing.assert_array_equal(got, oracle[name], err_msg=name)
+        assert m.min_angle == oracle["min_angle"]
+        ev, et, on_boundary = build_edges(m.vertices, triangles)
+        np.testing.assert_array_equal(m.edge_vertices, ev.astype(np.int32))
+        np.testing.assert_array_equal(m.edge_tris, et.astype(np.int32))
+        np.testing.assert_array_equal(m.boundary_vertex, on_boundary)
+        np.testing.assert_array_equal(m.triangles, triangles)
 
 
 class TestEdges:
