@@ -62,8 +62,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .mesh import sorted_sides
-
 QUAD_BLOCK = 4096            # triangles per block of the quadrature-point work
 MULTIGRID_MIN_FREE = 10_000  # free vertices from which the stiffness and shifted solves use Multigrid
 MULTIGRID_COARSEST = 300     # unknowns at or below which aggregation stops (dense inverse)
@@ -121,13 +119,13 @@ QUAD_RULE = _degree_five_rule()
 class EdgeSlots:
     """The CSR pattern of a mesh's vertex adjacency and the place of every P1 entry in it.
 
-    Each distinct key of ``mesh.sorted_sides`` is one edge, boundary edges
-    included.  Row r of the pattern (int32 ``indptr`` and ``indices``) holds
-    r's neighbours below r, r itself and its neighbours above r, ascending.
-    ``side_edges`` maps each side, in ``sorted_sides``' order before the
-    sort, to its edge; ``edge_slots`` (2, edges) holds each edge's entry in
-    the row of its lower and of its higher endpoint, and ``diagonal`` each
-    vertex's entry.
+    Each edge of the mesh's edge table is one edge of the pattern, boundary
+    edges included.  Row r of the pattern (int32 ``indptr`` and ``indices``)
+    holds r's neighbours below r, r itself and its neighbours above r,
+    ascending.  ``side_edges`` maps each side k nt + t (side k of triangle t)
+    to its edge; ``edge_slots`` (2, edges) holds each edge's entry in the row
+    of its lower and of its higher endpoint, and ``diagonal`` each vertex's
+    entry.
 
     A matrix on the pattern (``matrix``) is one data array written by two
     ``np.bincount``s: an edge's entries sum the local entries of its sides
@@ -139,13 +137,12 @@ class EdgeSlots:
     def __init__(self, mesh):
         self.mesh = mesh
         nv = mesh.n_vertices
-        key, order = sorted_sides(mesh.triangles, nv)
-        new = np.empty(len(key), dtype=bool)
-        new[:1] = True
-        np.not_equal(key[1:], key[:-1], out=new[1:])
-        self.side_edges = np.empty(len(key), dtype=np.intp)
-        self.side_edges[order] = np.cumsum(new) - 1
-        lo, hi = np.divmod(key[new], nv)
+        sides, (lo, hi) = mesh.edge_sides, mesh.edge_vertices.T
+        edge = np.arange(len(sides))
+        self.side_edges = np.empty(3 * mesh.n_triangles, dtype=np.intp)
+        self.side_edges[sides[:, 0]] = edge
+        paired = sides[:, 1] >= 0
+        self.side_edges[sides[paired, 1]] = edge[paired]
         below, above = np.bincount(hi, minlength=nv), np.bincount(lo, minlength=nv)
         self.indptr = np.zeros(nv + 1, dtype=np.int32)
         np.cumsum(below + above + 1, out=self.indptr[1:])
@@ -153,7 +150,6 @@ class EdgeSlots:
         # the edges come sorted by (lo, hi), so those of one lower endpoint
         # are consecutive; a stable sort by the higher endpoint makes those
         # of one higher endpoint consecutive too, their lower ones ascending
-        edge = np.arange(len(lo))
         first_above = np.cumsum(above) - above
         first_below = np.cumsum(below) - below
         self.edge_slots = np.empty((2, len(lo)), dtype=np.intp)
@@ -166,7 +162,7 @@ class EdgeSlots:
         self.indices[self.edge_slots[1]] = lo
 
     def matrix(self, sides, diagonal):
-        """The matrix of local side entries (3 nt, as ``side_edges``) and diagonal ones (nt, 3)."""
+        """The matrix of local side entries (3 nt, numbered as the sides) and diagonal ones (nt, 3)."""
         mesh = self.mesh
         data = np.empty(len(self.indices))
         data[self.edge_slots] = np.bincount(self.side_edges, weights=sides,

@@ -1,10 +1,11 @@
-"""Conforming 2D triangulations with interior-edge adjacency.
+"""Conforming 2D triangulations with one edge table.
 
 Meshes are immutable; each triangle's area, h_K and P1 hat gradients are
 computed once, at construction, from its three side vectors (1-D takes of
-the x and y coordinates).  Interior edges are stored as two parallel
-int32 index arrays (endpoints, adjacent triangles); the space estimator's
-jump operator derives the edges' normals from them.
+the x and y coordinates).  Its edge table (``build_edges``, the one sort of
+triangle sides) is two int32 arrays over every edge, the endpoints and the
+sides (side k of triangle t, vertex k to k + 1, as k nt + t; -1 as a boundary
+edge's second), which the checks, ``fem.EdgeSlots`` and the jump operator read.
 
 Text format (one mesh per payload):
     line 1:        nv nt
@@ -12,7 +13,8 @@ Text format (one mesh per payload):
     next nt lines: i j k          (zero-based vertex indices)
 
 The flags must name the topological boundary, the endpoints of the sides
-that only one triangle owns; a mesh whose flags differ is rejected.  The
+that only one triangle owns; a mesh whose flags differ is rejected, as is
+one whose triangles overlap (both sides of an interior edge run one way).  The
 reader (``import_mesh``) frees its whitespace tokens, one Python string per
 number, once their values are in arrays and before it builds the mesh, so
 its peak memory is the build's.
@@ -32,14 +34,14 @@ class MeshError(ValueError):
 
 @dataclass(frozen=True)
 class Mesh:
-    """Triangulation of a polygonal domain with precomputed edge adjacency."""
+    """Triangulation of a polygonal domain with its edge table."""
 
     vertices: np.ndarray        # (nv, 2)
     triangles: np.ndarray       # (nt, 3) CCW
     boundary_vertex: np.ndarray  # (nv,) bool
-    # interior edge arrays, int32, filled in __post_init__
+    # the edge table over every edge, int32, filled in __post_init__
     edge_vertices: np.ndarray = field(init=False)   # (ne, 2) lower, higher
-    edge_tris: np.ndarray = field(init=False)       # (ne, 2) left, right
+    edge_sides: np.ndarray = field(init=False)      # (ne, 2) k nt + t, -1 if none
     h_K: np.ndarray = field(init=False)             # (nt,) longest edge per triangle
     areas: np.ndarray = field(init=False)           # (nt,)
     grads: np.ndarray = field(init=False)           # (nt, 3, 2) P1 hat gradients
@@ -89,17 +91,24 @@ class Mesh:
         grads /= (2.0 * signed)[:, None, None]
         object.__setattr__(self, "grads", grads)
 
-        ev, et, on_boundary = build_edges(verts, tris)
-        object.__setattr__(self, "edge_vertices", ev.astype(np.int32))
-        object.__setattr__(self, "edge_tris", et.astype(np.int32))
+        ev, es = build_edges(verts, tris)
+        object.__setattr__(self, "edge_vertices", ev)
+        object.__setattr__(self, "edge_sides", es)
 
-        # Euler relation for simply connected domains: V - E + F = 1; of the
-        # 3F triangle sides, each interior edge holds two, a boundary edge one
-        n_all_edges = 3 * len(tris) - len(ev)
-        euler = len(verts) - n_all_edges + len(tris)
+        # Euler relation for simply connected domains: V - E + F = 1
+        euler = len(verts) - len(ev) + len(tris)
         if euler != 1:
             raise MeshError(f"Euler characteristic V-E+F = {euler}, expected 1")
+        # counter-clockwise triangles that run an edge from one vertex overlap;
+        # a boundary edge's -1 reads the last side's start, and the mask drops it
+        start = tris.T.ravel()[es]
+        same = np.flatnonzero((start[:, 0] == start[:, 1]) & (es[:, 1] >= 0))
+        if len(same):
+            raise MeshError(f"{len(same)} interior edge(s) have both triangles on one side "
+                            f"(the triangles overlap), first at edges {ev[same[:5]].tolist()}")
         # the scheme imposes u = 0 on the flagged vertices: other flags solve another problem
+        on_boundary = np.zeros(len(verts), dtype=bool)
+        on_boundary[ev[es[:, 1] < 0]] = True
         wrong = np.flatnonzero(on_boundary != bnd)
         if len(wrong):
             raise MeshError(f"{len(wrong)} boundary flag(s) disagree with the mesh's boundary, "
@@ -149,49 +158,39 @@ def _signed_areas(ex, ey):
     return 0.5 * (ex[2] * ey[0] - ex[0] * ey[2])
 
 
-def sorted_sides(triangles, nv):
-    """Every triangle side keyed lo * nv + hi by its endpoints, sorted, and the sorting order.
+def build_edges(vertices, triangles):
+    """The edge table, edges sorted by endpoints: ``edge_vertices`` and ``edge_sides``, int32.
 
-    Side k of triangle t, from its vertex k to vertex k + 1, is at k nt + t
-    before the sort; the sort is stable, so one key's sides keep that order.
+    Per edge, its lower and higher endpoint, and its sides ascending (side k
+    of triangle t, from its vertex k to vertex k + 1, as k nt + t), -1 as a
+    boundary edge's second side.  Rejects non-manifold input (an edge shared
+    by more than two triangles).  The endpoints do not depend on the
+    per-triangle vertex ordering.
     """
-    a = triangles.T.ravel()
-    nt = len(triangles)
+    tris = np.asarray(triangles, dtype=np.int64)
+    nv, nt = len(vertices), len(tris)
+    # every side keyed lo * nv + hi by its endpoints; the stable sort keeps
+    # one key's sides in ascending order
+    a = tris.T.ravel()
     b = np.concatenate([a[nt:], a[:nt]])
     key = np.minimum(a, b) * nv
     key += np.maximum(a, b)
     del a, b   # three entries per triangle each: the sort's own arrays are the peak
     order = np.argsort(key, kind="stable")
-    return key[order], order
-
-
-def build_edges(vertices, triangles):
-    """Interior-edge arrays (endpoints, adjacent triangle pair) and boundary vertices.
-
-    Edges are ordered by (lower, higher) endpoint and each triangle pair by
-    index.  The boundary vertices, a mask over all vertices, are the
-    endpoints of the sides that only one triangle owns.  Rejects non-manifold
-    input (an edge shared by more than two triangles).  The result is
-    independent of the per-triangle vertex ordering.
-    """
-    tris = np.asarray(triangles, dtype=np.int64)
-    nv = len(vertices)
-    key, order = sorted_sides(tris, nv)
-    owner = order % len(tris)
+    key = key[order]
     first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     counts = np.diff(np.r_[first, len(key)])
     if counts.max(initial=0) > 2:
         bad = key[first[np.argmax(counts)]]
         raise MeshError(f"non-manifold edge {(int(bad // nv), int(bad % nv))} "
                         f"shared by {counts.max()} triangles")
-    single = key[first[counts == 1]]
-    on_boundary = np.zeros(nv, dtype=bool)
-    on_boundary[single // nv] = True
-    on_boundary[single % nv] = True
-    first = first[counts == 2]
-    ev = np.column_stack([key[first] // nv, key[first] % nv])
-    et = np.sort(np.column_stack([owner[first], owner[first + 1]]), axis=1)
-    return ev, et, on_boundary
+    edge_vertices = np.empty((len(first), 2), dtype=np.int32)
+    edge_vertices[:, 0], edge_vertices[:, 1] = np.divmod(key[first], nv)
+    edge_sides = np.full((len(first), 2), -1, dtype=np.int32)
+    edge_sides[:, 0] = order[first]
+    pair = counts == 2
+    edge_sides[pair, 1] = order[first[pair] + 1]
+    return edge_vertices, edge_sides
 
 
 def generate_structured(n, pattern="diagonal"):

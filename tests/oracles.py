@@ -1,4 +1,4 @@
-"""Exact formulas the tests compare the package against, and a jittered test mesh.
+"""Exact formulas the tests compare the package against, and the test meshes off the grid.
 
 The package computes these quantities in other forms: the space
 estimator's volume term as the quadratic form of the h_K^2-weighted mass
@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from wavest.manufactured import MODE
-from wavest.mesh import Mesh, generate_structured
+from wavest.mesh import Mesh, format_mesh, generate_structured
 from wavest.stencils import hat_second_diff, hat_times, second_diff
 
 
@@ -43,6 +43,15 @@ def jittered_crisscross(n, seed=7):
     angle = rng.uniform(0.0, 2.0 * np.pi, size=free.sum())
     verts[free] += radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
     return Mesh(vertices=verts, triangles=base.triangles, boundary_vertex=base.boundary_vertex)
+
+
+def clockwise_payload(mesh):
+    """The text format of ``mesh`` with every other triangle written clockwise, and those triangles."""
+    tris = mesh.triangles.copy()
+    tris[::2] = tris[::2, [0, 2, 1]]
+    lines = format_mesh(mesh).splitlines()
+    lines[1 + mesh.n_vertices:] = [f"{i} {j} {k}" for i, j, k in tris]
+    return "\n".join(lines) + "\n", tris
 
 
 def gathered_geometry(vertices, triangles):

@@ -31,7 +31,7 @@ from wavest.harness import (BENCH_STEPS, ExperimentConfig, benchmark_estimators,
                             run_ode_experiment, run_wave_experiment,
                             wave_problem_from)
 from wavest.manufactured import gaussian_pulse, standing_mode
-from wavest.mesh import Mesh, generate_structured
+from wavest.mesh import Mesh, format_mesh, generate_structured
 from wavest.newmark import NewmarkWaveSolver
 from wavest.ode import (OdeProblem, eta3_ode_cumulative, eta5_ode_cumulative,
                         solve_newmark_ode)
@@ -380,13 +380,15 @@ class TestCriterion7:
 class TestCriterion8:
     def test_wave_convergence_sweep(self):
         t0 = time.perf_counter()
-        rows = []
+        rows, parts = [], []
         for n in (14, 28, 56):
             tau0 = 0.12 * np.sqrt(1.0 / n)
             cfg = ExperimentConfig(kind="wave",
                                    mesh=f"structured:n={n}:pattern=crisscross",
                                    grid="decay", tau0=tau0, T=1.0, tol=1e-10)
-            rows.append(run_wave_experiment(cfg)[0])
+            row, _, acc = run_wave_experiment(cfg)
+            rows.append(row)
+            parts.append(acc.space_acc.parts)
         elapsed = time.perf_counter() - t0
         es = [r["e"] for r in rows]
         eis = [r["ei"] for r in rows]
@@ -417,6 +419,12 @@ class TestCriterion8:
               f"ei {[f'{v:.1f}' for v in eis]} vary {spread:.1%} <= 25%; "
               f"|ei - ei_hat|/ei = {closeness:.2%} <= 10% at finest; "
               f"{elapsed:.1f}s; ei in [1, 10] NOT met (documented)")
+        # each part of the space estimator falls as e does, by 1.74-1.99 per
+        # level: ei's factor of about 50 is a constant, not a rate defect
+        for name, values in zip(("part 1", "part 2"), zip(*parts)):
+            for coarse, fine in zip(values, values[1:]):
+                assert 1.6 <= coarse / fine <= 2.4, \
+                    f"space estimator {name} ratio {coarse / fine:.2f} outside [1.6, 2.4]"
 
     @pytest.mark.xfail(reason="ei is about 50 on this sweep: part 2 of the space "
                               "estimator is 7.95-9.31 times part 1, and without part 2 "
@@ -428,6 +436,35 @@ class TestCriterion8:
         row = run_wave_experiment(cfg)[0]
         assert 1.0 <= row["ei"] <= 10.0
         assert 1.0 <= row["ei_hat"] <= 10.0
+
+
+class TestGradedMeshes:
+    """Reliability off quasi-uniform meshes: criterion 8's sweep on crisscross meshes
+    mapped per axis by g(x) = 1/2 + 1/2 sign(2x - 1) |2x - 1|^p, read through ``file:``.
+
+    p = 2 refines towards the walls (h_K ratio 13-55, smallest angle down to
+    0.5 degrees), p = 0.5 coarsens the middle (h_K ratio 5.1-10.5, smallest
+    angle down to 3.8 degrees).  Measured: ei 36.3-41.8 and 24.9-34.8,
+    ei_hat within 1.3 % of ei, and eta_T_hat / eta_T 0.797-0.885 and
+    0.648-0.861.  At p = 0.5, e falls only 1.33-1.57 times per level, so ei
+    grows: the estimators still bound the error, but optimality, which the
+    paper claims only on quasi-uniform meshes, is lost.
+    """
+
+    @pytest.mark.parametrize("p", [2.0, 0.5])
+    def test_estimators_bound_the_error(self, p, tmp_path):
+        for n in (14, 28, 56):
+            base = generate_structured(n, "crisscross")
+            z = 2.0 * base.vertices - 1.0
+            mapped = Mesh(vertices=0.5 + 0.5 * np.sign(z) * np.abs(z) ** p,
+                          triangles=base.triangles, boundary_vertex=base.boundary_vertex)
+            path = tmp_path / f"graded-{n}.txt"
+            path.write_text(format_mesh(mapped), encoding="ascii")
+            cfg = ExperimentConfig(kind="wave", mesh=f"file:{path}", grid="decay",
+                                   tau0=0.12 * np.sqrt(1.0 / n), T=1.0, tol=1e-10)
+            row = run_wave_experiment(cfg)[0]
+            assert 1.0 <= row["ei"] <= 100.0 and 1.0 <= row["ei_hat"] <= 100.0, (n, row)
+            assert 0.6 <= row["eta_T_hat"] / row["eta_T"] <= 0.95, (n, row)
 
 
 class TestCriterion9:

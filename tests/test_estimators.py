@@ -9,12 +9,12 @@ from wavest.estimators import (SpaceEstimatorAccumulator, WaveEstimatorAccumulat
 from wavest.fem import FemSpace, SolveCounter
 from wavest.grids import alternating_grid, uniform_grid
 from wavest.manufactured import gaussian_pulse
-from wavest.mesh import Mesh, generate_structured
+from wavest.mesh import Mesh, generate_structured, import_mesh
 from wavest.newmark import NewmarkWaveSolver, WaveProblem, WaveState
 from wavest.ode import (OdeProblem, eta3_ode_samples, eta5_ode_samples, solve_newmark_ode)
 from wavest.stencils import initial_weight, step_weight
 
-from oracles import element_l2_sq, jittered_crisscross
+from oracles import clockwise_payload, element_l2_sq, jittered_crisscross
 
 RNG = np.random.default_rng(3)
 
@@ -177,6 +177,31 @@ def scaled_jumps(space, full_values):
     return SpaceEstimatorAccumulator(space).jump @ full_values
 
 
+def per_edge_jump_sum(mesh, vals):
+    """sum_E h_E ||[n . grad u]||_E^2 by loops: the interior edges found from the triangles
+    (not from the mesh's edge table), the gradients solved per triangle."""
+
+    def gradient(tri):
+        ids = mesh.triangles[tri]
+        return np.linalg.solve(np.column_stack([np.ones(3), mesh.vertices[ids]]), vals[ids])[1:]
+
+    owners = {}
+    for t, tri in enumerate(mesh.triangles):
+        for k in range(3):
+            owners.setdefault(tuple(sorted((tri[k], tri[(k + 1) % 3]))), []).append(t)
+    total = 0.0
+    for (a, b), tris in owners.items():
+        if len(tris) == 1:   # a boundary edge
+            continue
+        left, right = tris
+        edge = mesh.vertices[b] - mesh.vertices[a]
+        length = np.linalg.norm(edge)
+        normal = np.array([edge[1], -edge[0]]) / length
+        jump = float((gradient(left) - gradient(right)) @ normal)
+        total += length * (jump ** 2 * length)
+    return total
+
+
 class TestEdgeJumps:
     def test_affine_field_has_no_jump(self):
         space = FemSpace(generate_structured(1))
@@ -192,7 +217,8 @@ class TestEdgeJumps:
         vals = np.zeros(4)
         origin = np.flatnonzero((space.mesh.vertices == 0.0).all(axis=1))[0]
         vals[origin] = 1.0
-        length = np.linalg.norm(np.subtract(*space.mesh.vertices[space.mesh.edge_vertices[0]]))
+        diagonal = space.mesh.edge_vertices[space.mesh.edge_sides[:, 1] >= 0][0]
+        length = np.linalg.norm(np.subtract(*space.mesh.vertices[diagonal]))
         got = scaled_jumps(space, vals)[0] ** 2 / length
         assert got == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-13)
 
@@ -208,32 +234,22 @@ class TestEdgeJumps:
 
     def test_hat_jump_sums_against_per_edge_oracle(self):
         # independent evaluation: per-edge geometric computation of the two
-        # constant gradients from the vertex coordinates
-        space = FemSpace(generate_structured(2))
-        mesh = space.mesh
+        # constant gradients from the vertex coordinates, on the hat of the
+        # centre of structured n=2, then on random values on a jittered mesh
+        # and on an imported one that had every other triangle clockwise
+        mesh = generate_structured(2)
         vals = np.zeros(mesh.n_vertices)
-        center = np.flatnonzero(np.isclose(mesh.vertices, 0.5).all(axis=1))[0]
-        vals[center] = 1.0
-
-        def tri_gradient(tri):
-            ids = mesh.triangles[tri]
-            p = mesh.vertices[ids]
-            mat = np.column_stack([np.ones(3), p])
-            coef = np.linalg.solve(mat, vals[ids])
-            return coef[1:]
-
-        total = 0.0
-        for (a, b), (left, right) in zip(mesh.edge_vertices, mesh.edge_tris):
-            edge = mesh.vertices[b] - mesh.vertices[a]
-            length = np.linalg.norm(edge)
-            normal = np.array([edge[1], -edge[0]]) / length
-            jump = float((tri_gradient(left) - tri_gradient(right)) @ normal)
-            total += length * (jump ** 2 * length)
-        jump = SpaceEstimatorAccumulator(space).jump
-        # two triangles share two vertices: four distinct vertices per edge
-        np.testing.assert_array_equal(np.diff(jump.indptr), 4)
-        got = float(np.sum((jump @ vals) ** 2))
-        assert got == pytest.approx(total, rel=1e-12)
+        vals[np.flatnonzero(np.isclose(mesh.vertices, 0.5).all(axis=1))[0]] = 1.0
+        with pytest.warns(UserWarning, match="reoriented"):
+            imported = import_mesh(clockwise_payload(jittered_crisscross(4, seed=5))[0])
+        cases = [(mesh, vals)] + [(m, RNG.normal(size=m.n_vertices))
+                                  for m in (jittered_crisscross(5), imported)]
+        for mesh, vals in cases:
+            jump = SpaceEstimatorAccumulator(FemSpace(mesh)).jump
+            # two triangles share two vertices: four distinct vertices per edge
+            np.testing.assert_array_equal(np.diff(jump.indptr), 4)
+            got = float(np.sum((jump @ vals) ** 2))
+            assert got == pytest.approx(per_edge_jump_sum(mesh, vals), rel=1e-12)
 
 
 class TestSpaceEstimator:
@@ -307,11 +323,6 @@ class TestSpaceEstimator:
         acc = SpaceEstimatorAccumulator(space)
         local_mass = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
-        def gradient(tri, vals):
-            ids = mesh.triangles[tri]
-            coef = np.linalg.solve(np.column_stack([np.ones(3), verts[ids]]), vals[ids])
-            return coef[1:]
-
         def part(residual, u):
             total = 0.0
             for tri, ids in enumerate(mesh.triangles):
@@ -321,13 +332,7 @@ class TestSpaceEstimator:
                 area = 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
                 r = residual[ids]
                 total += h_k ** 2 * area * (r @ local_mass @ r)
-            for (a, b), (left, right) in zip(mesh.edge_vertices, mesh.edge_tris):
-                edge = verts[b] - verts[a]
-                length = np.linalg.norm(edge)
-                normal = np.array([edge[1], -edge[0]]) / length
-                jump = (gradient(left, u) - gradient(right, u)) @ normal
-                total += length * (jump ** 2 * length)
-            return total
+            return total + per_edge_jump_sum(mesh, u)
 
         part1, part2 = 0.0, 0.0
         for k in range(len(states) - 2):

@@ -571,7 +571,7 @@ def refine_mesh_with_prolongation(mesh):
     index = {v: i for i, v in enumerate(verts)}
     rows, cols, vals = list(range(len(verts))), list(range(len(verts))), [1.0] * len(verts)
     boundary = list(mesh.boundary_vertex)
-    interior_edges = set(map(tuple, mesh.edge_vertices.tolist()))
+    interior_edges = set(map(tuple, mesh.edge_vertices[mesh.edge_sides[:, 1] >= 0].tolist()))
 
     def midpoint(a, b):
         p = tuple((mesh.vertices[a] + mesh.vertices[b]) / 2.0)

@@ -11,7 +11,7 @@ from wavest.estimators import scaled_edge_normals
 from wavest.mesh import (Mesh, MeshError, build_edges, format_mesh,
                          generate_structured, import_mesh)
 
-from oracles import gathered_geometry, jittered_crisscross
+from oracles import clockwise_payload, gathered_geometry, jittered_crisscross
 
 
 def loop_structured(n, pattern):
@@ -50,15 +50,26 @@ def loop_structured(n, pattern):
 
 
 def loop_edges(triangles):
-    """Python-loop oracle of build_edges: interior edges sorted by endpoints, pairs sorted."""
-    owners = {}
+    """Python-loop oracle of build_edges: every edge sorted by endpoints, its sides ascending.
+
+    Side k of triangle t runs from its vertex k to vertex k + 1 and is
+    numbered k nt + t; a boundary edge's second side is -1.
+    """
+    nt = len(triangles)
+    sides = {}
     for t, tri in enumerate(triangles):
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            owners.setdefault((min(a, b), max(a, b)), []).append(t)
-    interior = sorted(e for e, ts in owners.items() if len(ts) == 2)
-    ev = np.asarray(interior, dtype=np.int64).reshape(-1, 2)
-    et = np.asarray([sorted(owners[e]) for e in interior], dtype=np.int64).reshape(-1, 2)
-    return ev, et
+        for k in range(3):
+            a, b = tri[k], tri[(k + 1) % 3]
+            sides.setdefault((min(a, b), max(a, b)), []).append(k * nt + t)
+    edges = sorted(sides)
+    ev = np.asarray(edges, dtype=np.int32).reshape(-1, 2)
+    es = np.asarray([sorted(sides[e]) + [-1] * (2 - len(sides[e])) for e in edges],
+                    dtype=np.int32).reshape(-1, 2)
+    return ev, es
+
+
+def interior_count(m):
+    return int(np.count_nonzero(m.edge_sides[:, 1] >= 0))
 
 
 class TestStructured:
@@ -66,7 +77,8 @@ class TestStructured:
         m = generate_structured(1)
         assert m.n_triangles == 2
         assert m.n_vertices == 4
-        assert len(m.edge_tris) == 1
+        assert len(m.edge_vertices) == 5
+        assert interior_count(m) == 1
 
     def test_diagonal_counts_and_euler(self):
         m = generate_structured(2)
@@ -78,7 +90,8 @@ class TestStructured:
         n_edges = len(np.unique(np.sort(edges, axis=1), axis=0))
         assert m.n_vertices - n_edges + m.n_triangles == 1
         assert n_edges == 16
-        assert len(m.edge_tris) == 8
+        assert len(m.edge_vertices) == 16
+        assert interior_count(m) == 8
 
     def test_crisscross_counts(self):
         m = generate_structured(2, "crisscross")
@@ -113,11 +126,10 @@ class TestVectorisedAgainstLoops:
     def test_structured_mesh_bit_equal(self, n, pattern):
         m = generate_structured(n, pattern)
         verts, tris, boundary = loop_structured(n, pattern)
-        ev, et = loop_edges(tris)
+        ev, es = loop_edges(tris)
         for got, want in ((m.vertices, verts), (m.triangles, tris),
                           (m.boundary_vertex, boundary),
-                          (m.edge_vertices, ev.astype(np.int32)),
-                          (m.edge_tris, et.astype(np.int32))):
+                          (m.edge_vertices, ev), (m.edge_sides, es)):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
 
@@ -131,13 +143,16 @@ class TestVectorisedAgainstLoops:
         shift = np.asarray(data.draw(st.lists(st.integers(0, 2), min_size=nt, max_size=nt)))
         cols = (np.arange(3)[None, :] + shift[:, None]) % 3
         tris = np.take_along_axis(m.triangles[perm], cols, axis=1)
-        ev, et, on_boundary = build_edges(m.vertices, tris)
+        ev, es = build_edges(m.vertices, tris)
+        on_boundary = np.zeros(m.n_vertices, dtype=bool)
+        on_boundary[ev[es[:, 1] < 0]] = True
         np.testing.assert_array_equal(on_boundary, m.boundary_vertex)
-        # map the triangle indices back through the permutation
-        relabelled = {(tuple(e), tuple(sorted(perm[t]))) for e, t in zip(ev, et)}
-        original = {(tuple(e), tuple(t)) for e, t in zip(m.edge_vertices, m.edge_tris)}
+        # every edge with its triangles, mapped back through the permutation
+        relabelled = {(tuple(e), tuple(sorted(perm[s[s >= 0] % nt]))) for e, s in zip(ev, es)}
+        original = {(tuple(e), tuple(sorted(s[s >= 0] % nt)))
+                    for e, s in zip(m.edge_vertices, m.edge_sides)}
         assert relabelled == original
-        for got, want in zip((ev, et), loop_edges(tris)):
+        for got, want in zip((ev, es), loop_edges(tris)):
             np.testing.assert_array_equal(got, want)
 
 
@@ -157,13 +172,9 @@ class TestGeometryAgainstGathers:
     def test_imported_clockwise_triangles_bit_equal(self):
         # a jittered mesh written with every other triangle clockwise: the
         # reader reorients those the oracle's gathers give a negative area
-        base = jittered_crisscross(5, seed=2)
-        tris = base.triangles.copy()
-        tris[::2] = tris[::2, [0, 2, 1]]
-        lines = format_mesh(base).splitlines()
-        lines[1 + base.n_vertices:] = [f"{i} {j} {k}" for i, j, k in tris]
+        payload, tris = clockwise_payload(jittered_crisscross(5, seed=2))
         with pytest.warns(UserWarning, match=f"reoriented {len(tris[::2])} clockwise"):
-            m = import_mesh("\n".join(lines) + "\n")
+            m = import_mesh(payload)
         cw = gathered_geometry(m.vertices, tris)["areas"] < 0
         tris[cw] = tris[cw][:, [0, 2, 1]]
         np.testing.assert_array_equal(m.triangles, tris)
@@ -177,24 +188,33 @@ class TestGeometryAgainstGathers:
             assert got.dtype == oracle[name].dtype and got.shape == oracle[name].shape, name
             np.testing.assert_array_equal(got, oracle[name], err_msg=name)
         assert m.min_angle == oracle["min_angle"]
-        ev, et, on_boundary = build_edges(m.vertices, triangles)
-        np.testing.assert_array_equal(m.edge_vertices, ev.astype(np.int32))
-        np.testing.assert_array_equal(m.edge_tris, et.astype(np.int32))
-        np.testing.assert_array_equal(m.boundary_vertex, on_boundary)
+        ev, es = loop_edges(triangles)
+        np.testing.assert_array_equal(m.edge_vertices, ev)
+        np.testing.assert_array_equal(m.edge_sides, es)
+        assert m.edge_vertices.dtype == m.edge_sides.dtype == np.int32
+        np.testing.assert_array_equal(m.boundary_vertex,
+                                      np.isin(np.arange(m.n_vertices), ev[es[:, 1] < 0]))
         np.testing.assert_array_equal(m.triangles, triangles)
 
 
 class TestEdges:
     def test_adjacent_triangles_share_exactly_the_endpoints(self):
         m = generate_structured(3)
-        for endpoints, (left, right) in zip(m.edge_vertices, m.edge_tris):
-            assert set(m.triangles[left]) & set(m.triangles[right]) == set(endpoints)
+        nt = m.n_triangles
+        for endpoints, sides in zip(m.edge_vertices, m.edge_sides):
+            owned = sides[sides >= 0]
+            # each side runs between the edge's endpoints
+            for t, k in zip(owned % nt, owned // nt):
+                assert {m.triangles[t, k], m.triangles[t, (k + 1) % 3]} == set(endpoints)
+            if len(owned) == 2:
+                left, right = owned % nt
+                assert set(m.triangles[left]) & set(m.triangles[right]) == set(endpoints)
 
     def test_normals_unit(self):
         # the jump operator's normals, scaled by the edge lengths, are unit normals
         m = generate_structured(4, "crisscross")
         lengths = np.linalg.norm(np.subtract(*m.vertices[m.edge_vertices.T]), axis=1)
-        normals = scaled_edge_normals(m) / lengths[:, None]
+        normals = scaled_edge_normals(m.vertices, m.edge_vertices) / lengths[:, None]
         np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0,
                                    atol=1e-14)
 
@@ -221,7 +241,7 @@ class TestImport:
         m2 = import_mesh(format_mesh(m))
         np.testing.assert_allclose(m2.vertices, m.vertices)
         np.testing.assert_array_equal(m2.triangles, m.triangles)
-        assert len(m2.edge_tris) == 1
+        assert interior_count(m2) == 1
 
     def test_two_triangle_square_literal(self):
         payload = """4 2
@@ -234,7 +254,7 @@ class TestImport:
 """
         m = import_mesh(payload)
         assert m.n_triangles == 2
-        assert len(m.edge_tris) == 1
+        assert interior_count(m) == 1
         assert m.areas.sum() == pytest.approx(1.0)
 
     def test_clockwise_triangle_reoriented_with_warning(self):
@@ -249,6 +269,30 @@ class TestImport:
         with pytest.warns(UserWarning, match="reoriented"):
             m = import_mesh(payload)
         assert np.all(m.areas > 0)
+
+    def test_tangled_file_rejected(self):
+        # vertex (0.5, 0.5) of the n=4 diagonal mesh moved to (0.5, 0.8) turns
+        # two triangles over; reoriented, they overlap their neighbours, and
+        # the triangles' areas would sum to 1.025 on the unit square
+        m = generate_structured(4)
+        lines = format_mesh(m).splitlines()
+        assert lines[1 + 12] == "0.5 0.5 0"
+        lines[1 + 12] = "0.5 0.8 0"
+        verts = m.vertices.copy()
+        verts[12] = 0.5, 0.8
+        assert np.abs(gathered_geometry(verts, m.triangles)["areas"]).sum() == pytest.approx(1.025)
+        with pytest.warns(UserWarning, match="reoriented 2 clockwise"):
+            with pytest.raises(MeshError, match=r"^4 interior edge\(s\) have both triangles on one "
+                                                r"side \(the triangles overlap\), first at edges "
+                                                r"\[\[7, 12\], \[7, 13\], \[12, 18\], \[13, 18\]\]$"):
+                import_mesh("\n".join(lines) + "\n")
+
+    def test_overlapping_counter_clockwise_triangles_rejected(self):
+        # both triangles run their shared edge from vertex 0 to vertex 1
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(MeshError, match=r"^1 interior edge\(s\) .* at edges \[\[0, 1\]\]$"):
+            Mesh(vertices=verts, triangles=np.array([[0, 1, 2], [0, 1, 3]]),
+                 boundary_vertex=np.ones(4, bool))
 
     def test_non_manifold_file_rejected(self):
         payload = """5 3
@@ -370,7 +414,7 @@ class TestReaderFootprint:
     def test_round_trip_is_bit_equal(self):
         mesh = generate_structured(self.N, "crisscross")
         back = import_mesh(format_mesh(mesh))
-        for name in ("vertices", "triangles", "boundary_vertex", "edge_vertices", "edge_tris",
+        for name in ("vertices", "triangles", "boundary_vertex", "edge_vertices", "edge_sides",
                      "areas", "h_K", "grads"):
             a, b = getattr(mesh, name), getattr(back, name)
             assert a.dtype == b.dtype and a.shape == b.shape, name
