@@ -23,11 +23,14 @@ vertices through one ``np.bincount`` over the triangles' vertex indices
 (``FemSpace.scatter``).  Work at the quadrature points runs over
 ``FemSpace.blocks``, consecutive runs of at most ``QUAD_BLOCK`` triangles,
 so a block's (triangles, points) arrays stay in cache; an integrand
-``g(x, y)`` is therefore called once per block and must be pointwise.  The
-space stores no quadrature points: ``block_points`` derives a block's x and
-y at each call, by a gather of its corner coordinates and matrix products,
-into two block-sized buffers the space owns, so the arrays it returns hold
-until its next call.  A load vector is,
+``g(x, y, out=None)`` is therefore called once per block and must be
+pointwise.  The space stores no quadrature points: ``block_points`` derives
+a block's x and y at each call, by a gather of its corner coordinates and
+matrix products, into two block-sized buffers the space owns, so the arrays
+it returns hold until its next call.  Loads and projections pass an
+integrand ``out=block_work(b)``, four more such buffers, allocated at the
+first call, in which it may compute its values (or which it may ignore), so
+no block's evaluation allocates.  A load vector is,
 per block, one matmul of the integrand's quadrature values with the rule's
 weights times its barycentric points, then scaled by the triangle areas
 (``load_rows``); the H1_0 projection's right-hand side is, per block, the
@@ -35,7 +38,8 @@ rule's weighted sum of each gradient component times area times the hat
 gradients (``gradient_rows``).
 
 Linear systems are solved with preconditioned conjugate gradients, from
-zero or from a given start vector; pass a ``SolveCounter`` to account for
+zero or from a given start vector, updating the iterate, the residual and
+the search direction in place; pass a ``SolveCounter`` to account for
 solver work (the cost comparison of the two time estimators rests on these
 counters).  ``FemSpace`` forms every preconditioner its solves and the
 stepper's use: the kept Jacobi (``jacobi``) of M and M_ff for the mass
@@ -261,24 +265,28 @@ def solve_spd(matrix, rhs, precond: Callable, tol=1e-10, max_iter=None,
             return x
     z = precond(r)
     p = z.copy()
+    work = np.empty(n)   # alpha p, before it is added to x
     rz = float(r @ z)
     for it in range(1, max_iter + 1):
         q = matrix @ p
         pq = float(p @ q)
         if not pq > 0.0:
             raise SolverError(f"CG breakdown at iteration {it}: p . A p = {pq:.3e} is not "
-                              "positive", residual=np.linalg.norm(r) / bnorm)
+                              "positive", residual=np.sqrt(r @ r) / bnorm)
         alpha = rz / pq
-        x += alpha * p
-        r -= alpha * q
-        res = np.linalg.norm(r)
+        # in place, each the same rounded operations as x + alpha p, r - alpha q,
+        # ||r|| and z + beta p
+        x += np.multiply(p, alpha, out=work)
+        r -= np.multiply(q, alpha, out=q)
+        res = np.sqrt(r @ r)
         if res <= tol * bnorm:
             if counter is not None:
                 counter.record(it)
             return x
         z = precond(r)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise SolverError(
         f"CG did not reach tol={tol:g} within {max_iter} iterations "
@@ -452,6 +460,7 @@ class FemSpace:
         self._corners = np.empty((rows, 3))
         self._product = np.empty((rows, q))
         self._points = np.empty((2, rows, q))
+        self._work = None   # block_work's four arrays, allocated at its first call
 
     @cached_property
     def multigrid(self) -> Optional[Multigrid]:
@@ -512,14 +521,29 @@ class FemSpace:
                 out += np.matmul(corners, factor, out=product)
         return points[0], points[1]
 
+    def block_work(self, b):
+        """Four work arrays of the shape of the block b's points, (rows, q) each.
+
+        An integrand's ``out``: it may compute its values in them.  They are
+        buffers of the space, allocated at the first call (after the
+        constructor's assembly peak), separate arrays of at most
+        ``QUAD_BLOCK`` rows each, so they hold until the next block's
+        evaluation.
+        """
+        if self._work is None:
+            self._work = tuple(np.empty(self._product.shape) for _ in range(4))
+        rows = b.stop - b.start
+        return tuple(work[:rows] for work in self._work)
+
     def assemble_load(self, g: Callable) -> np.ndarray:
         """Load vector b_i ~ integral(g phi_i) over all vertices, by the space's rule.
 
-        The pointwise g(x, y) is called once per block of triangles.
+        The pointwise g(x, y, out=None) is called once per block of
+        triangles, with ``out=block_work(b)``.
         """
         per_tri = np.empty((self.mesh.n_triangles, 3))
         for b in self.blocks:
-            self.load_rows(g(*self.block_points(b)), b, out=per_tri[b])
+            self.load_rows(g(*self.block_points(b), out=self.block_work(b)), b, out=per_tri[b])
         return self.scatter(per_tri)
 
     def load_rows(self, vals, b, out):
@@ -555,13 +579,15 @@ class FemSpace:
     def h1_project(self, grad_g: Callable) -> np.ndarray:
         """H1_0-orthogonal projection from the gradient of the target, on the free vertices.
 
-        grad_g(x, y) returns the two gradient components pointwise and is
-        called once per block of triangles; the projection solves the
-        free-vertex stiffness system with rhs integral(grad g . grad phi_i).
+        grad_g(x, y, out=None) returns the two gradient components pointwise
+        and is called once per block of triangles, with
+        ``out=block_work(b)``; the projection solves the free-vertex
+        stiffness system with rhs integral(grad g . grad phi_i).
         """
         contrib = np.empty((self.mesh.n_triangles, 3))
         for b in self.blocks:
-            self.gradient_rows(*grad_g(*self.block_points(b)), b, out=contrib[b])
+            grad = grad_g(*self.block_points(b), out=self.block_work(b))
+            self.gradient_rows(*grad, b, out=contrib[b])
         rhs = self.scatter(contrib)
         multigrid = self.multigrid
         if multigrid is None:

@@ -8,10 +8,10 @@ same configuration are byte-identical.
 
 The true error of a solution without moments is a quadrature over the
 blocks of ``FemSpace.blocks``, against the solution's derivatives at the
-block's points, which ``FemSpace.block_points`` derives at each call; each
-call allocates its own buffers and holds one block's solution values at a
-time, so no run keeps the quadrature's arrays between states or stores the
-points of every triangle.
+block's points, which ``FemSpace.block_points`` derives at each call; the
+derivatives are evaluated into the space's ``FemSpace.block_work``, so a
+call holds one block's solution values at a time, in arrays the space
+allocated once, and no run stores the points of every triangle.
 
 A wave run, as a scalar one, takes its final time only from its grid: the
 grid rules check T (``ExperimentConfig.build_grid``) before any mesh is
@@ -239,13 +239,15 @@ def _check_interior(mesh):
 def wave_energy_error_at(space: FemSpace, state, derivatives) -> float:
     """Energy-norm error of one state against the exact solution (quadrature).
 
-    ``derivatives(t, x, y)`` is the solution's ``ManufacturedSolution.derivatives``,
-    called once per block of ``space.blocks`` on the block's quadrature points
-    (``FemSpace.block_points``): it returns du/dt and (du/dx, du/dy) there in
-    new arrays, and each squared residual is computed in one of them; they
-    are dropped before the next block's call.  The per-triangle integrals
-    fill three rows over all triangles block by block; the sums over all
-    triangles come last.
+    ``derivatives(t, x, y, out=None)`` is the solution's
+    ``ManufacturedSolution.derivatives``, called once per block of
+    ``space.blocks`` on the block's quadrature points
+    (``FemSpace.block_points``) with ``out=space.block_work(b)``: it returns
+    du/dt and (du/dx, du/dy) there in three arrays that the quadrature may
+    overwrite (those of ``out``, or new ones), and each squared residual is
+    computed in one of them.  The per-triangle integrals fill three rows
+    over all triangles block by block; the sums over all triangles come
+    last.
     """
     rule, area, tris, grads = space.rule, space.area, space.mesh.triangles, space.grads
     u, v = space.full(state.u), space.full(state.v)
@@ -260,7 +262,7 @@ def wave_energy_error_at(space: FemSpace, state, derivatives) -> float:
         np.take(u, tris[b], out=nodal, mode="clip")
         for d in range(2):   # component d of the constant gradient on each triangle
             np.einsum("tb,tb->t", nodal, grads[b, :, d], out=grad[d])
-        dudt, gxy = derivatives(state.t, *space.block_points(b))
+        dudt, gxy = derivatives(state.t, *space.block_points(b), out=space.block_work(b))
         for g, grad_d, row in zip(gxy, grad, h1_rows):
             np.square(np.subtract(grad_d[:, None], g, out=g), out=g)
             np.matmul(g, rule.weights, out=row[b])
@@ -269,7 +271,6 @@ def wave_energy_error_at(space: FemSpace, state, derivatives) -> float:
         r = np.matmul(np.take(v, tris[b], out=nodal, mode="clip"), at_points, out=gxy[0])
         np.square(np.subtract(r, dudt, out=r), out=r)
         np.matmul(r, rule.weights, out=velocity[b])
-        del dudt, gxy, r   # so the next block's arrays are not alive beside these
     err_sq = velocity @ area
     for row in h1_rows:   # velocity term first, as the tests' fresh-array oracle sums
         err_sq += row @ area

@@ -23,20 +23,23 @@ forms, which a solution offers through one of two hooks:
   for dv = v - c' I s and du = u - c I s, two matvecs and four dot products
   per state.  By the rule's exactness on P1 products this is the quadrature
   of the error; every term has the error's size, so no digits cancel;
-* ``derivatives(t, x, y)``, for the pulse: du/dt and (du/dx, du/dy) at the
-  points, the values the quadrature integrates against, called per block
-  and time on the block's points from ``FemSpace.block_points``.  It
-  evaluates the exponential once for both parts, with the helpers of the
-  ``(t, x, y)`` callables in the same order, so the values are bit-equal to
-  ``dudt`` and ``grad_u``.  The three arrays are new at each call, so the
-  caller may compute in them.
+* ``derivatives(t, x, y, out=None)``, for the pulse: du/dt and (du/dx,
+  du/dy) at the points, the values the quadrature integrates against,
+  called per block and time on the block's points from
+  ``FemSpace.block_points``.  It evaluates the exponential once for both
+  parts, with the helpers of the ``(t, x, y)`` callables in the same order,
+  so the values are bit-equal to ``dudt`` and ``grad_u``.  The three arrays
+  are the caller's (``out``) or new, so the caller may compute in them.
 
 Every callable is pointwise: the package evaluates it on one block of at
 most ``fem.QUAD_BLOCK`` triangles' quadrature points at a time, and the
 blocks' values are those of one call on all the points.  The moments, too,
-are integrated block by block.  The pulse's forcing and derivatives
-compute in place in four arrays of the points' shape, so a run's per-time
-evaluations hold four arrays of one block, which stay in cache.
+are integrated block by block.  Every callable takes an optional ``out``,
+four arrays of the points' shape.  The pulse's compute in place in those
+four (in four new arrays without ``out``), and the package passes the
+space's ``FemSpace.block_work``, so a run's per-time evaluations allocate
+no array and write four arrays of one block, which stay in cache.  The
+mode's callables ignore ``out``.
 """
 
 from __future__ import annotations
@@ -55,20 +58,20 @@ class ManufacturedSolution:
     """Exact solution bundle: u, time derivative, their gradients, forcing."""
 
     name: str
-    u: Callable           # u(t, x, y)
-    dudt: Callable        # du/dt(t, x, y)
-    grad_u: Callable      # (du/dx, du/dy)(t, x, y)
+    u: Callable           # u(t, x, y, out=None)
+    dudt: Callable        # du/dt(t, x, y, out=None)
+    grad_u: Callable      # (du/dx, du/dy)(t, x, y, out=None)
     grad_dudt: Callable   # gradient of du/dt
     f: Callable           # u_tt - Lap(u)
-    derivatives: Optional[Callable] = None  # (t, x, y) -> (du/dt, (du/dx, du/dy)), new arrays
+    derivatives: Optional[Callable] = None  # (t, x, y, out=None) -> (du/dt, (du/dx, du/dy))
     moments: Optional[Callable] = None  # moments(space) -> (state -> energy-norm error)
     zero_forcing: bool = False  # f vanishes identically, so solvers may skip it
 
     def initial_data(self):
         """(grad u0, grad v0) as space-only callables, the data of the H1_0 projections."""
         return (
-            lambda x, y: self.grad_u(0.0, x, y),
-            lambda x, y: self.grad_dudt(0.0, x, y),
+            lambda x, y, out=None: self.grad_u(0.0, x, y, out=out),
+            lambda x, y, out=None: self.grad_dudt(0.0, x, y, out=out),
         )
 
 
@@ -76,18 +79,21 @@ def gaussian_pulse() -> ManufacturedSolution:
     """The travelling Gaussian with center 0.3 + 0.4 t^2 in both coordinates."""
     s = SHARPNESS
 
-    def parts(t, x, y):
-        """X = x - c, Y = y - c, R = X^2 + Y^2 and g = exp(-s R), four new arrays.
+    def parts(t, x, y, out=None):
+        """X = x - c, Y = y - c, R = X^2 + Y^2 and g = exp(-s R), in four arrays.
 
-        The arrays have the broadcast shape of t, x and y (0-d for scalars).
-        The callers below compute in them in place, so no evaluation holds
-        more than these four, and apply each closed form's operations in the
+        The arrays are ``out``, four arrays of the points' shape, or four new
+        ones of the broadcast shape of t, x and y (0-d for scalars).  The
+        callers below compute in them in place, so no evaluation holds more
+        than these four, and apply each closed form's operations in the
         order its written expression evaluates them, so the values are
         bit-equal to that expression's (the tests keep it as the oracle).
         """
         c = 0.3 + 0.4 * t * t
-        shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(c))
-        X, Y, R, g = (np.empty(shape) for _ in range(4))
+        if out is None:
+            shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(c))
+            out = [np.empty(shape) for _ in range(4)]
+        X, Y, R, g = out
         np.subtract(x, c, out=X)
         np.subtract(y, c, out=Y)
         np.add(np.multiply(X, X, out=R), np.multiply(Y, Y, out=g), out=R)
@@ -109,21 +115,21 @@ def gaussian_pulse() -> ManufacturedSolution:
         return X, Y
 
     # [()] turns the 0-d results of scalar arguments into scalars
-    def u(t, x, y):
-        return parts(t, x, y)[3][()]
+    def u(t, x, y, out=None):
+        return parts(t, x, y, out)[3][()]
 
-    def dudt(t, x, y):
-        X, Y, R, g = parts(t, x, y)
+    def dudt(t, x, y, out=None):
+        X, Y, R, g = parts(t, x, y, out)
         return velocity(t, X, Y, g, out=R)[()]
 
-    def grad_u(t, x, y):
-        X, Y, _, g = parts(t, x, y)
+    def grad_u(t, x, y, out=None):
+        X, Y, _, g = parts(t, x, y, out)
         gx, gy = gradient(X, Y, g)
         return gx[()], gy[()]
 
-    def grad_dudt(t, x, y):
+    def grad_dudt(t, x, y, out=None):
         # 2 s c'(t) g (1 - 2 s Z (X + Y)) for Z = X, Y; X + Y in R
-        X, Y, R, g = parts(t, x, y)
+        X, Y, R, g = parts(t, x, y, out)
         cdot = 0.8 * t
         np.add(X, Y, out=R)
         g *= 2.0 * s * cdot
@@ -134,8 +140,8 @@ def gaussian_pulse() -> ManufacturedSolution:
             Z *= g
         return X[()], Y[()]
 
-    def f(t, x, y):
-        X, Y, R, g = parts(t, x, y)
+    def f(t, x, y, out=None):
+        X, Y, R, g = parts(t, x, y, out)
         cdot = 0.8 * t
         cddot = 0.8
         # u_tt = (h' + h^2) u with h = 2 s cdot (X + Y), in X; Lap u in R
@@ -153,8 +159,8 @@ def gaussian_pulse() -> ManufacturedSolution:
         utt -= lap
         return utt[()]
 
-    def derivatives(t, x, y):
-        X, Y, R, g = parts(t, x, y)
+    def derivatives(t, x, y, out=None):
+        X, Y, R, g = parts(t, x, y, out)
         return velocity(t, X, Y, g, out=R), gradient(X, Y, g)
 
     return ManufacturedSolution(name="gaussian", u=u, dudt=dudt, grad_u=grad_u,
@@ -184,19 +190,20 @@ def standing_mode() -> ManufacturedSolution:
     def scaled(a, g):
         return a * g[0], a * g[1]
 
-    def u(t, x, y):
+    # ``out`` is accepted and ignored: the mode's products allocate
+    def u(t, x, y, out=None):
         return position(t) * shape(x, y)
 
-    def dudt(t, x, y):
+    def dudt(t, x, y, out=None):
         return velocity(t) * shape(x, y)
 
-    def grad_u(t, x, y):
+    def grad_u(t, x, y, out=None):
         return scaled(position(t), grad_shape(x, y))
 
-    def grad_dudt(t, x, y):
+    def grad_dudt(t, x, y, out=None):
         return scaled(velocity(t), grad_shape(x, y))
 
-    def f(t, x, y):
+    def f(t, x, y, out=None):
         return np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
 
     def moments(space):

@@ -45,9 +45,11 @@ from .grids import TimeGrid
 class WaveProblem:
     """Wave equation data on the unit-square mesh: u_tt - Lap(u) = f, u = 0 on the boundary."""
 
-    f: Optional[Callable]          # f(t, x, y); None means zero forcing
-    grad_u0: Callable              # (du0/dx, du0/dy)(x, y)
-    grad_v0: Callable              # (dv0/dx, dv0/dy)(x, y)
+    # each called per quadrature block with out=FemSpace.block_work(b), four
+    # arrays it may compute in or ignore
+    f: Optional[Callable]          # f(t, x, y, out=None); None means zero forcing
+    grad_u0: Callable              # (du0/dx, du0/dy)(x, y, out=None)
+    grad_v0: Callable              # (dv0/dx, dv0/dy)(x, y, out=None)
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,7 @@ class NewmarkWaveSolver:
         f = self.problem.f
         if f is None:
             return None
-        return self.space.l2_project(lambda x, y: f(t, x, y))
+        return self.space.l2_project(lambda x, y, out=None: f(t, x, y, out=out))
 
     def initial_state(self) -> WaveState:
         space = self.space

@@ -5,8 +5,9 @@ estimator's volume term as the quadratic form of the h_K^2-weighted mass
 matrix, and the standing mode's true error by its moments.  The closed
 forms here are the references.  The one-shot forms of the quadrature-point
 work (every triangle in one array), the einsum that maps the rule to every
-triangle, and the V-cycle that allocates each vector are the references of
-the package's blocked, broadcast and buffered forms, which must be
+triangle, the V-cycle that allocates each vector and the conjugate-gradient
+loop that allocates each update (``allocating_cg``) are the references of
+the package's blocked, broadcast, buffered and in-place forms, which must be
 bit-equal to them.  So are the former set-up forms: mesh geometry from row
 gathers of vertex pairs (``gathered_geometry``), the mass matrix as
 incidence products (``incidence_mass``), the stiffness from COO triplets
@@ -123,11 +124,12 @@ def element_gradients(space, full_values):
     return np.einsum("tb,tbd->td", w, space.grads)
 
 
-def mode_derivatives(t, x, y):
+def mode_derivatives(t, x, y, out=None):
     """The standing mode's du/dt and (du/dx, du/dy) at the points, in new arrays.
 
     Written from ``MODE`` apart from the package's callables, and bit-equal
-    to the mode's ``dudt`` and ``grad_u``.
+    to the mode's ``dudt`` and ``grad_u``; ``out`` is ignored, as the mode's
+    callables ignore it.
     """
     kx, ky = MODE
     omega = np.pi * np.hypot(kx, ky)
@@ -230,6 +232,40 @@ def allocating_vcycle(prolongators, matrix):
             e = x
         return e
     return vcycle
+
+
+def allocating_cg(matrix, rhs, precond, tol, x0=None):
+    """``fem.solve_spd``'s former loop, a new array for every update: (x, iterations).
+
+    x + alpha p, r - alpha q, the residual as ``np.linalg.norm`` and the
+    next direction z + beta p, each a new array, from zero or from a copy of
+    ``x0``; no iteration limit and no breakdown check.
+    """
+    b = np.asarray(rhs, dtype=float)
+    bnorm = np.linalg.norm(b)
+    if x0 is None:
+        x, r = np.zeros(len(b)), b.copy()
+    else:
+        x = np.array(x0, dtype=float)
+        r = b - matrix @ x
+        if np.linalg.norm(r) <= tol * bnorm:
+            return x, 0
+    z = precond(r)
+    p = z.copy()
+    rz = float(r @ z)
+    it = 0
+    while True:
+        it += 1
+        q = matrix @ p
+        alpha = rz / float(p @ q)
+        x += alpha * p
+        r -= alpha * q
+        if np.linalg.norm(r) <= tol * bnorm:
+            return x, it
+        z = precond(r)
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
 
 
 def bar_average(w, tau):

@@ -349,17 +349,17 @@ class TestCriterion7:
         space = FemSpace(generate_structured(5), tol=1e-12)
         w = rng.normal(size=len(space.free))
         grads = element_gradients(space, space.full(w))
-        proj = space.h1_project(lambda x, y: (np.broadcast_to(grads[:, [0]], x.shape),
-                                              np.broadcast_to(grads[:, [1]], x.shape)))
+        proj = space.h1_project(lambda x, y, out=None: (np.broadcast_to(grads[:, [0]], x.shape),
+                                                        np.broadcast_to(grads[:, [1]], x.shape)))
         idem_h1 = np.abs(proj - w).max()
         from wavest.fem import jacobi, solve_spd
-        l2 = space.l2_project(lambda x, y: np.cos(x) * y)
+        l2 = space.l2_project(lambda x, y, out=None: np.cos(x) * y)
         again = solve_spd(space.mass, space.mass @ l2, precond=jacobi(space.mass.diagonal()),
                           tol=1e-12)
         idem_l2 = np.abs(again - l2).max()
         # H1 projection rate for sin(pi x) sin(pi y) over 3 levels
-        g_grad = lambda x, y: (np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
-                               np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
+        g_grad = lambda x, y, out=None: (np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
+                                         np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
         exact_sq = (np.pi / np.sqrt(2.0)) ** 2
         errs = []
         for n in (8, 16, 32):

@@ -9,9 +9,9 @@ from wavest.fem import (MULTIGRID_MIN_FREE, EdgeSlots, FemSpace, Multigrid, Solv
 from wavest.manufactured import gaussian_pulse
 from wavest.mesh import Mesh, format_mesh, generate_structured, import_mesh
 
-from oracles import (allocating_vcycle, einsum_quad_xy, element_gradients, element_l2_sq,
-                     incidence_mass, jittered_crisscross, one_shot_gradient_load, one_shot_load,
-                     quad_points, sliced_free, triplet_stiffness)
+from oracles import (allocating_cg, allocating_vcycle, einsum_quad_xy, element_gradients,
+                     element_l2_sq, incidence_mass, jittered_crisscross, one_shot_gradient_load,
+                     one_shot_load, quad_points, sliced_free, triplet_stiffness)
 
 RNG = np.random.default_rng(42)
 
@@ -74,7 +74,7 @@ class TestQuadrature:
         for p in range(degree + 1):
             for q in range(degree + 1 - p):
                 exact = factorial(p) * factorial(q) / factorial(p + q + 2)
-                got = space.assemble_load(lambda x, y: x ** p * y ** q).sum()
+                got = space.assemble_load(lambda x, y, out=None: x ** p * y ** q).sum()
                 assert got == pytest.approx(exact, rel=1e-13), (p, q)
 
     @pytest.mark.parametrize("mesh", [
@@ -244,7 +244,7 @@ class TestLoads:
     def test_constant_load_partitions_area(self):
         m = generate_structured(3)
         space = FemSpace(m)
-        b = space.assemble_load(lambda x, y: np.ones_like(x))
+        b = space.assemble_load(lambda x, y, out=None: np.ones_like(x))
         assert b.sum() == pytest.approx(1.0, rel=1e-13)
         # each entry is the vertex patch area / 3
         patch = np.zeros(m.n_vertices)
@@ -256,7 +256,7 @@ class TestLoads:
         # split into 4 subtriangles (doubling the quadrature resolution)
         from wavest.manufactured import gaussian_pulse
         sol = gaussian_pulse()
-        g = lambda x, y: sol.u(0.0, x, y)
+        g = lambda x, y, out=None: sol.u(0.0, x, y, out=out)
         m = generate_structured(96)
         space = FemSpace(m)
         b = space.assemble_load(g)
@@ -270,7 +270,8 @@ class TestBlocks:
     """Quadrature-point work by blocks of at most QUAD_BLOCK triangles, bit-equal to one shot."""
 
     PULSE = gaussian_pulse()
-    LOADS = [lambda x, y: TestBlocks.PULSE.f(0.37, x, y), lambda x, y: np.sin(3.0 * x) * y]
+    LOADS = [lambda x, y, out=None: TestBlocks.PULSE.f(0.37, x, y, out=out),
+             lambda x, y, out=None: np.sin(3.0 * x) * y]
 
     def test_blocks_cover_the_triangles_in_order(self, blocked_mesh):
         space = FemSpace(blocked_mesh)
@@ -289,8 +290,8 @@ class TestBlocks:
         rhs = []
         solve = fem.solve_spd
         monkeypatch.setattr(fem, "solve_spd", lambda m, b, **k: rhs.append(b) or solve(m, b, **k))
-        for grad_g in (lambda x, y: self.PULSE.grad_u(0.2, x, y),
-                       lambda x, y: self.PULSE.grad_dudt(0.2, x, y)):
+        for grad_g in (lambda x, y, out=None: self.PULSE.grad_u(0.2, x, y, out=out),
+                       lambda x, y, out=None: self.PULSE.grad_dudt(0.2, x, y, out=out)):
             space.h1_project(grad_g)
             oracle = one_shot_gradient_load(space, grad_g)[space.free]
             np.testing.assert_array_equal(rhs.pop(), oracle)
@@ -303,7 +304,7 @@ class TestBlocks:
         assert space.mesh.n_triangles > fem.QUAD_BLOCK
         seen = []
         # the points live in the space's buffers until the next block, so g keeps copies
-        space.assemble_load(lambda x, y: seen.append(x.copy()) or np.ones_like(x))
+        space.assemble_load(lambda x, y, out=None: seen.append(x.copy()) or np.ones_like(x))
         assert len(seen) == 2 and all(len(x) <= fem.QUAD_BLOCK for x in seen)
         np.testing.assert_array_equal(np.concatenate(seen), quad_points(space)[0])
 
@@ -439,6 +440,36 @@ class TestSolver:
         assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
 
 
+def assert_cg_bit_equal_to_the_allocating_loop(matrix, precond, start, tol=1e-10):
+    """``solve_spd`` from zero or a random start against ``oracles.allocating_cg``.
+
+    The x and the iteration count must be the former loop's, bit for bit,
+    and the caller's start is left as it was.
+    """
+    n = matrix.shape[0]
+    b = RNG.normal(size=n)
+    x0 = None if start == "zero" else RNG.normal(size=n)
+    x0_before = None if x0 is None else x0.copy()
+    counter = SolveCounter()
+    x = solve_spd(matrix, b, precond=precond, tol=tol, counter=counter, x0=x0)
+    want, iterations = allocating_cg(matrix, b, precond, tol=tol, x0=x0)
+    assert counter.iterations == iterations > 0
+    assert x.tobytes() == want.tobytes()
+    if x0 is not None:
+        np.testing.assert_array_equal(x0, x0_before)
+
+
+class TestInPlaceCg:
+    """solve_spd updates x, r and p in place; the values are the allocating loop's."""
+
+    @pytest.mark.parametrize("start", ["zero", "x0"])
+    @pytest.mark.parametrize("matrix", ["mass", "mass_ff"])
+    def test_jacobi_bit_equal_to_the_allocating_loop(self, matrix, start):
+        space = FemSpace(jittered_crisscross(6))
+        precond = space.mass_jacobi if matrix == "mass" else space.mass_ff_jacobi
+        assert_cg_bit_equal_to_the_allocating_loop(getattr(space, matrix), precond, start)
+
+
 @pytest.fixture(scope="module", params=["structured", "jittered"])
 def large_space(request):
     """Crisscross n=160 (50,881 free vertices), as is or with each interior vertex moved <= 0.1 h."""
@@ -516,6 +547,15 @@ class TestMultigrid:
         np.testing.assert_array_equal(bx, oracle(x))
         np.testing.assert_array_equal(by, oracle(y))
 
+    @pytest.mark.parametrize("start", ["zero", "x0"])
+    @pytest.mark.parametrize("key", ["stiffness", 1.0 / 16])
+    def test_cg_bit_equal_to_the_allocating_loop(self, large_space, key, start):
+        # the V-cycle preconditioned solves of h1_project and the step, in place
+        assert len(large_space.free) >= MULTIGRID_MIN_FREE
+        matrix = large_space.stiffness_ff if key == "stiffness" else step_matrix(large_space, key)
+        vcycle = large_space.multigrid.preconditioner(matrix, key)
+        assert_cg_bit_equal_to_the_allocating_loop(matrix, vcycle, start)
+
     def test_refresh_after_a_tau_change_equals_a_fresh_build(self, large_space):
         # the space refreshes its shifted matrix in place when tau changes
         space = large_space
@@ -582,7 +622,7 @@ class TestMultigrid:
 class TestProjections:
     def test_l2_projection_of_constant(self):
         space = FemSpace(generate_structured(3))
-        f = space.l2_project(lambda x, y: np.full_like(x, 4.0))
+        f = space.l2_project(lambda x, y, out=None: np.full_like(x, 4.0))
         np.testing.assert_allclose(f, 4.0, atol=1e-9)
 
     def test_l2_projection_idempotent_on_p1(self):
@@ -596,18 +636,18 @@ class TestProjections:
             # so project twice instead
             return np.zeros_like(x)
 
-        first = space.l2_project(lambda x, y: np.sin(x) * y)
+        first = space.l2_project(lambda x, y, out=None: np.sin(x) * y)
         second_vals = solve_spd(space.mass, space.mass @ first,
                                 precond=jacobi(space.mass.diagonal()), tol=1e-12)
         np.testing.assert_allclose(second_vals, first, atol=1e-9)
 
     def test_l2_projection_rate_h2(self):
-        g = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
+        g = lambda x, y, out=None: np.sin(np.pi * x) * np.sin(np.pi * y)
         errs = []
         for n in (4, 8, 16):
             space = FemSpace(generate_structured(n), tol=1e-12)
             p = space.l2_project(g)
-            err_sq = space.assemble_load(lambda x, y: (g(x, y)) ** 2).sum() \
+            err_sq = space.assemble_load(lambda x, y, out=None: (g(x, y)) ** 2).sum() \
                 - float(p @ (space.mass @ p))
             errs.append(np.sqrt(max(err_sq, 0.0)))
         rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -621,7 +661,7 @@ class TestProjections:
         full[space.free] = w
         grads = element_gradients(space, full)
 
-        def grad_fun(x, y):
+        def grad_fun(x, y, out=None):
             # constant per triangle; x, y come in as (nt, q) arrays in
             # triangle-major order, so broadcasting the per-triangle gradient
             # is exact
@@ -633,8 +673,8 @@ class TestProjections:
         np.testing.assert_allclose(p, w, atol=1e-9)
 
     def test_h1_projection_stability_and_rate(self):
-        g_grad = lambda x, y: (np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
-                               np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
+        g_grad = lambda x, y, out=None: (np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
+                                         np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
         exact_seminorm = np.pi / np.sqrt(2.0)  # |sin(pi x) sin(pi y)|_H1
         errs = []
         for n in (4, 8, 16):
@@ -649,7 +689,7 @@ class TestProjections:
 
     def test_galerkin_orthogonality(self):
         space = FemSpace(generate_structured(4), tol=1e-13)
-        g_grad = lambda x, y: (np.exp(x) * y, np.exp(x) * y * y / 2.0)
+        g_grad = lambda x, y, out=None: (np.exp(x) * y, np.exp(x) * y * y / 2.0)
         p = space.h1_project(g_grad)
         # residual of the defining system in the free-vertex basis
         gx_gy = g_grad(*quad_points(space))
@@ -678,8 +718,8 @@ class TestDiscreteLaplacian:
 
     def test_pairing_recovers_h1_seminorm(self):
         space = FemSpace(generate_structured(6), tol=1e-12)
-        g_grad = lambda x, y: (np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
-                               np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
+        g_grad = lambda x, y, out=None: (np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
+                                         np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
         w = space.h1_project(g_grad)
         z = space.apply_discrete_laplacian(w)
         pairing = space.full(z) @ (space.mass @ space.full(w))
@@ -723,8 +763,9 @@ class TestNorms:
         space = FemSpace(generate_structured(4))
         v = RNG.normal(size=len(space.free))
         u = RNG.normal(size=len(space.free))
-        # the quadrature computes in the derivatives' arrays, so each call hands out new ones
-        def zero_derivatives(t, x, y):
+        # the quadrature computes in the derivatives' arrays: each call ignores out and
+        # hands out new ones
+        def zero_derivatives(t, x, y, out=None):
             return np.zeros(x.shape), (np.zeros(x.shape), np.zeros(x.shape))
         state = WaveState(t=0.0, u=u, v=v, f_h=np.zeros(space.mesh.n_vertices),
                           a=np.zeros(len(space.free)))

@@ -279,6 +279,40 @@ class TestManufactured:
                 got, want = sol.derivatives(t, px, py), former_at(t, px, py)
                 assert bits([got[0], *got[1]]) == bits([want[0], *want[1]]), t
 
+    @pytest.mark.parametrize("make, name", [
+        *((gaussian_pulse, name) for name in ("u", "dudt", "grad_u", "grad_dudt", "f",
+                                              "derivatives")),
+        # the mode has no derivatives: its true error takes moments
+        *((standing_mode, name) for name in ("u", "dudt", "grad_u", "grad_dudt", "f"))])
+    def test_out_bit_equal_to_the_allocating_call(self, make, name):
+        # with out, the pulse computes in the caller's four arrays and the
+        # mode ignores them; either way the values are the allocating call's,
+        # on a full block, on crisscross n=56's short last block and at scalar points
+        fn = getattr(make(), name)
+        space = FemSpace(generate_structured(56, "crisscross"))
+        assert [b.stop - b.start for b in space.blocks] == [4096, 4096, 4096, 256]
+
+        def flat(values):   # a value, a pair of them, or derivatives' (value, pair)
+            if isinstance(values, tuple):
+                return [a for v in values for a in flat(v)]
+            return [values]
+
+        for block in (space.blocks[0], space.blocks[-1]):
+            x, y = space.block_points(block)
+            for t in (0.0, 0.37, 1.0):
+                out = space.block_work(block)
+                got, want = flat(fn(t, x, y, out=out)), flat(fn(t, x, y))
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want], t
+                # the pulse's values are views of out: the call allocated no block array
+                in_out = [any(np.shares_memory(a, w) for w in out) for a in got]
+                assert in_out == [make is gaussian_pulse] * len(got), t
+        for t in (0.0, 0.37):
+            out = [np.empty(()) for _ in range(4)]
+            got, want = flat(fn(t, 0.31, 0.77, out=out)), flat(fn(t, 0.31, 0.77))
+            assert all(np.ndim(a) == 0 for a in got)
+            assert [np.float64(a).tobytes() for a in got] == [np.float64(a).tobytes()
+                                                            for a in want], t
+
     def test_solution_names_are_exact(self):
         assert get_solution("gaussian").name == "gaussian"
         assert get_solution("mode").name == "mode(1,1)"
@@ -359,11 +393,12 @@ class TestWaveExperiment:
 
         def fake_get(name):
             from wavest.manufactured import ManufacturedSolution
-            zero2 = lambda t, x, y: np.zeros_like(np.asarray(x, float))
-            gz = lambda t, x, y: (np.zeros_like(np.asarray(x, float)),) * 2
+            zero2 = lambda t, x, y, out=None: np.zeros_like(np.asarray(x, float))
+            gz = lambda t, x, y, out=None: (np.zeros_like(np.asarray(x, float)),) * 2
+            zero_derivatives = lambda t, x, y, out=None: (0.0 * x, (0.0 * x, 0.0 * y))
             return ManufacturedSolution(name="zero", u=zero2, dudt=zero2,
                                         grad_u=gz, grad_dudt=gz, f=zero2,
-                                        derivatives=lambda t, x, y: (0.0 * x, (0.0 * x, 0.0 * y)))
+                                        derivatives=zero_derivatives)
 
         orig = harness.get_solution
         harness.get_solution = fake_get
@@ -430,7 +465,7 @@ class TestWaveExperiment:
             sol = get_solution(name)
 
             def rec(key, fn):
-                return lambda t, x, y: calls.append((key, t)) or fn(t, x, y)
+                return lambda t, x, y, out=None: calls.append((key, t)) or fn(t, x, y, out=out)
             return dataclasses.replace(sol, dudt=rec("dudt", sol.dudt),
                                        grad_u=rec("grad_u", sol.grad_u))
 
@@ -608,13 +643,21 @@ class TestMemoryGuard:
     # tracemalloc's current size after the run's last push, in bytes per
     # vertex: 14 % above the 993 B of a space that derives its quadrature
     # points per block and a true error that keeps no buffers between states
-    # (a space storing every triangle's points held 1,156 B)
+    # (a space storing every triangle's points held 1,156 B); the space's
+    # four block work arrays raise it to 1,105 B
     LIVE_BYTES_PER_VERTEX = 1130
     # tracemalloc's peak of one pulse true error at crisscross n=64, in
     # bytes: 11 % above the 1,842,056 B it takes, so that keeping the
     # previous block's solution values alive beside the next block's
     # (2,301,096 B) exceeds it
     ERROR_CALL_PEAK_BYTES = 2_050_000
+    # tracemalloc's peaks of one pulse L2 projection of the forcing and one
+    # pulse true error at crisscross n=64 (4 blocks), in bytes: about 12 %
+    # above the 534,410 B and 761,344 B they take with the space's block work
+    # arrays, so that four new (4096, 7) arrays for one block (917,504 B)
+    # exceed each
+    LOAD_CALL_PEAK_BYTES = 600_000
+    WORK_ERROR_CALL_PEAK_BYTES = 850_000
     # tracemalloc's peak of one FemSpace construction at crisscross n=64, in
     # bytes per vertex: about 12 % above the 548 B of the edge-slot assembly,
     # M_h included (incidence products, COO triplets and slicing to the free
@@ -686,6 +729,30 @@ class TestMemoryGuard:
         finally:
             tracemalloc.stop()
         assert peak < self.ERROR_CALL_PEAK_BYTES
+
+    def test_block_evaluations_allocate_no_block_arrays(self):
+        # the forcing's load and the true error evaluate the pulse into the
+        # space's block work arrays, allocated at the first call
+        import tracemalloc
+
+        sol = gaussian_pulse()
+        space = FemSpace(generate_structured(64, "crisscross"))
+        assert len(space.blocks) == 4
+        solver = NewmarkWaveSolver(wave_problem_from(sol), space)
+        state = solver.step(solver.initial_state(), 0.05)   # first calls stay out of the count
+        error_at = harness.true_error_form(sol, space)
+        first = error_at(state)
+        peaks = []
+        for call in (lambda: solver.project_forcing(0.3), lambda: error_at(state)):
+            tracemalloc.start()
+            try:
+                result = call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert result == first
+        assert peaks[0] < self.LOAD_CALL_PEAK_BYTES
+        assert peaks[1] < self.WORK_ERROR_CALL_PEAK_BYTES
 
     def test_space_construction_peak(self):
         # the edge slots live only while the space assembles its matrices

@@ -22,7 +22,7 @@ def make_problem(solution):
     return WaveProblem(f=solution.f, grad_u0=grad_u0, grad_v0=grad_v0)
 
 
-def zero_gradient(x, y):
+def zero_gradient(x, y, out=None):
     return np.zeros_like(x), np.zeros_like(x)
 
 
@@ -34,7 +34,7 @@ def gradient_field(space, w):
     """(d/dx, d/dy) of the P1 function with free-vertex values w, as initial data take it."""
     grads = element_gradients(space, space.full(w))
 
-    def grad(x, y):
+    def grad(x, y, out=None):
         return (np.broadcast_to(grads[:, [0]], x.shape),
                 np.broadcast_to(grads[:, [1]], x.shape))
     return grad
@@ -91,8 +91,8 @@ class TestInitialState:
             space = FemSpace(generate_structured(n), tol=1e-12)
             s0 = NewmarkWaveSolver(problem, space).initial_state()
             # |u0 - Pi u0|_H1^2 = |u0|^2 - |Pi u0|^2
-            exact_sq = space.assemble_load(
-                lambda x, y: sol.grad_u(0.0, x, y)[0] ** 2 + sol.grad_u(0.0, x, y)[1] ** 2).sum()
+            exact_sq = space.assemble_load(lambda x, y, out=None: sol.grad_u(0.0, x, y)[0] ** 2
+                                           + sol.grad_u(0.0, x, y)[1] ** 2).sum()
             errs.append(np.sqrt(max(exact_sq - space.h1_seminorm(s0.u) ** 2, 0.0)))
         rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(np.abs(rates - 1.0) < 0.25)
@@ -282,7 +282,7 @@ class TestForcedScalarCase:
         A = float(space.stiffness_ff.toarray()[0, 0] / space.mass_ff.toarray()[0, 0])
         u, du, g, moving, (n_steps, small) = self.CASES[case]
         grad_v0 = gradient_field(space, np.ones(1)) if moving else zero_gradient
-        problem = WaveProblem(f=lambda t, x, y: g(A, t) * centre_hat(x, y),
+        problem = WaveProblem(f=lambda t, x, y, out=None: g(A, t) * centre_hat(x, y),
                               grad_u0=zero_gradient, grad_v0=grad_v0)
         grid = alternating_grid(n_steps=n_steps, T=1.0, small=small)
         acc = WaveEstimatorAccumulator(space)
