@@ -14,7 +14,9 @@ Three estimators are computed from sliding windows of discrete states:
 Each payload is sqrt(a^2 + b^2) of its two norm terms, the energy-norm form
 of the scalar model's payloads.  The time weights, the initial slab and the
 running sums are shared with the scalar model (``stencils.eta3_increments``/
-``eta5_increments``): the accumulator here only collects payloads.
+``eta5_increments``): the accumulator here only collects payloads, and the
+seconds each ``eta3_step`` and ``eta5_step`` call took (the cost benchmark's
+timings); the space counts the auxiliary solves (``FemSpace.aux_solves``).
 
 The jump operator is built on the interior edges of the mesh's edge table
 (those with a second side): each edge's h_E-scaled normal is its edge
@@ -24,9 +26,8 @@ window keeps the full second differences of its newest node only; the two
 older nodes keep what the 5-point estimator reads of them, d2 u and the
 staggered time.
 
-A problem without forcing carries no projection of f (``WaveState.f_h`` is
-None): its nodes have no d2 f, and the 3-point residual and the space
-estimator's volume residuals skip the forcing terms, which would be zeros.
+A problem without forcing carries the exact zero ``WaveState.f_h = 0.0`` and
+its nodes ``d2f = 0.0``, so each estimator term has one code path.
 J is built through ``fem.sparse``, and the space estimator's h_K^2-weighted
 mass matrix M_h is the space's (``FemSpace.h_mass``), so this module
 imports no scipy of its own.
@@ -34,13 +35,14 @@ imports no scipy of its own.
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
 import numpy as np
 
-from .fem import QUAD_BLOCK, FemSpace, SolveCounter, sparse
+from .fem import QUAD_BLOCK, FemSpace, sparse
 from .newmark import WaveState
 from .stencils import eta3_increments, eta5_increments, hat_second_diff, second_diff
 
@@ -54,8 +56,8 @@ __all__ = [
 class NodeDiffs:
     """Second differences in time at one interior node t_k, shared by all three estimators.
 
-    In the estimator window's two older nodes ``d2v`` and ``d2f`` are None,
-    and ``d2f`` is None at every node of a problem without forcing.
+    In the estimator window's two older nodes ``d2v`` and ``d2f`` are None;
+    ``d2f`` is 0.0 at every node of a problem without forcing.
     """
 
     that: float       # staggered time (t_{k+1} + t_{k-1}) / 2
@@ -63,28 +65,29 @@ class NodeDiffs:
     tau: float        # tau_k = t_{k+1} - t_k
     d2u: np.ndarray             # free vertices
     d2v: Optional[np.ndarray]   # all vertices (zero on the boundary)
-    d2f: Optional[np.ndarray]   # all vertices
+    d2f: Union[np.ndarray, float, None]   # all vertices; 0.0 without forcing
     d2v_h1: float               # |d2_k v|_H1
 
 
 def node_diffs(space: FemSpace, states) -> NodeDiffs:
-    """Second differences of u, v and f_h (none without forcing) over three states, and |d2 v|_H1."""
+    """Second differences of u, v and f_h (0.0 without forcing) over three states, and |d2 v|_H1."""
     s0, s1, s2 = states
     tau = (s1.t - s0.t, s2.t - s1.t)
     d2u = second_diff([s.u for s in states], tau)
     d2v = second_diff([s.v for s in states], tau)
-    d2f = None if s1.f_h is None else second_diff([s.f_h for s in states], tau)
+    # without forcing every f_h is the exact zero 0.0, and so is its second difference
+    d2f = second_diff([s.f_h for s in states], tau) if np.ndim(s1.f_h) else 0.0
     return NodeDiffs(that=0.5 * (s2.t + s0.t), tau_prev=tau[0], tau=tau[1], d2u=d2u,
                      d2v=space.full(d2v), d2f=d2f, d2v_h1=space.h1_seminorm(d2v))
 
 
-def eta3_step(space: FemSpace, node: NodeDiffs, counter: Optional[SolveCounter] = None) -> float:
+def eta3_step(space: FemSpace, node: NodeDiffs) -> float:
     """3-point estimator payload at an interior node.
 
     Performs exactly one mass solve (for the discrete Laplacian of d2_k u).
     """
-    z = space.full(space.apply_discrete_laplacian(node.d2u, counter=counter))
-    resid = z if node.d2f is None else node.d2f - z   # the norm of -z is that of z
+    z = space.full(space.apply_discrete_laplacian(node.d2u))
+    resid = np.subtract(node.d2f, z, out=z)
     return float(np.hypot(node.d2v_h1, space.l2_norm(resid)))
 
 
@@ -173,11 +176,10 @@ class SpaceEstimatorAccumulator:
         full = self.space.full
         central = node.tau_prev + node.tau
         v_c = full((s2.v - s0.v) / central)
-        forced = s1.f_h is not None
-        p1 = self._part(v_c - s1.f_h if forced else v_c, full(s1.u))
+        p1 = self._part(np.subtract(v_c, s1.f_h, out=v_c), full(s1.u))
         self.part1_max = max(self.part1_max, np.sqrt(p1))
         u_c = full((s2.u - s0.u) / central)
-        p2 = self._part(node.d2v - (s2.f_h - s0.f_h) / central if forced else node.d2v, u_c)
+        p2 = self._part(node.d2v - (s2.f_h - s0.f_h) / central, u_c)
         self.part2_sum += node.tau * np.sqrt(p2)
 
     @property
@@ -192,12 +194,13 @@ class SpaceEstimatorAccumulator:
 class WaveEstimatorAccumulator:
     """Consumes the state stream and accumulates all three estimators online.
 
-    Keeps the state times, each time estimator's payloads and the space
-    estimator's running parts; ``increments`` weights the payloads as the
-    scalar model does.  Retains the last 3 states and the second differences
-    of the last 3 interior nodes, each computed once; of the two older
-    nodes only what ``eta5_step`` reads is kept.  States must come in time
-    order: the second differences reject a non-positive step.
+    Keeps the state times, each time estimator's payloads with the seconds
+    each payload's call took, and the space estimator's running parts;
+    ``increments`` weights the payloads as the scalar model does.  Retains
+    the last 3 states and the second differences of the last 3 interior
+    nodes, each computed once; of the two older nodes only what
+    ``eta5_step`` reads is kept.  States must come in time order: the
+    second differences reject a non-positive step.
     """
 
     def __init__(self, space: FemSpace):
@@ -205,9 +208,8 @@ class WaveEstimatorAccumulator:
         self.states = deque(maxlen=3)
         self.nodes = deque(maxlen=3)
         self.times = []
-        self.eta3_payloads = []
-        self.eta5_payloads = []
-        self.aux_counter = SolveCounter()  # the 3-point estimator's mass solves
+        self.eta3_payloads, self.eta3_seconds = [], []
+        self.eta5_payloads, self.eta5_seconds = [], []
         self.space_acc = SpaceEstimatorAccumulator(space)
 
     def push(self, state: WaveState):
@@ -218,10 +220,14 @@ class WaveEstimatorAccumulator:
             return
         node = node_diffs(self.space, states)
         self.nodes.append(node)
-        self.eta3_payloads.append(eta3_step(self.space, node, counter=self.aux_counter))
+        start = time.perf_counter()
+        self.eta3_payloads.append(eta3_step(self.space, node))
+        self.eta3_seconds.append(time.perf_counter() - start)
         self.space_acc.update(states, node)
         if len(self.nodes) == 3:
+            start = time.perf_counter()
             self.eta5_payloads.append(eta5_step(self.space, self.nodes))
+            self.eta5_seconds.append(time.perf_counter() - start)
         self.nodes[-1] = replace(node, d2v=None, d2f=None)
 
     def increments(self):

@@ -39,11 +39,12 @@ gradients (``gradient_rows``).
 
 Linear systems are solved with preconditioned conjugate gradients, from
 zero or from a given start vector, updating the iterate, the residual and
-the search direction in place; pass a ``SolveCounter`` to account for
-solver work (the cost comparison of the two time estimators rests on these
-counters).  ``FemSpace`` forms every preconditioner its solves and the
-stepper's use: the kept Jacobi (``jacobi``) of M and M_ff for the mass
-solves; for the stiffness and shifted systems, on spaces with at least
+the search direction in place, for at most max(10 n, 200) iterations; a
+``SolveCounter`` counts solves and iterations, and each space counts its
+auxiliary solves (the 3-point estimator's) in ``FemSpace.aux_solves``.
+``FemSpace`` forms every preconditioner its solves and the stepper's use:
+the kept Jacobi (``jacobi``) of M and M_ff for the mass solves; for the
+stiffness and shifted systems, on spaces with at least
 ``MULTIGRID_MIN_FREE`` free vertices, a smoothed-aggregation V-cycle
 (``Multigrid``, built from the stiffness matrix at the first solve that
 needs it, run in work vectors allocated once per hierarchy), and on smaller
@@ -225,7 +226,7 @@ def jacobi(diagonal) -> Callable:
     return lambda r: r / diagonal
 
 
-def solve_spd(matrix, rhs, precond: Callable, tol=1e-10, max_iter=None,
+def solve_spd(matrix, rhs, precond: Callable, tol=1e-10,
               counter: Optional[SolveCounter] = None, x0=None):
     """Preconditioned conjugate gradients for SPD systems.
 
@@ -233,21 +234,17 @@ def solve_spd(matrix, rhs, precond: Callable, tol=1e-10, max_iter=None,
     (a ``Multigrid.preconditioner``, or the ``jacobi`` of a kept diagonal).
     Starts from ``x0`` (zero by default; the caller's array is not changed)
     and stops when the residual satisfies
-    ||b - A x|| <= tol * ||b|| (``tol`` a finite positive number and
-    ``max_iter`` at least 1, ValueError otherwise), after 0 iterations if
-    ``x0`` already does.  Deterministic for fixed inputs; raises SolverError
-    with the last residual if max_iter is exhausted, or if a search
-    direction p has p . A p <= 0 (the matrix or the preconditioner is not
-    positive definite).
+    ||b - A x|| <= tol * ||b|| (``tol`` a finite positive number, ValueError
+    otherwise), after 0 iterations if ``x0`` already does.  Deterministic for
+    fixed inputs; raises SolverError with the last residual if max(10 n, 200)
+    iterations do not reach tol, or if a search direction p has p . A p <= 0
+    (the matrix or the preconditioner is not positive definite).
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be a finite positive number, got {tol!r}")
-    if max_iter is not None and max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     b = np.asarray(rhs, dtype=float)
     n = len(b)
-    if max_iter is None:
-        max_iter = max(10 * n, 200)
+    max_iter = max(10 * n, 200)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         if counter is not None:
@@ -442,6 +439,7 @@ class FemSpace:
         mass_ff_diagonal = self.mass_ff.diagonal()
         self.mass_jacobi = jacobi(self.mass.diagonal())
         self.mass_ff_jacobi = jacobi(mass_ff_diagonal)
+        self.aux_solves = SolveCounter()   # apply_discrete_laplacian's solves
         # the diagonals of M_ff and K_ff, from which small spaces form Jacobi
         self._diagonals = None
         if len(self.free) < MULTIGRID_MIN_FREE:
@@ -596,10 +594,10 @@ class FemSpace:
             precond = multigrid.preconditioner(self.stiffness_ff, "stiffness")
         return solve_spd(self.stiffness_ff, rhs[self.free], tol=self.tol, precond=precond)
 
-    def apply_discrete_laplacian(self, w, counter=None) -> np.ndarray:
+    def apply_discrete_laplacian(self, w) -> np.ndarray:
         """z in V_h with (z, phi) = (grad w, grad phi) for all phi in V_h; free vertices."""
-        return solve_spd(self.mass_ff, self.stiffness_ff @ w, tol=self.tol, counter=counter,
-                         precond=self.mass_ff_jacobi)
+        return solve_spd(self.mass_ff, self.stiffness_ff @ w, tol=self.tol,
+                         counter=self.aux_solves, precond=self.mass_ff_jacobi)
 
     # -- norms --------------------------------------------------------------
 

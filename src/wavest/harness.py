@@ -18,11 +18,12 @@ grid rules check T (``ExperimentConfig.build_grid``) before any mesh is
 built, and the wave problem carries no copy of it.  Every space, the cost
 benchmark's included, integrates with the one rule ``fem.QUAD_RULE``.
 
-The cost benchmark's settings are module constants: ``BENCH_STEPS`` timed
-windows of three nodes, of which the first ``BENCH_WARMUP`` are also
-evaluated once untimed before any timing, steps of ``BENCH_TAU``, and the
-best of ``BENCH_REPEATS`` evaluations per window.  It steps just far enough
-to build the ``BENCH_STEPS + 2`` nodes its windows read.
+The cost benchmark runs the production path: a short standing-mode run
+through ``WaveEstimatorAccumulator``, which times each estimator call, and
+the space's count of auxiliary solves (``FemSpace.aux_solves``).  Its
+settings are module constants: ``BENCH_TAU``, the step, ``BENCH_STEPS``, the
+timed interior nodes at the end of the run, and ``BENCH_WARMUP``, the nodes
+evaluated by both estimators before them and not counted.
 
 The drivers call ``parse_mesh_spec``, ``FemSpace``, ``build_grid``,
 ``get_solution``, ``generate_structured``/``read_mesh`` and
@@ -36,15 +37,14 @@ at the first sparse build, which only a wave or bench run makes.
 from __future__ import annotations
 
 import io
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import ode
-from .estimators import WaveEstimatorAccumulator, eta3_step, eta5_step, node_diffs
-from .fem import FemSpace, SolveCounter
+from .estimators import WaveEstimatorAccumulator
+from .fem import FemSpace
 from .grids import TimeGrid, build_grid
 from .manufactured import ManufacturedSolution, get_solution
 from .mesh import generate_structured, read_mesh
@@ -323,62 +323,37 @@ def run_wave_experiment(config: ExperimentConfig):
 
 
 BENCH_COLUMNS = ("path", "n_vertices", "steps", "seconds_per_step", "aux_solves")
-BENCH_STEPS = 8      # windows timed
-BENCH_WARMUP = 2     # leading windows evaluated once untimed first
-BENCH_TAU = 1e-3     # step of the prepared states
-BENCH_REPEATS = 3    # evaluations per window; the best counts
+BENCH_STEPS = 8      # interior nodes timed: the run's last
+BENCH_WARMUP = 2     # interior nodes with both estimators before the timed ones, not counted
+BENCH_TAU = 1e-3     # step of the run
 
 
 def benchmark_estimators(mesh):
-    """Per-step cost of both estimator paths at prepared interior nodes, as two rows.
+    """Per-step cost of both estimator paths in a short run of the standing mode, as two rows.
 
-    Integration cost is excluded: the states and each node's second
-    differences (shared by both paths) are built once, then each estimator
-    is evaluated per window of three nodes as
-    ``WaveEstimatorAccumulator.push`` calls it, timing only the estimator
-    work and counting the 3-point path's mass solves.  The reported per-step
-    time is the median over windows of the best of ``BENCH_REPEATS``
-    evaluations, which keeps one-off allocation spikes out of the
-    comparison.  Returns the ``BENCH_COLUMNS`` rows of the paths.
+    The run takes ``3 + BENCH_WARMUP + BENCH_STEPS`` steps of ``BENCH_TAU``
+    through ``WaveEstimatorAccumulator.push``, which times each
+    ``eta3_step`` and ``eta5_step`` call.  A row's per-step time is the
+    median of its path's calls at the run's last ``BENCH_STEPS`` interior
+    nodes, and its ``aux_solves`` the space's auxiliary solves
+    (``FemSpace.aux_solves``) at those nodes; the 5-point path solves
+    nothing.  Returns the ``BENCH_COLUMNS`` rows of the paths.
     """
     _check_interior(mesh)
-    problem = wave_problem_from(get_solution("mode"))
     space = FemSpace(mesh)
-    solver = NewmarkWaveSolver(problem, space)
+    solver = NewmarkWaveSolver(wave_problem_from(get_solution("mode")), space)
+    acc = WaveEstimatorAccumulator(space)
     state = solver.initial_state()
-    states = [state]
-    for _ in range(3 + BENCH_STEPS):
+    acc.push(state)
+    for k in range(3 + BENCH_WARMUP + BENCH_STEPS):
+        if k == 3 + BENCH_WARMUP:   # the push of t_{k+1} evaluates node t_k, the first timed
+            solves = space.aux_solves.solves
         state = solver.step(state, BENCH_TAU)
-        states.append(state)
-    nodes = [node_diffs(space, states[k:k + 3]) for k in range(len(states) - 2)]
-    # the last three nodes, as push holds them
-    windows = [nodes[k:k + 3] for k in range(BENCH_STEPS)]
-
-    for w in windows[:BENCH_WARMUP]:
-        eta3_step(space, w[-1], counter=None)
-        eta5_step(space, w)
-
-    def timed(fn):
-        per_window = []
-        for w in windows:
-            best = min(_time_once(fn, w) for _ in range(BENCH_REPEATS))
-            per_window.append(best)
-        return float(np.median(per_window))
-
-    c3 = SolveCounter()
-    t3 = timed(lambda w: eta3_step(space, w[-1], counter=c3))
-    t5 = timed(lambda w: eta5_step(space, w))
-    # eta5_step takes no solver counter: it solves nothing (the tests count
-    # solve_spd calls around it)
+        acc.push(state)
+    t3, t5 = (float(np.median(s[-BENCH_STEPS:])) for s in (acc.eta3_seconds, acc.eta5_seconds))
     common = {"n_vertices": mesh.n_vertices, "steps": BENCH_STEPS}
     return [
         {"path": "eta3", **common, "seconds_per_step": t3,
-         "aux_solves": c3.solves // BENCH_REPEATS},
+         "aux_solves": space.aux_solves.solves - solves},
         {"path": "eta5", **common, "seconds_per_step": t5, "aux_solves": 0},
     ]
-
-
-def _time_once(fn, window):
-    t0 = time.perf_counter()
-    fn(window)
-    return time.perf_counter() - t0

@@ -25,15 +25,16 @@ neither.
 Initial data enter through H1_0-orthogonal projections of u0 and v0; the
 forcing enters through its L2 projections at the grid times, which are kept
 on the state because both time estimators consume them.  A problem without
-forcing (f = None) carries no projection (``WaveState.f_h`` is None): it
-evaluates no forcing and its steps form no loads.  A problem carries no
-final time: ``run`` takes its times from the grid, whose rules check T.
+forcing (f = None) carries the exact zero ``WaveState.f_h = 0.0`` in place
+of a projection: it evaluates no forcing and its steps form no loads.  A
+problem carries no final time: ``run`` takes its times from the grid, whose
+rules check T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -59,7 +60,7 @@ class WaveState:
     t: float
     u: np.ndarray
     v: np.ndarray
-    f_h: Optional[np.ndarray]   # L2 projection of f(t); None without forcing
+    f_h: Union[np.ndarray, float]   # L2 projection of f(t); 0.0 without forcing
     a: np.ndarray     # acceleration, M a = F - K u
 
 
@@ -72,11 +73,11 @@ class NewmarkWaveSolver:
 
     # -- data projection ----------------------------------------------------
 
-    def project_forcing(self, t) -> Optional[np.ndarray]:
-        """The L2 projection of f(t) on all vertices; None without forcing."""
+    def project_forcing(self, t) -> Union[np.ndarray, float]:
+        """The L2 projection of f(t) on all vertices; 0.0 without forcing."""
         f = self.problem.f
         if f is None:
-            return None
+            return 0.0
         return self.space.l2_project(lambda x, y, out=None: f(t, x, y, out=out))
 
     def initial_state(self) -> WaveState:
@@ -91,9 +92,9 @@ class NewmarkWaveSolver:
     def _rhs(self, f_h, ku):
         """Forcing loads (f, phi_i) less ``ku`` on the free vertices, from an L2 projection of f.
 
-        Without forcing (``f_h`` None) this is 0 - ku, in place.
+        Without forcing (f = None) this is 0 - ku, in place.
         """
-        if f_h is None:
+        if self.problem.f is None:
             return np.subtract(0.0, ku, out=ku)
         return (self.space.mass @ f_h)[self.space.free] - ku
 

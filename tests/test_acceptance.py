@@ -478,7 +478,7 @@ class TestCriterion9:
         for state in solver.run(grid):
             acc.push(state)
         n = grid.n_steps
-        count3 = acc.aux_counter.solves
+        count3 = space.aux_solves.solves
         count5 = sum(eta5_solves)
         assert len(eta5_solves) == n - 3
         assert count3 == n - 1

@@ -1,10 +1,13 @@
 """The benchmark tracer's patch targets: every name ``perfbench/tracer.py`` wraps exists,
-the scalar run calls the wrapped names, and uninstalling restores each one."""
+the scalar run calls the wrapped names, and uninstalling restores each one; in a traced
+wave run the package's own counts equal the traced ones."""
 
 import importlib.util
 from pathlib import Path
 
-from wavest.harness import ExperimentConfig, run_ode_experiment
+import pytest
+
+from wavest.harness import ExperimentConfig, run_ode_experiment, run_wave_experiment
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -36,3 +39,23 @@ def test_install_patches_every_target_and_uninstall_restores_it():
         assert getattr(owner, attr) is original, (owner, attr)
     assert ODE_SPANS <= {span[0] for span in tracer.spans}
     assert tracer.counts["ode.steps"] == 8
+
+
+@pytest.mark.parametrize("solution", ["gaussian", "mode"])
+def test_package_counts_equal_the_traced_ones(solution):
+    # a short wave run under the tracer: the space's auxiliary-solve count is
+    # the tracer's, and the accumulator times each estimator call it traces
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        _, _, acc = run_wave_experiment(ExperimentConfig(
+            kind="wave", mesh="structured:n=4:pattern=crisscross", solution=solution,
+            grid="uniform", N=8))
+    finally:
+        tracer.uninstall()
+    # the tracer counts the solve_spd spans under fem.apply_discrete_laplacian
+    assert tracer.layer_metrics(1)["estimators.aux_solves"] == acc.space.aux_solves.solves == 7
+    # one eta3 call per interior node t_1..t_7, one eta5 call per node t_3..t_7
+    names = [span[0] for span in tracer.spans]
+    assert names.count("estimators.eta3_step") == len(acc.eta3_seconds) == 7
+    assert names.count("estimators.eta5_step") == len(acc.eta5_seconds) == 5

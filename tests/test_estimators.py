@@ -6,7 +6,7 @@ import pytest
 from wavest import estimators, fem
 from wavest.estimators import (SpaceEstimatorAccumulator, WaveEstimatorAccumulator,
                                eta3_step, eta5_step, node_diffs)
-from wavest.fem import FemSpace, SolveCounter
+from wavest.fem import FemSpace
 from wavest.grids import alternating_grid, uniform_grid
 from wavest.manufactured import gaussian_pulse
 from wavest.mesh import Mesh, generate_structured, import_mesh
@@ -92,9 +92,10 @@ class TestTimeSamples:
         times = [0.0, 0.1, 0.2]
         states = states_from(space, times, [RNG.normal(size=nf) for _ in range(3)],
                              [RNG.normal(size=nf) for _ in range(3)])
-        counter = SolveCounter()
-        eta3_step(space, node_diffs(space, states), counter=counter)
-        assert counter.solves == 1
+        node = node_diffs(space, states)
+        assert space.aux_solves.solves == 0
+        eta3_step(space, node)
+        assert space.aux_solves.solves == 1
 
     def test_eta5_performs_no_solves(self, monkeypatch):
         space = FemSpace(generate_structured(4))
@@ -364,7 +365,7 @@ class TestAccumulator:
             acc.push(state)
         # one auxiliary mass solve per interior node k = 1..N-1, none on the
         # 5-point path (k = 3..N-1)
-        assert acc.aux_counter.solves == grid.n_steps - 1
+        assert space.aux_solves.solves == grid.n_steps - 1
         assert eta5_solves == [0] * (grid.n_steps - 3)
         inc3, inc5 = acc.increments()
         assert len(inc3) == grid.n_steps  # initial + N-1 regular

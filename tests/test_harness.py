@@ -5,12 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from wavest import grids, harness
+from wavest import estimators, grids, harness
 from wavest.fem import FemSpace
 from wavest.grids import TimeGrid, alternating_grid, build_grid, decaying_grid, uniform_grid
-from wavest.harness import (BENCH_COLUMNS, BENCH_REPEATS, BENCH_STEPS, BENCH_WARMUP,
-                            ODE_COLUMNS, TRACE_COLUMNS, WAVE_COLUMNS,
-                            ExperimentConfig, benchmark_estimators,
+from wavest.harness import (BENCH_COLUMNS, BENCH_STEPS, BENCH_WARMUP, ODE_COLUMNS,
+                            TRACE_COLUMNS, WAVE_COLUMNS, ExperimentConfig, benchmark_estimators,
                             parse_config_file, parse_mesh_spec, rows_to_csv,
                             run_ode_experiment, run_wave_experiment,
                             wave_energy_error_at, wave_problem_from)
@@ -646,11 +645,6 @@ class TestMemoryGuard:
     # (a space storing every triangle's points held 1,156 B); the space's
     # four block work arrays raise it to 1,105 B
     LIVE_BYTES_PER_VERTEX = 1130
-    # tracemalloc's peak of one pulse true error at crisscross n=64, in
-    # bytes: 11 % above the 1,842,056 B it takes, so that keeping the
-    # previous block's solution values alive beside the next block's
-    # (2,301,096 B) exceeds it
-    ERROR_CALL_PEAK_BYTES = 2_050_000
     # tracemalloc's peaks of one pulse L2 projection of the forcing and one
     # pulse true error at crisscross n=64 (4 blocks), in bytes: about 12 %
     # above the 534,410 B and 761,344 B they take with the space's block work
@@ -710,29 +704,11 @@ class TestMemoryGuard:
             owner = values if values.base is None else values.base
             assert owner.nbytes == 4 * rows * values.itemsize
 
-    def test_true_error_call_peak(self):
-        # one call's buffers hold one block of triangles at a time, apart
-        # from the all-vertex vectors and the (3, triangles) integral rows
-        import tracemalloc
-
-        sol = gaussian_pulse()
-        space = FemSpace(generate_structured(64, "crisscross"))
-        assert space.mesh.n_triangles > 2 * (space.blocks[0].stop - space.blocks[0].start)
-        solver = NewmarkWaveSolver(wave_problem_from(sol), space)
-        state = solver.step(solver.initial_state(), 0.05)
-        error_at = harness.true_error_form(sol, space)
-        first = error_at(state)   # first calls (caches) stay out of the count
-        tracemalloc.start()
-        try:
-            assert error_at(state) == first
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < self.ERROR_CALL_PEAK_BYTES
-
     def test_block_evaluations_allocate_no_block_arrays(self):
         # the forcing's load and the true error evaluate the pulse into the
-        # space's block work arrays, allocated at the first call
+        # space's block work arrays, allocated at the first call; beyond them a
+        # true error holds one block's buffers at a time, the all-vertex vectors
+        # and the (3, triangles) integral rows
         import tracemalloc
 
         sol = gaussian_pulse()
@@ -1109,19 +1085,33 @@ class TestBenchmark:
         assert all(set(r) == set(BENCH_COLUMNS) for r in rows)
         eta3, eta5 = rows
         assert eta3["aux_solves"] == BENCH_STEPS and eta5["aux_solves"] == 0
-        # warm-up, then every repeat at each timed window
-        assert len(eta5_solves) == BENCH_WARMUP + BENCH_STEPS * BENCH_REPEATS
+        # one eta5 call per node from t_3: the warm-up nodes, then the timed ones
+        assert len(eta5_solves) == BENCH_WARMUP + BENCH_STEPS
         assert sum(eta5_solves) == 0
         assert eta3["seconds_per_step"] > 0
 
     def test_builds_only_the_nodes_its_windows_read(self, monkeypatch):
-        # BENCH_STEPS windows of three consecutive nodes read BENCH_STEPS + 2 nodes
-        calls, node_diffs = [], harness.node_diffs
+        # 3 + BENCH_WARMUP + BENCH_STEPS steps have 2 + BENCH_WARMUP + BENCH_STEPS
+        # interior nodes, each differenced once and evaluated by eta3 once; eta5's
+        # windows of three nodes end at each node from t_3.  The rows take the
+        # medians of the accumulator's timings at the last BENCH_STEPS nodes.
+        calls, node_diffs, runs = [], estimators.node_diffs, []
 
         def counted(*args, **kwargs):
             calls.append(1)
             return node_diffs(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "node_diffs", counted)
-        benchmark_estimators(generate_structured(6))
-        assert len(calls) == BENCH_STEPS + 2
+        class Recorded(harness.WaveEstimatorAccumulator):
+            def __init__(self, space):
+                super().__init__(space)
+                runs.append(self)
+
+        monkeypatch.setattr(estimators, "node_diffs", counted)
+        monkeypatch.setattr(harness, "WaveEstimatorAccumulator", Recorded)
+        eta3, eta5 = benchmark_estimators(generate_structured(6))
+        acc, = runs
+        assert len(calls) == len(acc.eta3_seconds) == 2 + BENCH_WARMUP + BENCH_STEPS
+        assert len(acc.eta5_seconds) == BENCH_WARMUP + BENCH_STEPS
+        assert eta3["seconds_per_step"] == np.median(acc.eta3_seconds[-BENCH_STEPS:])
+        assert eta5["seconds_per_step"] == np.median(acc.eta5_seconds[-BENCH_STEPS:])
+        assert acc.space.aux_solves.solves == len(acc.eta3_seconds)

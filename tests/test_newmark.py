@@ -64,7 +64,7 @@ class TestInitialState:
         s0 = solver.initial_state()
         assert np.all(s0.u == 0.0)
         assert np.all(s0.v == 0.0)
-        assert s0.f_h is None   # no forcing, no projection
+        assert s0.f_h == 0.0 and isinstance(s0.f_h, float)   # no forcing, no projection
         assert np.all(s0.a == 0.0)
 
     def test_initial_acceleration_solves_the_mass_system(self):
