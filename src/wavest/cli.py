@@ -12,10 +12,16 @@ gaussian or mode); any other key is an error, and so is a setting the kind
 does not read (mesh or solution for ode, A for wave, anything but mesh and
 out for bench).  Every flag given overrides the file.  Exit code is 0 on
 success and 1 with a diagnostic on stderr for a setting rejected after
-parsing (config keys and values included).  A command line that argparse
-rejects (an unknown flag, a --grid outside the choices, a value of the
-wrong type) exits 2 with argparse's usage message; ``main`` called in
-process raises ``SystemExit(2)`` for it.
+parsing (config keys and values included).  Among those is a tol below the
+machine epsilon, which CG would meet only by underflow; the floor is the
+command line's, and ``fem.solve_spd`` takes any finite positive tol.  A
+command line that argparse rejects (an unknown flag, a --grid outside the
+choices, a value of the wrong type) exits 2 with argparse's usage message;
+``main`` called in process raises ``SystemExit(2)`` for it.
+
+Importing this module sets each BLAS/OpenMP thread count the environment
+does not set already to 1, before numpy loads, as ``perfbench/run.py`` and
+the tests do.
 """
 
 from __future__ import annotations
@@ -23,12 +29,20 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 
-from .harness import (
+# One BLAS/OpenMP thread unless the caller set its own, before numpy loads:
+# a second thread waiting for a busy core can make the 5-point path's small
+# dot products read slower than the 3-point path's solve in ``wavest bench``
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from .harness import (  # noqa: E402
     BENCH_COLUMNS, ODE_COLUMNS, TRACE_COLUMNS, WAVE_COLUMNS, ExperimentConfig,
-    benchmark_estimators, parse_config_file, parse_mesh_spec, rows_to_csv,
-    run_ode_experiment, run_wave_experiment, write_csv,
+    benchmark_estimators, parse_config_file, rows_to_csv, run_ode_experiment,
+    run_wave_experiment, write_csv,
 )
 
 def build_parser():
@@ -67,7 +81,9 @@ def check_settings(config: ExperimentConfig, given):
     """Reject a setting named in ``given`` that config.kind does not read, and a bad tol.
 
     ``given`` holds the settings set explicitly (flags and config keys);
-    ``kind`` itself is always read.  ``tol`` must be a finite positive number.
+    ``kind`` itself is always read.  ``tol`` must be a finite positive number
+    and at least the machine epsilon: below it CG meets the tolerance only
+    when its residual underflows.
     """
     read = SETTINGS_READ.get(config.kind)
     if read is not None:
@@ -77,6 +93,9 @@ def check_settings(config: ExperimentConfig, given):
             raise ValueError(f"the {config.kind} experiment does not use {' or '.join(unread)}")
     if not 0.0 < config.tol < math.inf:
         raise ValueError(f"tol must be a finite positive number, got {config.tol!r}")
+    if config.tol < sys.float_info.epsilon:
+        raise ValueError(f"tol must be at least the machine epsilon "
+                         f"{sys.float_info.epsilon:g}, got {config.tol!r}")
 
 
 def config_from_args(args) -> ExperimentConfig:
@@ -121,7 +140,7 @@ def main(argv=None) -> int:
             if cfg.trace:
                 write_csv(cfg.trace, TRACE_COLUMNS, trace)
         elif cfg.kind == "bench":
-            _emit(BENCH_COLUMNS, benchmark_estimators(parse_mesh_spec(cfg.mesh)), cfg.out)
+            _emit(BENCH_COLUMNS, benchmark_estimators(cfg.mesh), cfg.out)
         else:
             raise ValueError("give an experiment kind: ode, wave or bench")
     except Exception as exc:

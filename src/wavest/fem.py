@@ -48,8 +48,9 @@ stiffness and shifted systems, on spaces with at least
 ``MULTIGRID_MIN_FREE`` free vertices, a smoothed-aggregation V-cycle
 (``Multigrid``, built from the stiffness matrix at the first solve that
 needs it, run in work vectors allocated once per hierarchy), and on smaller
-spaces the Jacobi of kept diagonals of M_ff and K_ff.  ``solve_spd`` takes
-its preconditioner from the caller and extracts no diagonal.
+spaces the Jacobi of the matrix's own diagonal, one size rule for both
+(``FemSpace._preconditioner``).  ``solve_spd`` takes its preconditioner
+from the caller and extracts no diagonal.
 
 ``scipy.sparse`` is imported by ``sparse()`` at the first sparse build
 (assembly, a V-cycle hierarchy, the estimators' operators), the package's
@@ -436,14 +437,9 @@ class FemSpace:
         self.grads, self.area = mesh.grads, mesh.areas
         # the preconditioners of the mass solves (loads' L2 projections, the
         # initial acceleration, the auxiliary solves)
-        mass_ff_diagonal = self.mass_ff.diagonal()
         self.mass_jacobi = jacobi(self.mass.diagonal())
-        self.mass_ff_jacobi = jacobi(mass_ff_diagonal)
+        self.mass_ff_jacobi = jacobi(self.mass_ff.diagonal())
         self.aux_solves = SolveCounter()   # apply_discrete_laplacian's solves
-        # the diagonals of M_ff and K_ff, from which small spaces form Jacobi
-        self._diagonals = None
-        if len(self.free) < MULTIGRID_MIN_FREE:
-            self._diagonals = mass_ff_diagonal, self.stiffness_ff.diagonal()
         self._shifted = self._shifted_precond = self._scale = None
         nt, q = mesh.n_triangles, len(self.rule.points)
         self.blocks = [slice(lo, min(lo + QUAD_BLOCK, nt)) for lo in range(0, nt, QUAD_BLOCK)]
@@ -467,15 +463,26 @@ class FemSpace:
             return None
         return Multigrid(self.stiffness_ff, self.mesh.vertices[self.free], 2.0 * self.mesh.h)
 
+    def _preconditioner(self, matrix, key):
+        """``solve_spd``'s precond for K_ff or the kept shifted system, ``matrix``.
+
+        The V-cycle of ``matrix`` keyed by ``key``, or, on a space without
+        ``multigrid``, the Jacobi of the matrix's own diagonal.
+        """
+        multigrid = self.multigrid
+        if multigrid is None:
+            return jacobi(matrix.diagonal())
+        return multigrid.preconditioner(matrix, key)
+
     def shifted_system(self, scale):
         """The matrix M_ff + scale K_ff and ``solve_spd``'s precond for it.
 
         One such matrix is kept, on the index arrays of M_ff and K_ff; a
         change of ``scale`` rewrites its values in place and forms its
-        preconditioner: the V-cycle keyed by ``scale`` (which keeps its own
-        coarse operators when ``h1_project`` re-keys the hierarchy), or
-        below MULTIGRID_MIN_FREE the Jacobi of dM + scale dK, the entries'
-        own arithmetic, so it divides by the bits of the matrix's diagonal.
+        preconditioner (``_preconditioner``): the V-cycle keyed by ``scale``
+        (which keeps its own coarse operators when ``h1_project`` re-keys
+        the hierarchy), or on a small space the Jacobi of the matrix's
+        diagonal.
         """
         if self._shifted is None:
             self._shifted = _on_pattern(self.mass_ff.data.copy(), self.mass_ff.indices,
@@ -485,12 +492,7 @@ class FemSpace:
             # operators, and the old scale too, as a failed build leaves no scale current
             self._shifted_precond = self._scale = None
             np.add(self.mass_ff.data, scale * self.stiffness_ff.data, out=self._shifted.data)
-            multigrid = self.multigrid
-            if multigrid is None:
-                mass_diagonal, stiffness_diagonal = self._diagonals
-                self._shifted_precond = jacobi(mass_diagonal + scale * stiffness_diagonal)
-            else:
-                self._shifted_precond = multigrid.preconditioner(self._shifted, scale)
+            self._shifted_precond = self._preconditioner(self._shifted, scale)
             self._scale = scale
         return self._shifted, self._shifted_precond
 
@@ -587,12 +589,8 @@ class FemSpace:
             grad = grad_g(*self.block_points(b), out=self.block_work(b))
             self.gradient_rows(*grad, b, out=contrib[b])
         rhs = self.scatter(contrib)
-        multigrid = self.multigrid
-        if multigrid is None:
-            precond = jacobi(self._diagonals[1])
-        else:
-            precond = multigrid.preconditioner(self.stiffness_ff, "stiffness")
-        return solve_spd(self.stiffness_ff, rhs[self.free], tol=self.tol, precond=precond)
+        return solve_spd(self.stiffness_ff, rhs[self.free], tol=self.tol,
+                         precond=self._preconditioner(self.stiffness_ff, "stiffness"))
 
     def apply_discrete_laplacian(self, w) -> np.ndarray:
         """z in V_h with (z, phi) = (grad w, grad phi) for all phi in V_h; free vertices."""

@@ -18,12 +18,12 @@ grid rules check T (``ExperimentConfig.build_grid``) before any mesh is
 built, and the wave problem carries no copy of it.  Every space, the cost
 benchmark's included, integrates with the one rule ``fem.QUAD_RULE``.
 
-The cost benchmark runs the production path: a short standing-mode run
-through ``WaveEstimatorAccumulator``, which times each estimator call, and
-the space's count of auxiliary solves (``FemSpace.aux_solves``).  Its
-settings are module constants: ``BENCH_TAU``, the step, ``BENCH_STEPS``, the
-timed interior nodes at the end of the run, and ``BENCH_WARMUP``, the nodes
-evaluated by both estimators before them and not counted.
+The cost benchmark is a wave run: one ``run_wave_experiment`` of the
+standing mode, whose ``WaveEstimatorAccumulator`` times each estimator call,
+with the space's count of auxiliary solves (``FemSpace.aux_solves``).  Its
+settings are module constants: ``BENCH_STEPS`` steps of ``BENCH_TAU``, a
+dyadic step, so the uniform grid's steps are bit-equal and the step matrix
+takes one scale.
 
 The drivers call ``parse_mesh_spec``, ``FemSpace``, ``build_grid``,
 ``get_solution``, ``generate_structured``/``read_mesh`` and
@@ -323,37 +323,29 @@ def run_wave_experiment(config: ExperimentConfig):
 
 
 BENCH_COLUMNS = ("path", "n_vertices", "steps", "seconds_per_step", "aux_solves")
-BENCH_STEPS = 8      # interior nodes timed: the run's last
-BENCH_WARMUP = 2     # interior nodes with both estimators before the timed ones, not counted
-BENCH_TAU = 1e-3     # step of the run
+BENCH_STEPS = 13         # steps of the run
+BENCH_TAU = 2.0 ** -10   # its step: dyadic, so every step of the uniform grid is this one
 
 
 def benchmark_estimators(mesh):
     """Per-step cost of both estimator paths in a short run of the standing mode, as two rows.
 
-    The run takes ``3 + BENCH_WARMUP + BENCH_STEPS`` steps of ``BENCH_TAU``
-    through ``WaveEstimatorAccumulator.push``, which times each
-    ``eta3_step`` and ``eta5_step`` call.  A row's per-step time is the
-    median of its path's calls at the run's last ``BENCH_STEPS`` interior
-    nodes, and its ``aux_solves`` the space's auxiliary solves
-    (``FemSpace.aux_solves``) at those nodes; the 5-point path solves
-    nothing.  Returns the ``BENCH_COLUMNS`` rows of the paths.
+    ``mesh`` is a mesh spec (``ExperimentConfig.mesh``).  The run is one
+    ``run_wave_experiment`` on a uniform grid of ``BENCH_STEPS`` steps of
+    ``BENCH_TAU``, whose ``WaveEstimatorAccumulator`` times each
+    ``eta3_step`` and ``eta5_step`` call.  A row's ``steps`` is its path's
+    number of calls, its per-step time their median, and its ``aux_solves``
+    the space's auxiliary solves over the run (``FemSpace.aux_solves``);
+    the 5-point path solves nothing.  Returns the ``BENCH_COLUMNS`` rows of
+    the paths.
     """
-    _check_interior(mesh)
-    space = FemSpace(mesh)
-    solver = NewmarkWaveSolver(wave_problem_from(get_solution("mode")), space)
-    acc = WaveEstimatorAccumulator(space)
-    state = solver.initial_state()
-    acc.push(state)
-    for k in range(3 + BENCH_WARMUP + BENCH_STEPS):
-        if k == 3 + BENCH_WARMUP:   # the push of t_{k+1} evaluates node t_k, the first timed
-            solves = space.aux_solves.solves
-        state = solver.step(state, BENCH_TAU)
-        acc.push(state)
-    t3, t5 = (float(np.median(s[-BENCH_STEPS:])) for s in (acc.eta3_seconds, acc.eta5_seconds))
-    common = {"n_vertices": mesh.n_vertices, "steps": BENCH_STEPS}
+    config = ExperimentConfig(kind="wave", mesh=mesh, solution="mode", grid="uniform",
+                              N=BENCH_STEPS, T=BENCH_STEPS * BENCH_TAU)
+    _, _, acc = run_wave_experiment(config)
+    n_vertices = acc.space.mesh.n_vertices
     return [
-        {"path": "eta3", **common, "seconds_per_step": t3,
-         "aux_solves": space.aux_solves.solves - solves},
-        {"path": "eta5", **common, "seconds_per_step": t5, "aux_solves": 0},
+        {"path": path, "n_vertices": n_vertices, "steps": len(seconds),
+         "seconds_per_step": float(np.median(seconds)), "aux_solves": aux_solves}
+        for path, seconds, aux_solves in (("eta3", acc.eta3_seconds, acc.space.aux_solves.solves),
+                                          ("eta5", acc.eta5_seconds, 0))
     ]

@@ -24,7 +24,6 @@ import time
 import numpy as np
 import pytest
 
-from wavest.estimators import WaveEstimatorAccumulator
 from wavest.fem import EdgeSlots, FemSpace
 from wavest.grids import uniform_grid
 from wavest.harness import (BENCH_STEPS, ExperimentConfig, benchmark_estimators,
@@ -471,24 +470,21 @@ class TestCriterion9:
     def test_cost_claim(self, eta5_solves):
         # counter part: exact auxiliary-solve counts over a full run; the
         # 5-point count is of real solve_spd calls inside its path
-        space = FemSpace(generate_structured(6), tol=1e-10)
-        solver = NewmarkWaveSolver(wave_problem_from(gaussian_pulse()), space)
-        acc = WaveEstimatorAccumulator(space)
-        grid = uniform_grid(10, T=1.0)
-        for state in solver.run(grid):
-            acc.push(state)
-        n = grid.n_steps
-        count3 = space.aux_solves.solves
+        _, _, acc = run_wave_experiment(ExperimentConfig(
+            kind="wave", mesh="structured:n=6", solution="gaussian", grid="uniform", N=10))
+        n = len(acc.times) - 1
+        count3 = acc.space.aux_solves.solves
         count5 = sum(eta5_solves)
+        assert n == 10
         assert len(eta5_solves) == n - 3
         assert count3 == n - 1
         assert count5 == 0
         # timing part on a >= 10^4-vertex mesh
         eta5_solves.clear()
-        eta3, eta5 = benchmark_estimators(generate_structured(100, "diagonal"))
+        eta3, eta5 = benchmark_estimators("structured:n=100:pattern=diagonal")
         assert eta3["n_vertices"] >= 10 ** 4
-        assert len(eta5_solves) > 0
-        assert eta3["aux_solves"] == BENCH_STEPS and sum(eta5_solves) == 0
+        assert len(eta5_solves) == eta5["steps"] > 0
+        assert eta3["aux_solves"] == eta3["steps"] == BENCH_STEPS - 1 and sum(eta5_solves) == 0
         ok = eta5["seconds_per_step"] < eta3["seconds_per_step"]
         print(f"\n[criterion 09] {'PASS' if ok else 'FAIL'} - aux solves "
               f"{count3} = N-1 vs {count5} = 0; per-step "

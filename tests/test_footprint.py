@@ -56,3 +56,21 @@ def test_one_owner_of_preconditioning():
              if path.name != "fem.py"
              for line in path.read_text(encoding="utf-8").splitlines() if pattern.search(line)]
     assert sites == []
+
+
+def test_one_size_rule_for_multigrid():
+    # the threshold is compared once, where the space decides on its V-cycle;
+    # every free-vertex preconditioner follows from that decision
+    comparisons = [line.strip() for line in (SRC / "wavest" / "fem.py").read_text(
+        encoding="utf-8").splitlines() if re.search(r"[<>]=?\s*MULTIGRID_MIN_FREE\b", line)]
+    assert comparisons == ["if len(self.free) < MULTIGRID_MIN_FREE:"]
+
+
+def test_one_driver_of_the_stepper():
+    # every wave run, the cost benchmark's included, steps through
+    # NewmarkWaveSolver.run: no other code in the package starts or steps a state
+    sites = [(path.name, line.strip()) for path in sorted((SRC / "wavest").glob("*.py"))
+             for line in path.read_text(encoding="utf-8").splitlines()
+             if re.search(r"initial_state\(|\.step\(", line) and "def " not in line]
+    assert sites == [("newmark.py", "state = self.initial_state()"),
+                     ("newmark.py", "state = self.step(state, tau)")]

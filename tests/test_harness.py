@@ -8,7 +8,7 @@ import pytest
 from wavest import estimators, grids, harness
 from wavest.fem import FemSpace
 from wavest.grids import TimeGrid, alternating_grid, build_grid, decaying_grid, uniform_grid
-from wavest.harness import (BENCH_COLUMNS, BENCH_STEPS, BENCH_WARMUP, ODE_COLUMNS,
+from wavest.harness import (BENCH_COLUMNS, BENCH_STEPS, BENCH_TAU, ODE_COLUMNS,
                             TRACE_COLUMNS, WAVE_COLUMNS, ExperimentConfig, benchmark_estimators,
                             parse_config_file, parse_mesh_spec, rows_to_csv,
                             run_ode_experiment, run_wave_experiment,
@@ -969,6 +969,16 @@ class TestCli:
         assert capsys.readouterr().err == \
             f"wavest: error: tol must be a finite positive number, got {float(tol)!r}\n"
 
+    @pytest.mark.parametrize("tol", ["1e-17", "1e-300", "5e-324"])
+    @pytest.mark.parametrize("kind", [["wave", "--mesh", "structured:n=4", "--N", "8"],
+                                      ["ode", "--N", "10"]], ids=["wave", "ode"])
+    def test_tolerance_below_machine_epsilon_fails(self, kind, tol, capsys):
+        # CG would meet such a tol only when its residual underflows
+        from wavest.cli import main
+        assert main([*kind, "--tol", tol]) == 1
+        assert capsys.readouterr().err == ("wavest: error: tol must be at least the machine "
+                                           f"epsilon 2.22045e-16, got {float(tol)!r}\n")
+
     def test_scalar_model_accepts_a_tolerance(self, capsys):
         # one command-line tail (--tol 1e-13) serves every kind
         from wavest.cli import main
@@ -1072,46 +1082,57 @@ class TestCli:
         assert header == ",".join(BENCH_COLUMNS)
         rows = [dict(zip(BENCH_COLUMNS, line.split(","))) for line in lines]
         assert [r["path"] for r in rows] == ["eta3", "eta5"]
-        assert all(r["n_vertices"] == "49" and r["steps"] == str(BENCH_STEPS) for r in rows)
-        # one auxiliary solve per timed window on the 3-point path, none on the 5-point
+        assert all(r["n_vertices"] == "49" for r in rows)
+        # the run's calls per path: one per interior node, one per node from t_3
+        assert [r["steps"] for r in rows] == [str(BENCH_STEPS - 1), str(BENCH_STEPS - 3)]
+        # one auxiliary solve per call on the 3-point path, none on the 5-point
         assert [r["aux_solves"] for r in rows] == [rows[0]["steps"], "0"]
         assert all(float(r["seconds_per_step"]) > 0 for r in rows)
 
 
 class TestBenchmark:
     def test_counters_small_mesh(self, eta5_solves):
-        rows = benchmark_estimators(generate_structured(12))
+        rows = benchmark_estimators("structured:n=12")
         assert [r["path"] for r in rows] == ["eta3", "eta5"]
         assert all(set(r) == set(BENCH_COLUMNS) for r in rows)
         eta3, eta5 = rows
-        assert eta3["aux_solves"] == BENCH_STEPS and eta5["aux_solves"] == 0
-        # one eta5 call per node from t_3: the warm-up nodes, then the timed ones
-        assert len(eta5_solves) == BENCH_WARMUP + BENCH_STEPS
+        assert eta3["steps"] == eta3["aux_solves"] == BENCH_STEPS - 1
+        assert eta5["steps"] == BENCH_STEPS - 3 and eta5["aux_solves"] == 0
+        # one eta5 call per node from t_3, none of which solves
+        assert len(eta5_solves) == eta5["steps"]
         assert sum(eta5_solves) == 0
         assert eta3["seconds_per_step"] > 0
 
     def test_builds_only_the_nodes_its_windows_read(self, monkeypatch):
-        # 3 + BENCH_WARMUP + BENCH_STEPS steps have 2 + BENCH_WARMUP + BENCH_STEPS
-        # interior nodes, each differenced once and evaluated by eta3 once; eta5's
-        # windows of three nodes end at each node from t_3.  The rows take the
-        # medians of the accumulator's timings at the last BENCH_STEPS nodes.
-        calls, node_diffs, runs = [], estimators.node_diffs, []
+        # one wave run of BENCH_STEPS steps, each of BENCH_TAU exactly, has
+        # BENCH_STEPS - 1 interior nodes, each differenced once and evaluated
+        # by eta3 once; eta5's windows of three nodes end at each node from
+        # t_3.  The rows take the medians of all of the accumulator's timings.
+        calls, node_diffs, runs, accs = [], estimators.node_diffs, [], []
+        run = harness.run_wave_experiment
 
         def counted(*args, **kwargs):
             calls.append(1)
             return node_diffs(*args, **kwargs)
 
+        def recorded_run(config):
+            runs.append(config)
+            return run(config)
+
         class Recorded(harness.WaveEstimatorAccumulator):
             def __init__(self, space):
                 super().__init__(space)
-                runs.append(self)
+                accs.append(self)
 
         monkeypatch.setattr(estimators, "node_diffs", counted)
+        monkeypatch.setattr(harness, "run_wave_experiment", recorded_run)
         monkeypatch.setattr(harness, "WaveEstimatorAccumulator", Recorded)
-        eta3, eta5 = benchmark_estimators(generate_structured(6))
-        acc, = runs
-        assert len(calls) == len(acc.eta3_seconds) == 2 + BENCH_WARMUP + BENCH_STEPS
-        assert len(acc.eta5_seconds) == BENCH_WARMUP + BENCH_STEPS
-        assert eta3["seconds_per_step"] == np.median(acc.eta3_seconds[-BENCH_STEPS:])
-        assert eta5["seconds_per_step"] == np.median(acc.eta5_seconds[-BENCH_STEPS:])
-        assert acc.space.aux_solves.solves == len(acc.eta3_seconds)
+        eta3, eta5 = benchmark_estimators("structured:n=6")
+        (config,), (acc,) = runs, accs
+        assert config.solution == "mode" and config.mesh == "structured:n=6"
+        assert np.all(np.diff(acc.times) == BENCH_TAU) and len(acc.times) == BENCH_STEPS + 1
+        assert len(calls) == len(acc.eta3_seconds) == BENCH_STEPS - 1
+        assert len(acc.eta5_seconds) == BENCH_STEPS - 3
+        assert eta3["seconds_per_step"] == np.median(acc.eta3_seconds)
+        assert eta5["seconds_per_step"] == np.median(acc.eta5_seconds)
+        assert acc.space.aux_solves.solves == len(acc.eta3_seconds) == eta3["aux_solves"]
